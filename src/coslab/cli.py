@@ -16,10 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,13 +50,8 @@ EXIT_BODY = 5
 _PARAM_ERRORS = (ExcludedParameterError, QuadratureWindowError, GammaPoleError,
                  NumeratorPoleError, UnknownConstantError)
 _BODY_ERRORS = (NonPositiveBodyError, OddInputError, BadShapeParamsError)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("COSLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+# --family choice -> multiplier family of multipliers.table
+_FAMILIES = {family.lower(): family for family in mult.FAMILY_PARAMS}
 
 
 def _read_config(path: str | None) -> dict:
@@ -91,30 +84,16 @@ def _setting(args, cfg: dict, name: str, default, cast):
 
 
 def _cmd_multiplier(args) -> int:
-    n = args.n
-    rows = []
-    for j in range(args.jmax + 1):
-        if args.family == "m":
-            value = mult.m_mult(n, j, args.alpha)
-        elif args.family == "q":
-            value = mult.q_mult(n, j, args.alpha)
-        elif args.family == "qplus":
-            value = mult.qpm_mult(n, j, args.mu, args.nu, "plus")
-        elif args.family == "qminus":
-            value = mult.qpm_mult(n, j, args.mu, args.nu, "minus")
-        elif args.family == "a":
-            if args.beta is None:
-                raise argparse.ArgumentTypeError("family 'a' needs --beta")
-            value = mult.a_mult(n, j, args.alpha, args.beta)
-        elif args.family == "funk":
-            value = mult.funk_mult(n, j)
-        elif args.family == "poisson":
-            if args.t is None:
-                raise argparse.ArgumentTypeError("family 'poisson' needs --t")
-            value = mult.poisson_mult(j, args.t)
-        else:
-            raise argparse.ArgumentTypeError(f"unknown family {args.family}")
-        rows.append((j, value))
+    family = _FAMILIES[args.family]
+    names = mult.FAMILY_PARAMS[family]
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise argparse.ArgumentTypeError(
+            f"family {args.family!r} needs {' and '.join(missing)}")
+    degrees = np.arange(args.jmax + 1)
+    values = mult.table(args.n, degrees, family,
+                        **{name: getattr(args, name) for name in names})
+    rows = list(zip(degrees.tolist(), values.tolist()))
     if args.format == "json":
         print(json.dumps([{"j": j, "value": v} for j, v in rows], indent=1))
     else:
@@ -166,13 +145,7 @@ def _cmd_verify(args) -> int:
         raise argparse.ArgumentTypeError(f"unknown suite {args.suite!r}")
 
     start = time.perf_counter()
-    workers = _threads()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            chunks = list(ex.map(lambda job: job(), jobs))
-    else:
-        chunks = [job() for job in jobs]
-    results = [r for chunk in chunks for r in chunk]
+    results = [r for job in jobs for r in job()]
     results.sort(key=lambda r: (r.identity, json.dumps(r.params, sort_keys=True,
                                                        default=str)))
     report = RunReport(
@@ -369,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pm = sub.add_parser("multiplier", help="tabulate family multipliers")
-    pm.add_argument("--family", required=True,
-                    choices=["m", "q", "qplus", "qminus", "a", "funk", "poisson"])
+    pm.add_argument("--family", required=True, choices=list(_FAMILIES))
     pm.add_argument("--n", type=int, default=3)
     pm.add_argument("--alpha", type=float, default=0.0)
     pm.add_argument("--beta", type=float)

@@ -21,8 +21,12 @@ a pole has no correct digits left.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
+
+import numpy as np
+from scipy.special import gammaln, gammasgn
 
 from ._gamma import gamma_ratio, is_gamma_pole
 from .errors import (
@@ -44,6 +48,8 @@ __all__ = [
     "a_mult",
     "funk_mult",
     "poisson_mult",
+    "FAMILY_PARAMS",
+    "table",
     "constant",
     "check_identities",
 ]
@@ -68,20 +74,30 @@ def sigma(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _near_lattice(alpha: float, start: float, step: float = 2.0) -> bool:
-    """True if alpha is within EPS_POLE of {start, start+step, start+2*step, ...}."""
-    k = round((alpha - start) / step)
-    if k < 0:
-        k = 0
+def _near_lattice(alpha, start: float, step: float = 2.0):
+    """Whether alpha (a float or an array) is within EPS_POLE of {start, start+step, ...}."""
+    k = np.fmax(np.rint((alpha - start) / step), 0.0)
     return abs(alpha - (start + k * step)) <= EPS_POLE
 
 
-def _near_lattice_down(alpha: float, start: float, step: float = -2.0) -> bool:
-    """True if alpha is within EPS_POLE of {start, start+step, ...} going down."""
-    k = round((alpha - start) / step)
-    if k < 0:
-        k = 0
-    return abs(alpha - (start + k * step)) <= EPS_POLE
+def _excluded_mask(n: int, alpha, family: Family | str, i: int | None = None):
+    """``excluded`` elementwise, for a float or an array of orders."""
+    _check_dim(n)
+    family = Family(family)
+    with np.errstate(invalid="ignore"):     # an infinite order gives inf - inf
+        if family is Family.M:
+            near = _near_lattice(alpha, 1.0)
+        elif family is Family.Q:
+            near = _near_lattice(alpha, float(n))
+        elif family is Family.R_I:
+            if i is None:
+                raise ValueError("family R_i requires the subspace dimension i")
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"need 1 <= i <= n-1, got i={i}, n={n}")
+            near = _near_lattice(alpha, float(n - i))
+        else:
+            near = _near_lattice(alpha, 0.0, -2.0) | _near_lattice(alpha, float(n))
+    return near | ~np.isfinite(alpha)
 
 
 def excluded(n: int, alpha: float, family: Family | str, i: int | None = None) -> bool:
@@ -92,23 +108,7 @@ def excluded(n: int, alpha: float, family: Family | str, i: int | None = None) -
     R_i:     {n-i, n-i+2, ...}   (requires i)
     K_class: {0, -2, -4, ...} union {n, n+2, ...}
     """
-    _check_dim(n)
-    if not math.isfinite(alpha):
-        return True
-    family = Family(family)
-    if family is Family.M:
-        return _near_lattice(alpha, 1.0)
-    if family is Family.Q:
-        return _near_lattice(alpha, float(n))
-    if family is Family.R_I:
-        if i is None:
-            raise ValueError("family R_i requires the subspace dimension i")
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"need 1 <= i <= n-1, got i={i}, n={n}")
-        return _near_lattice(alpha, float(n - i))
-    if family is Family.K_CLASS:
-        return _near_lattice_down(alpha, 0.0) or _near_lattice(alpha, float(n))
-    raise ValueError(f"unknown family {family!r}")
+    return bool(_excluded_mask(n, alpha, family, i))
 
 
 def _check_dim(n: int) -> None:
@@ -225,6 +225,129 @@ def poisson_mult(j: int, t: float) -> float:
     return t ** j
 
 
+# --- array tables -----------------------------------------------------------
+#
+# The scalars above evaluate one degree at a time through math.lgamma and are
+# the reference the tests hold ``table`` to.  Every caller that needs many
+# degrees or orders goes through ``table``.
+
+# family -> the keyword parameters ``table`` takes for it
+FAMILY_PARAMS = {
+    "M": ("alpha",),
+    "Q": ("alpha",),
+    "Qplus": ("mu", "nu"),
+    "Qminus": ("mu", "nu"),
+    "A": ("alpha", "beta"),
+    "Funk": (),
+    "Poisson": ("t",),
+}
+
+
+def _is_pole(x: np.ndarray) -> np.ndarray:
+    return (x <= 0.0) & (x == np.floor(x))
+
+
+def _ratio(numerators, denominators):
+    """``gamma_ratio`` over broadcast argument arrays, without raising.
+
+    Returns (values, numerator_pole).  A denominator pole gives 0; where a
+    numerator argument is a pole the value is NaN and the mask is set.  The
+    log-gamma terms are summed in the scalar's order.
+    """
+    num_pole = functools.reduce(np.logical_or, map(_is_pole, numerators))
+    den_pole = functools.reduce(np.logical_or, map(_is_pole, denominators))
+    sign, log = 1.0, 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a in numerators:
+            sign, log = sign * gammasgn(a), log + gammaln(a)
+        for b in denominators:
+            sign, log = sign * gammasgn(b), log - gammaln(b)
+        values = sign * np.exp(log)
+    values = np.where(den_pole, 0.0, values)
+    return np.where(num_pole, np.nan, values), num_pole
+
+
+def _admissible(n: int, alpha, family: Family):
+    bad = _excluded_mask(n, alpha, family)
+    if np.any(bad):
+        lattice = {Family.M: "the cosine-family pole lattice 1, 3, 5, ...",
+                   Family.Q: f"the sine-family pole lattice n, n+2, ... (n={n})"}[family]
+        raise ExcludedParameterError(
+            f"alpha={np.asarray(alpha)[bad].flat[0]} is on {lattice}")
+    return alpha
+
+
+def _table(n: int, j: np.ndarray, family: str, params: dict):
+    """Multipliers over broadcast degrees and orders, plus the numerator-pole mask.
+
+    Excluded orders raise ExcludedParameterError; numerator poles do not
+    raise, they are NaN in the values and set in the mask.
+    """
+    if family in ("M", "Funk"):
+        alpha = 0.0 if family == "Funk" else _admissible(n, params["alpha"], Family.M)
+        values, pole = _ratio([(j + 1.0 - alpha) / 2.0], [(j + n - 1.0 + alpha) / 2.0])
+        values = np.where((j // 2) % 2 == 1, -values, values)
+        if family == "Funk":
+            values = values / constant("c_limit", n, i=n - 1)
+    elif family == "Q":
+        alpha = _admissible(n, params["alpha"], Family.Q)
+        values, pole = _ratio(
+            [(j + n - 1.0 - alpha) / 2.0, (j + 1.0) / 2.0],
+            [(j + alpha + 1.0) / 2.0, (j + n - 1.0) / 2.0])
+        identity = np.asarray(alpha) == 0.0
+        values, pole = np.where(identity, 1.0, values), pole & ~identity
+    elif family == "Qplus":
+        mu, nu = params["mu"], params["nu"]
+        values, pole = _ratio([(j + n - nu + 1.0) / 2.0], [(j + n - nu + 1.0 + mu) / 2.0])
+    elif family == "Qminus":
+        mu, nu = params["mu"], params["nu"]
+        values, pole = _ratio([(j + nu - mu) / 2.0], [(j + nu) / 2.0])
+    elif family == "A":
+        alpha, beta = params["alpha"], params["beta"]
+        values, pole = _ratio(
+            [(j + 1.0 - alpha) / 2.0, (j + n - 1.0 + beta) / 2.0],
+            [(j + n - 1.0 + alpha) / 2.0, (j + 1.0 - beta) / 2.0])
+    else:   # Poisson
+        t = np.asarray(params["t"], dtype=float)
+        if not np.all((0.0 <= t) & (t < 1.0)):
+            raise ValueError(f"Poisson parameter must satisfy 0 <= t < 1, got {t}")
+        return t ** j, np.zeros(np.broadcast(t, j).shape, dtype=bool)
+    if family in ("M", "Q", "Funk"):
+        odd = j % 2 == 1
+        values, pole = np.where(odd, 0.0, values), pole & ~odd
+    return values, pole
+
+
+def table(n: int, degrees, family: str, **params) -> np.ndarray:
+    """Multipliers of one family over an array of degrees.
+
+    ``family`` is a key of FAMILY_PARAMS ("M", "Q", "Qplus", "Qminus", "A",
+    "Funk", "Poisson") and ``params`` are exactly its parameters.  Degrees
+    broadcast against array-valued parameters.  The pole rules of the
+    scalars hold: a denominator pole gives 0, a numerator pole raises
+    GammaPoleError, an order on the M or Q lattice or in its guard band
+    raises ExcludedParameterError, and M, Q and Funk vanish on odd degrees.
+    (An admissible M order has no numerator pole, so the scalar's
+    NumeratorPoleError cannot arise here.)
+    """
+    _check_dim(n)
+    j = np.asarray(degrees)
+    if j.dtype.kind not in "iu":
+        raise ValueError(f"degrees must be integers, got dtype {j.dtype}")
+    if np.any(j < 0):
+        raise ValueError(f"degrees must be >= 0, got {j.min()}")
+    if family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family {family!r}")
+    if set(params) != set(FAMILY_PARAMS[family]):
+        raise TypeError(f"family {family!r} takes parameters "
+                        f"{FAMILY_PARAMS[family]}, got {tuple(params)}")
+    values, pole = _table(n, j, family, params)
+    if np.any(pole):
+        at = np.broadcast_to(j, pole.shape)[pole].flat[0]
+        raise GammaPoleError(f"family {family} has a numerator gamma pole at degree {at}")
+    return values
+
+
 # --- closed-form constants -------------------------------------------------
 #
 # Names:
@@ -319,18 +442,13 @@ def constant(name: str, n: int, i: int | None = None, alpha: float | None = None
 
 # --- identity suite ---------------------------------------------------------
 
-def _even_degrees(j_max: int):
-    return range(0, j_max + 1, 2)
-
-
-def _errs(pairs):
-    """abs and rel error lists for (value, expected) pairs."""
-    abs_errs, rel_errs = [], []
-    for value, expected in pairs:
-        err = abs(value - expected)
-        abs_errs.append(err)
-        rel_errs.append(err / abs(expected) if abs(expected) > 1.0 else err)
-    return abs_errs, rel_errs
+def _errs(value: np.ndarray, expected):
+    """Largest abs error and largest error relative to max(|expected|, 1), as lists."""
+    if value.size == 0:
+        return [], []
+    err = np.abs(value - expected)
+    rel = err / np.maximum(np.abs(expected), 1.0)
+    return [float(err.max())], [float(rel.max())]
 
 
 def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
@@ -348,101 +466,79 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
       asymptotics      |m(j_max,alpha)| * (j_max/2)^(alpha+n/2-1) -> 1
                        (checked against a fixed 2% band)
 
-    The error metric is relative where |expected| > 1, absolute otherwise.
+    An order (or order pair) is skipped when it is excluded or when a gamma
+    factor of the identity has a numerator pole at some degree.  The first
+    four identities are evaluated as arrays over (order, degree) through
+    ``_table``; each row is one order or order pair.  The error metric is
+    relative where |expected| > 1, absolute otherwise.
     """
     if beta_grid is None:
         beta_grid = alpha_grid
+    alphas = np.asarray(alpha_grid, dtype=float)
+    betas = np.asarray(beta_grid, dtype=float)
+    j = np.arange(0, j_max + 1, 2)
+    ok_alpha = ~_excluded_mask(n, alphas, Family.M)
     reports: list[IdentityReport] = []
 
-    def admissible_m(a: float) -> bool:
-        return not excluded(n, a, Family.M)
+    def rows(*terms):
+        """Keep the rows where no term has a numerator pole; count the others."""
+        pole = functools.reduce(np.logical_or, (p for _, p in terms))
+        keep = ~pole.any(axis=-1)
+        return ([np.broadcast_to(v, pole.shape)[keep] for v, _ in terms],
+                int(np.count_nonzero(~keep)))
+
+    def m(alpha):
+        return _table(n, j, "M", {"alpha": alpha})
 
     # inversion
-    pairs, skipped = [], 0
-    for a in alpha_grid:
-        b = 2.0 - n - a
-        if not (admissible_m(a) and admissible_m(b)):
-            skipped += 1
-            continue
-        for j in _even_degrees(j_max):
-            pairs.append((m_mult(n, j, a) * m_mult(n, j, b), 1.0))
-    abs_e, rel_e = _errs(pairs)
+    a = alphas[ok_alpha & ~_excluded_mask(n, 2.0 - n - alphas, Family.M)][:, None]
+    (m_a, m_b), poles = rows(m(a), m(2.0 - n - a))
+    skipped = len(alphas) - len(a) + poles
     reports.append(make_report(
         "inversion", {"n": n, "j_max": j_max, "alphas": len(alpha_grid), "skipped": skipped},
-        abs_e, rel_e, tol))
+        *_errs(m_a * m_b, 1.0), tol))
 
     # semigroup
-    pairs, skipped = [], 0
-    for a in alpha_grid:
-        if not admissible_m(a) or excluded(n, a + n - 2.0, Family.Q):
-            skipped += 1
-            continue
-        for j in _even_degrees(j_max):
-            try:
-                expected = q_mult(n, j, a + n - 2.0)
-                pairs.append((m_mult(n, j, a) * m_mult(n, j, 0.0), expected))
-            except GammaPoleError:
-                skipped += 1
-                break
-    abs_e, rel_e = _errs(pairs)
+    a = alphas[ok_alpha & ~_excluded_mask(n, alphas + n - 2.0, Family.Q)][:, None]
+    (m_a, m_0, q), poles = rows(m(a), m(0.0), _table(n, j, "Q", {"alpha": a + n - 2.0}))
+    skipped = len(alphas) - len(a) + poles
     reports.append(make_report(
         "semigroup", {"n": n, "j_max": j_max, "alphas": len(alpha_grid), "skipped": skipped},
-        abs_e, rel_e, tol))
+        *_errs(m_a * m_0, q), tol))
 
-    # cosine_bridge and bridge_factors over the (alpha, beta) grid
-    pairs_bridge, pairs_fact, skipped = [], [], 0
-    for a in alpha_grid:
-        for b in beta_grid:
-            if not (admissible_m(a) and admissible_m(b)):
-                skipped += 1
-                continue
-            mu, nu_plus, nu_minus = a - b, 2.0 - b, 1.0 - b
-            try:
-                for j in _even_degrees(j_max):
-                    av = a_mult(n, j, a, b)
-                    pairs_bridge.append((m_mult(n, j, b) * av, m_mult(n, j, a)))
-                    qq = (qpm_mult(n, j, mu, nu_plus, "plus")
-                          * qpm_mult(n, j, mu, nu_minus, "minus"))
-                    pairs_fact.append((qq, av))
-            except GammaPoleError:
-                skipped += 1
-                continue
-    abs_e, rel_e = _errs(pairs_bridge)
-    reports.append(make_report(
-        "cosine_bridge",
-        {"n": n, "j_max": j_max, "grid": f"{len(alpha_grid)}x{len(beta_grid)}", "skipped": skipped},
-        abs_e, rel_e, tol))
-    abs_e, rel_e = _errs(pairs_fact)
-    reports.append(make_report(
-        "bridge_factors",
-        {"n": n, "j_max": j_max, "grid": f"{len(alpha_grid)}x{len(beta_grid)}", "skipped": skipped},
-        abs_e, rel_e, tol))
+    # cosine_bridge and bridge_factors over the admissible (alpha, beta) pairs
+    ia, ib = np.nonzero(ok_alpha[:, None] & ~_excluded_mask(n, betas, Family.M)[None, :])
+    a, b = alphas[ia][:, None], betas[ib][:, None]
+    mu = a - b
+    (m_a, m_b, av, q_plus, q_minus), poles = rows(
+        m(a), m(b),
+        _table(n, j, "A", {"alpha": a, "beta": b}),
+        _table(n, j, "Qplus", {"mu": mu, "nu": 2.0 - b}),
+        _table(n, j, "Qminus", {"mu": mu, "nu": 1.0 - b}))
+    params = {"n": n, "j_max": j_max, "grid": f"{len(alpha_grid)}x{len(beta_grid)}",
+              "skipped": len(alphas) * len(betas) - len(ia) + poles}
+    reports.append(make_report("cosine_bridge", params, *_errs(m_b * av, m_a), tol))
+    reports.append(make_report("bridge_factors", dict(params),
+                               *_errs(q_plus * q_minus, av), tol))
 
     # composite constant: c * q(0, i-1) = 1
-    pairs = []
-    for ii in range(1, n):
-        c = constant("c_radon_composite", n, i=ii)
-        pairs.append((c * q_mult(n, 0, float(ii - 1)), 1.0))
-    abs_e, rel_e = _errs(pairs)
+    values = np.array([constant("c_radon_composite", n, i=ii) * q_mult(n, 0, float(ii - 1))
+                       for ii in range(1, n)])
     reports.append(make_report("composite_const", {"n": n, "i_range": [1, n - 1]},
-                               abs_e, rel_e, tol))
+                               *_errs(values, 1.0), tol))
 
     # asymptotics: probed at a degree where the 2% band applies; the
     # finite-degree correction scales like |alpha + n/2 - 1| (n/2 - 1) / j,
     # so the probe degree grows with the dimension
-    pairs, skipped = [], 0
     j = max(j_max, 200, 200 * (n - 2))
     j = j if j % 2 == 0 else j + 1
     probe_alphas = [-1.0, 0.0, 0.5, 2.0]
-    for a in probe_alphas:
-        if not admissible_m(a):
-            skipped += 1
-            continue
-        scaled = abs(m_mult(n, j, a)) * (j / 2.0) ** (a + n / 2.0 - 1.0)
-        pairs.append((scaled, 1.0))
-    abs_e, rel_e = _errs(pairs)
+    admissible = [a for a in probe_alphas if not excluded(n, a, Family.M)]
+    values = np.array([abs(m_mult(n, j, a)) * (j / 2.0) ** (a + n / 2.0 - 1.0)
+                       for a in admissible])
     reports.append(make_report(
-        "asymptotics", {"n": n, "j": j, "alphas": probe_alphas, "skipped": skipped},
-        abs_e, rel_e, 0.02))
+        "asymptotics", {"n": n, "j": j, "alphas": probe_alphas,
+                        "skipped": len(probe_alphas) - len(admissible)},
+        *_errs(values, 1.0), 0.02))
 
     return reports

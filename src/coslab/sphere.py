@@ -408,31 +408,9 @@ def _synthesize_at_block(c: HarmonicCoeffs, pts: np.ndarray) -> np.ndarray:
 # --- spectral application ----------------------------------------------------
 
 
-def _family_factors(L: int, family: str, params: dict) -> np.ndarray:
-    n = 3
-    js = range(L + 1)
-    if family == "M":
-        return np.array([mult.m_mult(n, j, params["alpha"]) for j in js])
-    if family == "Q":
-        return np.array([mult.q_mult(n, j, params["alpha"]) for j in js])
-    if family == "Qplus":
-        return np.array([mult.qpm_mult(n, j, params["mu"], params["nu"], "plus")
-                         for j in js])
-    if family == "Qminus":
-        return np.array([mult.qpm_mult(n, j, params["mu"], params["nu"], "minus")
-                         for j in js])
-    if family == "A":
-        return np.array([mult.a_mult(n, j, params["alpha"], params["beta"]) for j in js])
-    if family == "Funk":
-        return np.array([mult.funk_mult(n, j) for j in js])
-    if family == "Poisson":
-        return np.array([mult.poisson_mult(j, params["t"]) for j in js])
-    raise ValueError(f"unknown family {family!r}")
-
-
 def apply_spectral(c: HarmonicCoeffs, family: str, **params) -> HarmonicCoeffs:
     """Diagonal action: multiply each degree block by the family multiplier."""
-    return c.scale_degrees(_family_factors(c.L, family, params))
+    return c.scale_degrees(mult.table(3, np.arange(c.L + 1), family, **params))
 
 
 # --- direct kernel-quadrature engines ---------------------------------------
@@ -705,11 +683,8 @@ def _sup_err(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 def _spectral_inverse_q(c: HarmonicCoeffs, alpha: float) -> HarmonicCoeffs:
     """Inverse of the sine transform on even coefficients (odd blocks zero)."""
-    factors = []
-    for j in range(c.L + 1):
-        q = mult.q_mult(3, j, alpha)
-        factors.append(0.0 if q == 0.0 else 1.0 / q)
-    return c.scale_degrees(factors)
+    q = mult.table(3, np.arange(c.L + 1), "Q", alpha=alpha)
+    return c.scale_degrees(np.divide(1.0, q, out=np.zeros_like(q), where=q != 0.0))
 
 
 def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,

@@ -234,6 +234,12 @@ def _verdict(min_value: float, margin: float) -> str:
     return "inconclusive"
 
 
+def _class_factors(n: int, L: int, alpha: float, t_smooth: float) -> np.ndarray:
+    """Degree factors m(n, j, 1-n+alpha) t^j of the smoothed class density, j = 0..L."""
+    js = np.arange(L + 1)
+    return mult.table(n, js, "M", alpha=1.0 - n + alpha) * t_smooth ** js
+
+
 def classify_K_alpha(body: StarBody, alpha: float, t_smooth: float = 0.98,
                      margin: float = 1e-7,
                      band_limit: int | None = None) -> ClassVerdict:
@@ -260,8 +266,7 @@ def classify_K_alpha(body: StarBody, alpha: float, t_smooth: float = 0.98,
         coeffs = sphere.analyze(powered, L)
         if coeffs.odd_energy_fraction() > ODD_ENERGY_LIMIT:
             raise OddInputError("rho^alpha has odd energy above the limit")
-        factors = [mult.m_mult(n, j, 1.0 - n + alpha) * t_smooth ** j
-                   for j in range(L + 1)]
+        factors = _class_factors(n, L, alpha, t_smooth)
         smoothed = sphere.synthesize(coeffs.scale_degrees(factors), grid)
         min_value = float(smoothed.values.min())
         tail = _tail_energy(np.array([np.sum(coeffs.degree_slice(j) ** 2)
@@ -274,9 +279,7 @@ def classify_K_alpha(body: StarBody, alpha: float, t_smooth: float = 0.98,
         total = float(np.sum(coeffs.coeffs ** 2))
         if total > 0 and float(np.sum(coeffs.coeffs[1::2] ** 2)) / total > ODD_ENERGY_LIMIT:
             raise OddInputError("rho^alpha has odd energy above the limit")
-        factors = np.array([mult.m_mult(n, j, 1.0 - n + alpha) * t_smooth ** j
-                            for j in range(L + 1)])
-        smoothed = zn.ZonalFunction(n, factors * coeffs.coeffs)
+        smoothed = zn.ZonalFunction(n, _class_factors(n, L, alpha, t_smooth) * coeffs.coeffs)
         min_value = float(zn.zonal_synth(smoothed, np.linspace(-1, 1, 201)).min())
         tail = _tail_energy(coeffs.coeffs ** 2)
 

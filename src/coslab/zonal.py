@@ -213,35 +213,13 @@ def zonal_synth(f: ZonalFunction, t) -> np.ndarray:
     return (f.coeffs @ Z).reshape(t.shape)
 
 
-def _multiplier_vector(n: int, J: int, family: str, params: dict) -> np.ndarray:
-    js = range(J + 1)
-    if family == "M":
-        return np.array([mult.m_mult(n, j, params["alpha"]) for j in js])
-    if family == "Q":
-        return np.array([mult.q_mult(n, j, params["alpha"]) for j in js])
-    if family == "Qplus":
-        return np.array(
-            [mult.qpm_mult(n, j, params["mu"], params["nu"], "plus") for j in js])
-    if family == "Qminus":
-        return np.array(
-            [mult.qpm_mult(n, j, params["mu"], params["nu"], "minus") for j in js])
-    if family == "A":
-        return np.array(
-            [mult.a_mult(n, j, params["alpha"], params["beta"]) for j in js])
-    if family == "Funk":
-        return np.array([mult.funk_mult(n, j) for j in js])
-    if family == "Poisson":
-        return np.array([mult.poisson_mult(j, params["t"]) for j in js])
-    raise ValueError(f"unknown family {family!r}")
-
-
 def zonal_apply(f: ZonalFunction, family: str, **params) -> ZonalFunction:
     """Apply an intertwining operator coefficient-wise.
 
     Families: "M" (alpha), "Q" (alpha), "Qplus"/"Qminus" (mu, nu),
     "A" (alpha, beta), "Funk", "Poisson" (t).
     """
-    m = _multiplier_vector(f.n, f.degree, family, params)
+    m = mult.table(f.n, np.arange(f.degree + 1), family, **params)
     return ZonalFunction(n=f.n, coeffs=m * f.coeffs)
 
 

@@ -48,6 +48,18 @@ class TestMultiplier:
         assert code == 3
         assert "lattice" in err
 
+    @pytest.mark.parametrize("family,given,needs", [
+        ("qplus", ["--nu", "1.7"], "--mu"),
+        ("qminus", ["--mu", "0.9"], "--nu"),
+        ("a", ["--alpha", "0.5"], "--beta"),
+        ("poisson", [], "--t"),
+    ])
+    def test_missing_family_parameter_exits_2(self, capsys, family, given, needs):
+        code, out, err = run(capsys, "multiplier", "--family", family, "--n", "3", *given)
+        assert code == 2
+        assert err.startswith("error:") and needs in err
+        assert out == ""
+
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
             run(capsys, "multiplier", "--family", "bogus")

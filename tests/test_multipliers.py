@@ -15,6 +15,7 @@ from coslab.errors import (
     GammaPoleError,
     UnknownConstantError,
 )
+from coslab.reports import make_report
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -59,6 +60,8 @@ class TestExcluded:
         (4, 7.0, "M", True),
         (3, -1.0, "M", False),
         (5, 5.0, "K_class", True),
+        (3, -4.0 + 5e-9, "K_class", True),
+        (3, 0.5, "K_class", False),
     ])
     def test_lattices(self, n, alpha, family, expected):
         assert m.excluded(n, alpha, family) is expected
@@ -300,3 +303,191 @@ class TestIdentitySuite:
             d = r.to_dict()
             assert set(d) >= {"identity", "params", "max_abs_err", "max_rel_err",
                               "pass"}
+
+
+# --- array tables against the scalar reference ------------------------------
+
+DEGREES = np.arange(201)
+# orders include negative values, denominator poles (M at -3 and -4) and
+# points just outside the guard band of a lattice
+TABLE_CASES = {
+    "M": ([{"alpha": a} for a in (-5.85, -4.0, -3.0, -1.0, 0.0, 0.5, 1.0 + 1e-6,
+                                  3.0 - 1e-6, 5.7)],
+          lambda n, j, p: m.m_mult(n, j, p["alpha"])),
+    "Q": ([{"alpha": a} for a in (-2.3, 0.0, 0.6, 1.7, -4.5, 1e-7)],
+          lambda n, j, p: m.q_mult(n, j, p["alpha"])),
+    "Qplus": ([{"mu": 0.9, "nu": 1.7}, {"mu": -1.3, "nu": 4.2}, {"mu": 2.5, "nu": -0.4}],
+              lambda n, j, p: m.qpm_mult(n, j, p["mu"], p["nu"], "plus")),
+    "Qminus": ([{"mu": 0.9, "nu": 1.7}, {"mu": -1.3, "nu": 4.2}, {"mu": 2.5, "nu": -0.4}],
+               lambda n, j, p: m.qpm_mult(n, j, p["mu"], p["nu"], "minus")),
+    "A": ([{"alpha": 1.2, "beta": 0.3}, {"alpha": 0.5, "beta": -0.5},
+           {"alpha": -2.6, "beta": 2.3}, {"alpha": 1.0 + 1e-6, "beta": -5.85}],
+          lambda n, j, p: m.a_mult(n, j, p["alpha"], p["beta"])),
+    "Funk": ([{}], lambda n, j, p: m.funk_mult(n, j)),
+    "Poisson": ([{"t": t} for t in (0.0, 0.5, 0.98)],
+                lambda n, j, p: m.poisson_mult(j, p["t"])),
+}
+
+
+class TestTable:
+    def test_families_listed(self):
+        assert set(TABLE_CASES) == set(m.FAMILY_PARAMS)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("family", sorted(TABLE_CASES))
+    def test_matches_scalars(self, family, n):
+        cases, scalar = TABLE_CASES[family]
+        for params in cases:
+            want = np.array([scalar(n, int(j), params) for j in DEGREES])
+            got = m.table(n, DEGREES, family, **params)
+            # exact zeros (odd degrees, denominator poles) must stay exact
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{family} {params}")
+
+    def test_broadcasts_over_orders(self):
+        alphas = np.array([-2.3, 0.4, 2.6])
+        got = m.table(5, DEGREES[None, :], "M", alpha=alphas[:, None])
+        assert got.shape == (3, DEGREES.size)
+        for row, alpha in zip(got, alphas):
+            np.testing.assert_array_equal(row, m.table(5, DEGREES, "M", alpha=alpha))
+
+    def test_denominator_pole_gives_zero(self):
+        # n = 3, alpha = -4: (j + n - 1 + alpha)/2 is 0 or -1 at j = 2, 0
+        got = m.table(3, np.arange(6), "M", alpha=-4.0)
+        assert got[0] == got[2] == m.m_mult(3, 2, -4.0) == 0.0
+        assert got[4] != 0.0
+
+    @pytest.mark.parametrize("family,params", [
+        ("Q", {"alpha": 2.0}),                       # Gamma(0) at degree 0
+        ("A", {"alpha": 0.35, "beta": -4.0}),        # Gamma(-1) at degree 0
+        ("Qplus", {"mu": 1.0, "nu": 4.0}),           # Gamma(0) at degree 0
+        ("Qminus", {"mu": 3.0, "nu": 1.0}),          # Gamma(-1) at degree 0
+    ])
+    def test_numerator_pole_raises_like_scalar(self, family, params):
+        scalar = TABLE_CASES[family][1]
+        with pytest.raises(GammaPoleError):
+            scalar(3, 0, params)
+        with pytest.raises(GammaPoleError):
+            m.table(3, DEGREES, family, **params)
+
+    @pytest.mark.parametrize("family,alpha", [
+        ("M", 1.0), ("M", 3.0 + 5e-9), ("Q", 3.0), ("Q", 5.0 - 5e-9), ("M", math.nan),
+    ])
+    def test_excluded_order_raises(self, family, alpha):
+        with pytest.raises(ExcludedParameterError, match="lattice"):
+            m.table(3, DEGREES, family, alpha=alpha)
+        with pytest.raises(ExcludedParameterError):
+            m.table(3, DEGREES, family, alpha=np.array([0.5, alpha]))
+
+    @pytest.mark.parametrize("family,params", [
+        ("M", {"alpha": -0.7}), ("Q", {"alpha": 1.3}), ("Funk", {})])
+    def test_odd_degrees_vanish(self, family, params):
+        got = m.table(5, DEGREES, family, **params)
+        assert np.all(got[1::2] == 0.0)
+        assert np.all(got[0::2] != 0.0)
+
+    def test_sine_identity_at_zero_is_exact(self):
+        got = m.table(4, DEGREES, "Q", alpha=0.0)
+        assert np.all(got[0::2] == 1.0)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            m.table(3, [0, -2], "M", alpha=0.5)
+        with pytest.raises(ValueError):
+            m.table(3, [0.0, 2.0], "M", alpha=0.5)
+        with pytest.raises(ValueError):
+            m.table(1, DEGREES, "M", alpha=0.5)
+        with pytest.raises(ValueError):
+            m.table(3, DEGREES, "bogus")
+        with pytest.raises(ValueError):
+            m.table(3, DEGREES, "Poisson", t=1.0)
+        with pytest.raises(TypeError):
+            m.table(3, DEGREES, "Qplus", mu=1.0)
+        with pytest.raises(TypeError):
+            m.table(3, DEGREES, "Funk", alpha=0.5)
+
+
+# --- identity suite against a scalar loop -------------------------------------
+
+
+def scalar_identities(n, j_max, alpha_grid, beta_grid, tol):
+    """The identity suite's first four identities as per-degree scalar loops."""
+
+    def errs(pairs):
+        abs_e = [abs(v - e) for v, e in pairs]
+        return abs_e, [err / abs(e) if abs(e) > 1.0 else err
+                       for err, (_, e) in zip(abs_e, pairs)]
+
+    def ok(a):
+        return not m.excluded(n, a, "M")
+
+    degrees = range(0, j_max + 1, 2)
+    reports = []
+    pairs, skipped = [], 0
+    for a in alpha_grid:
+        if not (ok(a) and ok(2.0 - n - a)):
+            skipped += 1
+            continue
+        pairs += [(m.m_mult(n, j, a) * m.m_mult(n, j, 2.0 - n - a), 1.0) for j in degrees]
+    reports.append(make_report("inversion", {"n": n, "j_max": j_max,
+                                             "alphas": len(alpha_grid), "skipped": skipped},
+                               *errs(pairs), tol))
+    pairs, skipped = [], 0
+    for a in alpha_grid:
+        if not ok(a) or m.excluded(n, a + n - 2.0, "Q"):
+            skipped += 1
+            continue
+        try:
+            pairs += [(m.m_mult(n, j, a) * m.m_mult(n, j, 0.0), m.q_mult(n, j, a + n - 2.0))
+                      for j in degrees]
+        except GammaPoleError:
+            skipped += 1
+    reports.append(make_report("semigroup", {"n": n, "j_max": j_max,
+                                             "alphas": len(alpha_grid), "skipped": skipped},
+                               *errs(pairs), tol))
+    bridge, factors, skipped = [], [], 0
+    for a in alpha_grid:
+        for b in beta_grid:
+            if not (ok(a) and ok(b)):
+                skipped += 1
+                continue
+            try:
+                for j in degrees:
+                    av = m.a_mult(n, j, a, b)
+                    bridge.append((m.m_mult(n, j, b) * av, m.m_mult(n, j, a)))
+                    factors.append((m.qpm_mult(n, j, a - b, 2.0 - b, "plus")
+                                    * m.qpm_mult(n, j, a - b, 1.0 - b, "minus"), av))
+            except GammaPoleError:
+                skipped += 1
+    params = {"n": n, "j_max": j_max, "grid": f"{len(alpha_grid)}x{len(beta_grid)}",
+              "skipped": skipped}
+    reports.append(make_report("cosine_bridge", params, *errs(bridge), tol))
+    reports.append(make_report("bridge_factors", params, *errs(factors), tol))
+    return reports
+
+
+class TestIdentitySuiteArrays:
+    # excluded orders (1, 3, -1 for n = 3's inversion partner), semigroup
+    # exclusions (alpha + n - 2 on the sine lattice) and a numerator pole of
+    # a(j, alpha, -4) at degree 0 all occur in these grids
+    ALPHAS = [0.35, -1.15, -4.0, 1.0, 2.0, -5.85, 4.4, 3.0 + 5e-9]
+    BETAS = [-4.0, 0.5, 3.0, -2.6, -6.0]
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_scalar_loop(self, n):
+        got = m.check_identities(n, 30, self.ALPHAS, tol=1e-10, beta_grid=self.BETAS)
+        want = scalar_identities(n, 30, self.ALPHAS, self.BETAS, 1e-10)
+        assert [r.identity for r in got[:4]] == [r.identity for r in want]
+        for g, w in zip(got, want):
+            assert g.params == w.params
+            assert g.passed == w.passed
+            assert g.max_rel_err == pytest.approx(w.max_rel_err, abs=1e-12)
+        assert any(r.params["skipped"] for r in want)
+
+    def test_numerator_pole_rows_are_skipped(self):
+        # a(j, 0.35, -4) has Gamma(-1) in its numerator at j = 0
+        reports = {r.identity: r for r in
+                   m.check_identities(3, 20, [0.35], beta_grid=[-4.0, 0.5])}
+        for name in ("cosine_bridge", "bridge_factors"):
+            assert reports[name].params["skipped"] == 1
+            assert reports[name].passed
