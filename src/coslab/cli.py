@@ -290,6 +290,8 @@ def _cmd_body(args) -> int:
                     f"alpha={args.alpha} is on the class exclusion lattice "
                     f"{{0, -2, ...}} U {{n, n+2, ...}} for n={body.n}")
             alphas = [args.alpha]
+        elif args.steps < 1:
+            raise argparse.ArgumentTypeError(f"--steps must be at least 1, got {args.steps}")
         else:
             alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.steps))
         verdicts, skipped = [], 0

@@ -3,7 +3,10 @@
 The grid is Gauss-Legendre in cos(theta) times equiangular longitudes, so
 analysis/synthesis of band-limited functions is exact.  The harmonic basis
 is real and orthonormal with respect to the probability measure; storage
-is j-major with k ascending from -j to j.
+is j-major with k ascending from -j to j.  Grid analysis and synthesis run
+one real FFT per latitude ring and one matrix product per longitudinal
+order m against that order's block of Legendre values; evaluation at
+arbitrary points runs its own per-point recurrence, order by order.
 
 Subspace-valued functions (lines through the origin, planes through the
 origin) are carried as even functions on the sphere: a line is keyed by
@@ -21,6 +24,7 @@ Gauss-Jacobi rule, making the quadrature exact for band-limited input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +32,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from . import multipliers as mult
-from .zonal import gauss_jacobi_rule
+from .zonal import gauss_jacobi_rule, zonal_basis
 from .errors import (
     GridTooCoarseError,
     OddInputError,
@@ -66,8 +70,9 @@ ALPHA_WINDOW = (0.0, 3.0)
 class S2Grid:
     """Gauss-Legendre (colatitude) x equiangular (longitude) sphere grid.
 
-    Quadrature weights are probability-normalized.  n_phi must be even (the
-    antipodal map must be grid-exact) and at least 2*n_theta.
+    Latitude weights ``wt`` are probability-normalized; each longitude
+    carries 1/n_phi of them.  n_phi must be even (the antipodal map must be
+    grid-exact) and at least 2*n_theta.
     """
 
     def __init__(self, n_theta: int, n_phi: int | None = None):
@@ -96,9 +101,7 @@ class S2Grid:
         self.points[..., 0] = st[:, None] * cphi[None, :]
         self.points[..., 1] = st[:, None] * sphi[None, :]
         self.points[..., 2] = self.t[:, None]
-        self.weights = np.repeat(self.wt[:, None], n_phi, axis=1) / n_phi
-        self._legendre_cache: dict[int, np.ndarray] = {}
-        self._trig_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._legendre_cache: dict[int, list[np.ndarray]] = {}
 
     @property
     def band_limit(self) -> int:
@@ -112,26 +115,17 @@ class S2Grid:
     def __hash__(self):
         return hash((self.n_theta, self.n_phi))
 
-    def legendre_table(self, L: int) -> np.ndarray:
-        """Normalized associated Legendre values at the latitude nodes.
+    def legendre_table(self, L: int) -> list[np.ndarray]:
+        """Real-basis associated Legendre values at the latitude nodes, per order.
 
-        Shape (n_pairs, n_theta) with rows indexed by r = j(j+1)/2 + m.
-        Computed once per band limit in extended precision: analysis noise
-        in these table values is amplified by strongly order-negative
-        multipliers downstream.
+        Block m has shape (L+1-m, n_theta); its row j-m holds
+        P-bar_{j,m}(t), times sqrt(2) for m >= 1 as in the real basis.  Built
+        once per band limit in extended precision: analysis noise in these
+        values is amplified by strongly order-negative multipliers downstream.
         """
         if L not in self._legendre_cache:
-            table = _legendre_norm(L, self.t, dtype=np.longdouble)
-            self._legendre_cache[L] = table.astype(float)
+            self._legendre_cache[L] = _legendre_blocks(L, self.t)
         return self._legendre_cache[L]
-
-    def trig_table(self, L: int) -> tuple[np.ndarray, np.ndarray]:
-        """cos(m phi), sin(m phi) tables of shape (L+1, n_phi)."""
-        if L not in self._trig_cache:
-            m = np.arange(L + 1)[:, None]
-            self._trig_cache[L] = (np.cos(m * self.phi[None, :]),
-                                   np.sin(m * self.phi[None, :]))
-        return self._trig_cache[L]
 
     def antipodal_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Index maps sending each node to its antipode (exact on this grid)."""
@@ -140,28 +134,35 @@ class S2Grid:
         return it, ip
 
 
-def _pair_index(j: int, m: int) -> int:
-    return j * (j + 1) // 2 + m
+def _legendre_blocks(L: int, t: np.ndarray) -> list[np.ndarray]:
+    """P-bar_{j,m}(t) per order m: (1/2) int P-bar^2 dt = 1, no Condon-Shortley phase.
 
-
-def _legendre_norm(L: int, t: np.ndarray, dtype=float) -> np.ndarray:
-    """P-bar_{j,m}(t): (1/2) int P-bar^2 dt = 1, no Condon-Shortley phase."""
-    t = np.asarray(t, dtype=dtype)
+    The three-term recurrence in j runs along the diagonals j = m + k, all
+    orders at once, in long double with long-double constants.  Rows land
+    in one order-major float array (sqrt(2) applied for m >= 1 before
+    rounding); the blocks are its per-order slices.
+    """
+    ld = np.longdouble
+    t = np.asarray(t, dtype=ld)
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    out = np.empty((_pair_index(L, L) + 1, t.shape[0]), dtype=dtype)
-    out[0] = 1.0
-    for m in range(1, L + 1):
-        out[_pair_index(m, m)] = (
-            math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * out[_pair_index(m - 1, m - 1)])
-    for m in range(0, L):
-        out[_pair_index(m + 1, m)] = math.sqrt(2.0 * m + 3.0) * t * out[_pair_index(m, m)]
-        a_prev = math.sqrt((4.0 * (m + 1) ** 2 - 1.0) / ((m + 1) ** 2 - m ** 2))
-        for j in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
-            out[_pair_index(j, m)] = a * (
-                t * out[_pair_index(j - 1, m)] - out[_pair_index(j - 2, m)] / a_prev)
-            a_prev = a
-    return out
+    m = np.arange(L + 1)
+    _, offsets = _order_layout(L)
+    # sectoral values: P-bar_{m,m} = prod_{i<=m} sqrt((2i+1)/(2i)) s
+    step = np.sqrt(ld(2 * m + 1) / ld(np.maximum(2 * m, 1)))[:, None] * s
+    step[0] = 1.0
+    prev = np.cumprod(step, axis=0)
+    scale = np.where(m > 0, np.sqrt(ld(2)), ld(1))[:, None]
+    flat = np.empty((offsets[-1], t.shape[0]))
+    flat[offsets[:-1]] = scale * prev
+    prev2, a_prev = np.zeros_like(prev), np.ones((L + 1, 1), dtype=ld)
+    for k in range(1, L + 1):
+        n = L + 1 - k                       # orders m with a degree j = m + k <= L
+        j = m[:n] + k
+        a = np.sqrt(ld(4 * j * j - 1) / ld(j * j - m[:n] ** 2))[:, None]
+        cur = a * (t * prev[:n] - prev2[:n] / a_prev[:n])
+        flat[offsets[:n] + k] = scale[:n] * cur
+        prev2, prev, a_prev = prev, cur, a
+    return [flat[offsets[i]:offsets[i + 1]] for i in m]
 
 
 @dataclass
@@ -180,7 +181,7 @@ class GridFunction:
 
     def integral(self) -> float:
         """Mean against the probability measure."""
-        return float(np.sum(self.grid.weights * self.values))
+        return float(self.grid.wt @ self.values.mean(axis=1))
 
     def antipodal(self) -> "GridFunction":
         it, ip = self.grid.antipodal_indices()
@@ -191,10 +192,10 @@ class GridFunction:
 
     def odd_energy_fraction(self) -> float:
         odd = 0.5 * (self.values - self.antipodal().values)
-        total = float(np.sum(self.grid.weights * self.values ** 2))
+        total = float(self.grid.wt @ (self.values ** 2).mean(axis=1))
         if total == 0.0:
             return 0.0
-        return float(np.sum(self.grid.weights * odd ** 2)) / total
+        return float(self.grid.wt @ (odd ** 2).mean(axis=1)) / total
 
     def to_dict(self) -> dict:
         return {
@@ -204,9 +205,20 @@ class GridFunction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridFunction":
-        g = S2Grid(int(d["grid"]["n_theta"]), int(d["grid"]["n_phi"]))
-        vals = np.asarray(d["values"], dtype=float).reshape(g.n_theta, g.n_phi)
-        return cls(g, vals)
+        try:
+            g = S2Grid(int(d["grid"]["n_theta"]), int(d["grid"]["n_phi"]))
+            vals = np.asarray(d["values"], dtype=float)
+        except KeyError as exc:
+            raise RepresentationError(f"grid function needs the key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise RepresentationError(f"malformed grid function: {exc}") from exc
+        if vals.shape != (g.n_theta * g.n_phi,):
+            raise RepresentationError(
+                f"need {g.n_theta * g.n_phi} values for grid {g.n_theta}x{g.n_phi}, "
+                f"got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise RepresentationError("grid function values must be finite")
+        return cls(g, vals.reshape(g.n_theta, g.n_phi))
 
 
 @dataclass
@@ -234,12 +246,20 @@ class HarmonicCoeffs:
     def degree_slice(self, j: int) -> np.ndarray:
         return self.coeffs[j * j:(j + 1) * (j + 1)]
 
+    def degrees(self) -> np.ndarray:
+        """Degree j of each coefficient, in storage order."""
+        js = np.arange(self.L + 1)
+        return np.repeat(js, 2 * js + 1)
+
     def scale_degrees(self, factors) -> "HarmonicCoeffs":
         """Multiply each degree block by a scalar; factors has length L+1."""
-        out = self.coeffs.copy()
-        for j in range(self.L + 1):
-            out[j * j:(j + 1) * (j + 1)] *= factors[j]
-        return HarmonicCoeffs(self.L, out)
+        factors = np.asarray(factors, dtype=float)
+        return HarmonicCoeffs(self.L, self.coeffs * factors[self.degrees()])
+
+    def degree_energies(self) -> np.ndarray:
+        """Coefficient energy of each degree block, shape (L+1,)."""
+        return np.bincount(self.degrees(), weights=self.coeffs ** 2,
+                           minlength=self.L + 1)
 
     def energy(self) -> float:
         return float(np.sum(self.coeffs ** 2))
@@ -248,9 +268,7 @@ class HarmonicCoeffs:
         total = self.energy()
         if total == 0.0:
             return 0.0
-        odd = sum(float(np.sum(self.degree_slice(j) ** 2))
-                  for j in range(1, self.L + 1, 2))
-        return odd / total
+        return float(self.degree_energies()[1::2].sum()) / total
 
     def to_dict(self) -> dict:
         return {
@@ -303,106 +321,140 @@ def _check_resolution(grid: S2Grid, L: int) -> None:
             f"grid {grid.n_theta}x{grid.n_phi} cannot resolve band limit {L}")
 
 
+@functools.lru_cache(maxsize=32)
+def _order_layout(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-major positions of the coefficients c_{j,m} and c_{j,-m}.
+
+    Column r of ``idx`` holds the flat indices of the pair (c_{j,m},
+    c_{j,-m}), m = 0..L, j = m..L; order m fills columns
+    offsets[m]:offsets[m+1].  The sine index of m = 0 is (L+1)^2, one past
+    the end, where callers keep a zero.
+    """
+    m, j = np.triu_indices(L + 1)
+    centre = j * (j + 1)
+    idx = np.stack((centre + m, np.where(m > 0, centre - m, (L + 1) ** 2)))
+    offsets = np.concatenate(([0], np.cumsum(np.arange(L + 1, 0, -1))))
+    idx.flags.writeable = offsets.flags.writeable = False    # shared by every caller
+    return idx, offsets
+
+
+def _order_pairs(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
+    """[c_{j,m}; c_{j,-m}] in order-major layout (sine row 0 at m = 0), and the offsets."""
+    idx, offsets = _order_layout(c.L)
+    return np.append(c.coeffs, 0.0)[idx], offsets
+
+
+def _from_orders(amp: np.ndarray, n_phi: int) -> np.ndarray:
+    """Ring values of sum_m amp[m, i, 0] cos(m phi) + amp[m, i, 1] sin(m phi).
+
+    amp has shape (L+1, n_theta, 2); one inverse real FFT per ring.
+    """
+    spec = np.zeros((amp.shape[1], n_phi // 2 + 1), dtype=complex)
+    spec[:, :amp.shape[0]] = (amp[..., 0] - 1j * amp[..., 1]).T
+    spec[:, 1:] *= 0.5
+    return np.fft.irfft(spec, n=n_phi, axis=1, norm="forward")
+
+
 def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
-    """Project onto the orthonormal harmonic basis (exact for band-limited f)."""
+    """Project onto the orthonormal harmonic basis (exact for band-limited f).
+
+    One real FFT per latitude ring gives the weighted longitude means of
+    f cos(m phi) and f sin(m phi); one product per order m with that
+    order's Legendre block then gives the degree-j coefficients.
+    """
     grid = f.grid
     _check_resolution(grid, L)
-    P = grid.legendre_table(L)
-    cos_t, sin_t = grid.trig_table(L)
-    # longitude transform: means of f * cos(m phi), f * sin(m phi)
-    Ac = (f.values @ cos_t.T) / grid.n_phi      # (n_theta, L+1)
-    As = (f.values @ sin_t.T) / grid.n_phi
-    out = np.empty((L + 1) ** 2)
-    for j in range(L + 1):
-        base = j * j + j
-        row = P[_pair_index(j, 0)]
-        out[base] = np.sum(grid.wt * row * Ac[:, 0])
-        for m in range(1, j + 1):
-            row = P[_pair_index(j, m)] * math.sqrt(2.0)
-            out[base + m] = np.sum(grid.wt * row * Ac[:, m])
-            out[base - m] = np.sum(grid.wt * row * As[:, m])
-    return HarmonicCoeffs(L, out)
+    blocks = grid.legendre_table(L)
+    ring = np.fft.rfft(f.values, axis=1)[:, :L + 1] * (grid.wt / grid.n_phi)[:, None]
+    ring = np.ascontiguousarray(ring.T).view(float).reshape(L + 1, grid.n_theta, 2)
+    idx, offsets = _order_layout(L)
+    pairs = np.empty((idx.shape[1], 2))     # cosine mean, minus sine mean
+    for m, blk in enumerate(blocks):
+        pairs[offsets[m]:offsets[m + 1]] = blk @ ring[m]
+    out = np.empty((L + 1) ** 2 + 1)
+    out[idx[1]] = -pairs[:, 1]
+    out[idx[0]] = pairs[:, 0]               # after the sines: m = 0 has none
+    return HarmonicCoeffs(L, out[:-1])
 
 
 def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
-    """Pointwise sum of the basis series on the grid."""
+    """Pointwise sum of the basis series on the grid.
+
+    One product per order m gives each ring's cos(m phi) and sin(m phi)
+    amplitudes; one inverse real FFT per ring sums them.
+    """
     _check_resolution(grid, c.L)
+    blocks = grid.legendre_table(c.L)
+    pairs, offsets = _order_pairs(c)
+    amp = np.empty((c.L + 1, grid.n_theta, 2))
+    for m, blk in enumerate(blocks):
+        amp[m] = blk.T @ pairs[:, offsets[m]:offsets[m + 1]].T
+    return GridFunction(grid, _from_orders(amp, grid.n_phi))
+
+
+# points per block of the per-point recurrence; a block holds (L+1) rows of this length
+_POINT_CHUNK = 1 << 14
+
+
+def _order_sums(c: HarmonicCoeffs, pts: np.ndarray):
+    """Order-by-order parts of the series at unit vectors pts, shape (k, 3).
+
+    Yields (u, v, cos_m, sin_m) for m = 0..L, where the order-m terms of the
+    series at a point of longitude phi are u cos(m phi) + v sin(m phi) and
+    cos_m, sin_m are cos(m phi), sin(m phi).  The order's Legendre values
+    fill a preallocated block by the rolling three-term recurrence in float;
+    one product contracts the block with the order's coefficients.  This
+    route never reads the grid's Legendre table.
+    """
     L = c.L
-    P = grid.legendre_table(L)
-    cos_t, sin_t = grid.trig_table(L)
-    Gc = np.zeros((grid.n_theta, L + 1))
-    Gs = np.zeros((grid.n_theta, L + 1))
-    for j in range(L + 1):
-        base = j * j + j
-        Gc[:, 0] += c.coeffs[base] * P[_pair_index(j, 0)]
-        for m in range(1, j + 1):
-            row = P[_pair_index(j, m)] * math.sqrt(2.0)
-            Gc[:, m] += c.coeffs[base + m] * row
-            Gs[:, m] += c.coeffs[base - m] * row
-    values = Gc @ cos_t + Gs @ sin_t
-    return GridFunction(grid, values)
+    t = np.clip(pts[:, 2], -1.0, 1.0)
+    s = np.hypot(pts[:, 0], pts[:, 1])
+    safe = s > 1e-300
+    cos1 = np.divide(pts[:, 0], s, where=safe, out=np.ones_like(s))
+    sin1 = np.divide(pts[:, 1], s, where=safe, out=np.zeros_like(s))
+    cos_m, sin_m = np.ones_like(t), np.zeros_like(t)
+    blk = np.empty((L + 1, t.shape[0]))
+    tmp = np.empty_like(t)
+    pmm = blk[0]
+    pmm[:] = 1.0
+    pairs, offsets = _order_pairs(c)
+    pairs[:, offsets[1]:] *= math.sqrt(2.0)
+    for m in range(L + 1):
+        if m:
+            pmm *= math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s
+            cos_m, sin_m = cos_m * cos1 - sin_m * sin1, sin_m * cos1 + cos_m * sin1
+        if m < L:
+            a_prev = math.sqrt(2.0 * m + 3.0)
+            np.multiply(t, pmm, out=blk[1])
+            blk[1] *= a_prev
+        for k in range(2, L + 1 - m):
+            j = m + k
+            a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
+            np.multiply(t, blk[k - 1], out=blk[k])
+            np.divide(blk[k - 2], a_prev, out=tmp)
+            blk[k] -= tmp
+            blk[k] *= a
+            a_prev = a
+        u, v = pairs[:, offsets[m]:offsets[m + 1]] @ blk[:L + 1 - m]
+        yield u, v, cos_m, sin_m
 
 
-def synthesize_at(c: HarmonicCoeffs, points: np.ndarray,
-                  chunk: int = 1 << 17) -> np.ndarray:
+def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Evaluate the series at arbitrary unit vectors (shape (..., 3)).
 
-    Uses a rolling three-term recurrence per longitudinal order, so memory
-    stays O(points) regardless of the band limit; large point sets are
-    processed in chunks.
+    Runs its own per-point Legendre recurrence, order by order, so it is
+    independent of the grid tables.  Points go through in chunks, so
+    memory stays at (L+1) x _POINT_CHUNK floats however many there are.
     """
     pts = np.asarray(points, dtype=float)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], chunk):
-        out[lo:lo + chunk] = _synthesize_at_block(c, pts[lo:lo + chunk])
+    out = np.zeros(pts.shape[0])
+    for lo in range(0, pts.shape[0], _POINT_CHUNK):
+        part = out[lo:lo + _POINT_CHUNK]
+        for u, v, cos_m, sin_m in _order_sums(c, pts[lo:lo + _POINT_CHUNK]):
+            part += u * cos_m + v * sin_m
     return out.reshape(shape)
-
-
-def _synthesize_at_block(c: HarmonicCoeffs, pts: np.ndarray) -> np.ndarray:
-    t = np.clip(pts[:, 2], -1.0, 1.0)
-    s = np.hypot(pts[:, 0], pts[:, 1])
-    safe = s > 1e-300
-    cos1 = np.where(safe, np.divide(pts[:, 0], s, where=safe, out=np.ones_like(s)), 1.0)
-    sin1 = np.where(safe, np.divide(pts[:, 1], s, where=safe, out=np.zeros_like(s)), 0.0)
-    L = c.L
-    total = np.zeros(pts.shape[0])
-    cos_m = np.ones_like(t)
-    sin_m = np.zeros_like(t)
-    pmm = np.ones_like(t)   # normalized sectoral value, updated across m
-    sq2 = math.sqrt(2.0)
-    for m in range(L + 1):
-        if m > 0:
-            pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
-            cos_m, sin_m = cos_m * cos1 - sin_m * sin1, sin_m * cos1 + cos_m * sin1
-        acc_c = np.zeros_like(t)
-        acc_s = np.zeros_like(t)
-        p_prev2 = np.zeros_like(t)
-        p_prev = pmm
-        a_prev = 0.0
-        for j in range(m, L + 1):
-            if j == m:
-                p = pmm
-            elif j == m + 1:
-                p = math.sqrt(2.0 * m + 3.0) * t * pmm
-                a_prev = math.sqrt(2.0 * m + 3.0)
-            else:
-                a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
-                p = a * (t * p_prev - p_prev2 / a_prev)
-                a_prev = a
-            base = j * j + j
-            if m == 0:
-                acc_c += c.coeffs[base] * p
-            else:
-                acc_c += c.coeffs[base + m] * p
-                acc_s += c.coeffs[base - m] * p
-            p_prev2, p_prev = p_prev, p
-        if m == 0:
-            total += acc_c
-        else:
-            total += sq2 * (acc_c * cos_m + acc_s * sin_m)
-    return total
 
 
 # --- spectral application ----------------------------------------------------
@@ -423,17 +475,6 @@ def _check_window(alpha: float) -> None:
             f"direct quadrature validated for {lo} < alpha <= {hi}, got {alpha}")
 
 
-def _legendre_plain(L: int, x: np.ndarray) -> np.ndarray:
-    """Unnormalized Legendre P_0..P_L at x, shape (L+1, len(x))."""
-    out = np.empty((L + 1, x.shape[0]))
-    out[0] = 1.0
-    if L >= 1:
-        out[1] = x
-    for j in range(2, L + 1):
-        out[j] = ((2 * j - 1) * x * out[j - 1] - (j - 1) * out[j - 2]) / j
-    return out
-
-
 def _cosine_kernel_weights(L: int, alpha: float) -> np.ndarray:
     """Latitudinal moments of the cosine kernel against Legendre polynomials.
 
@@ -445,11 +486,10 @@ def _cosine_kernel_weights(L: int, alpha: float) -> np.ndarray:
     x, w = roots_jacobi(nv, 0.0, alpha / 2.0 - 1.0)
     v = (1.0 + x) / 2.0
     s = np.sqrt(v)
-    P = _legendre_plain(L, s)
-    # (1/2) from the substitution ds -> dv, (1/2)^(alpha/2) from mapping the
-    # Jacobi rule's [-1,1] onto v in [0,1]
+    # zonal_basis(3, ...) is sqrt(2j+1) P_j.  (1/2) from the substitution
+    # ds -> dv, (1/2)^(alpha/2) from mapping the Jacobi rule's [-1,1] onto v
     scale = 0.5 ** (alpha / 2.0 + 1.0)
-    moments = scale * (P @ w)
+    moments = scale * (zonal_basis(3, L, s) @ w) / np.sqrt(2.0 * np.arange(L + 1) + 1.0)
     moments[1::2] = 0.0
     return mult.constant("gamma_alpha", 3, alpha=alpha) * moments
 
@@ -463,8 +503,7 @@ def _sine_kernel_weights(L: int, alpha: float, gamma_const: float) -> np.ndarray
     a = (alpha - 2.0) / 2.0
     nq = L // 2 + 2
     x, w = roots_jacobi(nq, a, a)
-    P = _legendre_plain(L, x)
-    moments = 0.5 * (P @ w)
+    moments = 0.5 * (zonal_basis(3, L, x) @ w) / np.sqrt(2.0 * np.arange(L + 1) + 1.0)
     moments[1::2] = 0.0
     return gamma_const * moments
 
@@ -511,86 +550,38 @@ def _circle_frames(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _synth_m_components(c: HarmonicCoeffs, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Longitude-order components of the series at unit vectors.
-
-    Returns (P, Q), each (L+1, npts), such that the series value at the
-    point x rotated by angle phi about the z-axis is
-    sum_m P[m] cos(m phi) + Q[m] sin(m phi).
-    """
-    t = np.clip(pts[:, 2], -1.0, 1.0)
-    s = np.hypot(pts[:, 0], pts[:, 1])
-    safe = s > 1e-300
-    cos1 = np.where(safe, np.divide(pts[:, 0], s, where=safe, out=np.ones_like(s)), 1.0)
-    sin1 = np.where(safe, np.divide(pts[:, 1], s, where=safe, out=np.zeros_like(s)), 0.0)
-    L = c.L
-    P = np.zeros((L + 1, pts.shape[0]))
-    Q = np.zeros((L + 1, pts.shape[0]))
-    cos_m = np.ones_like(t)
-    sin_m = np.zeros_like(t)
-    pmm = np.ones_like(t)
-    sq2 = math.sqrt(2.0)
-    for m in range(L + 1):
-        if m > 0:
-            pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
-            cos_m, sin_m = cos_m * cos1 - sin_m * sin1, sin_m * cos1 + cos_m * sin1
-        acc_c = np.zeros_like(t)
-        acc_s = np.zeros_like(t)
-        p_prev2 = np.zeros_like(t)
-        p_prev = pmm
-        a_prev = 0.0
-        for j in range(m, L + 1):
-            if j == m:
-                p = pmm
-            elif j == m + 1:
-                p = math.sqrt(2.0 * m + 3.0) * t * pmm
-                a_prev = math.sqrt(2.0 * m + 3.0)
-            else:
-                a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
-                p = a * (t * p_prev - p_prev2 / a_prev)
-                a_prev = a
-            base = j * j + j
-            if m == 0:
-                acc_c += c.coeffs[base] * p
-            else:
-                acc_c += c.coeffs[base + m] * p
-                acc_s += c.coeffs[base - m] * p
-            p_prev2, p_prev = p_prev, p
-        if m == 0:
-            P[0] = acc_c
-        else:
-            P[m] = sq2 * (acc_c * cos_m + acc_s * sin_m)
-            Q[m] = sq2 * (acc_s * cos_m - acc_c * sin_m)
-    return P, Q
-
-
-def funk_direct(f: GridFunction, L: int | None = None,
-                n_circle: int | None = None) -> GridFunction:
+def funk_direct(f: GridFunction, L: int | None = None) -> GridFunction:
     """Great-circle averages (Funk-Radon transform) of f.
 
     Values on each great circle come from coefficient synthesis, so the
-    periodic trapezoid average is exact for band-limited input.  Within one
-    latitude ring the output nodes are z-rotations of each other, so the
-    circle quadrature runs once per ring and the ring values follow from
-    the longitude-order components.
+    periodic trapezoid average over 4L+8 nodes is exact for band-limited
+    input.  Within one latitude ring the output nodes are z-rotations of
+    each other, so the circle quadrature runs once per ring: the ring means
+    of each order's components give the ring's cos(m phi) and sin(m phi)
+    amplitudes.
     """
     grid = f.grid
     if L is None:
         L = grid.band_limit
-    if n_circle is None:
-        n_circle = 4 * L + 8
+    n_circle = 4 * L + 8
     c = analyze(f, L)
-    ring_nodes = grid.points[:, 0, :]                      # phi = 0 node per ring
-    a, b = _circle_frames(ring_nodes)
+    a, b = _circle_frames(grid.points[:, 0, :])            # phi = 0 node per ring
     psi = 2.0 * np.pi * np.arange(n_circle) / n_circle
     pts = (a[:, None, :] * np.cos(psi)[None, :, None]
-           + b[:, None, :] * np.sin(psi)[None, :, None])   # (n_theta, M, 3)
-    P, Q = _synth_m_components(c, pts.reshape(-1, 3))
-    P = P.reshape(L + 1, grid.n_theta, n_circle).mean(axis=2)
-    Q = Q.reshape(L + 1, grid.n_theta, n_circle).mean(axis=2)
-    cos_t, sin_t = grid.trig_table(L)
-    vals = P.T @ cos_t + Q.T @ sin_t
-    return GridFunction(grid, vals)
+           + b[:, None, :] * np.sin(psi)[None, :, None])   # (n_theta, n_circle, 3)
+    amp = np.empty((L + 1, grid.n_theta, 2))
+    step = max(1, _POINT_CHUNK // n_circle)                 # whole rings per chunk
+    for lo in range(0, grid.n_theta, step):
+        rings = pts[lo:lo + step]
+        parts = _order_sums(c, rings.reshape(-1, 3))
+        for m, (u, v, cos_m, sin_m) in enumerate(parts):
+            # the series at x rotated by phi about z, order m:
+            # (u cos_m + v sin_m) cos(m phi) + (v cos_m - u sin_m) sin(m phi)
+            amp[m, lo:lo + step, 0] = (u * cos_m + v * sin_m).reshape(
+                rings.shape[:2]).mean(axis=1)
+            amp[m, lo:lo + step, 1] = (v * cos_m - u * sin_m).reshape(
+                rings.shape[:2]).mean(axis=1)
+    return GridFunction(grid, _from_orders(amp, grid.n_phi))
 
 
 def radon_r1(f: GridFunction, line: np.ndarray, L: int | None = None) -> float | np.ndarray:

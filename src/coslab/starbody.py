@@ -269,8 +269,7 @@ def classify_K_alpha(body: StarBody, alpha: float, t_smooth: float = 0.98,
         factors = _class_factors(n, L, alpha, t_smooth)
         smoothed = sphere.synthesize(coeffs.scale_degrees(factors), grid)
         min_value = float(smoothed.values.min())
-        tail = _tail_energy(np.array([np.sum(coeffs.degree_slice(j) ** 2)
-                                      for j in range(L + 1)]))
+        tail = _tail_energy(coeffs.degree_energies())
     else:
         L = band_limit if band_limit is not None else DEFAULT_CLASSIFY_L
         rule = zn.gauss_jacobi_rule(n, max(2 * L, L + 1))

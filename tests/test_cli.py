@@ -163,6 +163,27 @@ class TestApply:
                          str(ones_grid_file), "--output", str(tmp_path / "x.json"))
         assert code == 4
 
+    @pytest.mark.parametrize("case", ["missing_grid", "missing_n_phi", "short_values",
+                                      "nan_value"])
+    def test_malformed_grid_file_exits_4(self, capsys, tmp_path, ones_grid_file, case):
+        d = json.loads(ones_grid_file.read_text())
+        if case == "missing_grid":
+            d = {"kind": "planes", "values": d["values"]}   # a subspace file
+        elif case == "missing_n_phi":
+            del d["grid"]["n_phi"]
+        elif case == "short_values":
+            d["values"] = d["values"][:-1]
+        else:
+            d["values"][5] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "apply", "--op", "cosine", "--alpha", "1.5",
+                           "--input", str(bad), "--output", str(out))
+        assert code == 4
+        assert err.startswith("error:")
+        assert not out.exists()
+
     def test_radon_then_dual(self, capsys, tmp_path, ones_grid_file):
         mid = tmp_path / "planes.json"
         out = tmp_path / "back.json"
@@ -246,6 +267,16 @@ class TestBody:
         code, _, _ = run(capsys, "body", "classify", "--input", str(bad),
                          "--alpha", "1.0")
         assert code == 5
+
+    def test_classify_zero_steps_exits_2(self, capsys, tmp_path):
+        body_file = tmp_path / "ball.json"
+        run(capsys, "body", "make", "--shape", "ball", "--r", "1", "--n", "3",
+            "--out", str(body_file))
+        code, out, err = run(capsys, "body", "classify", "--input", str(body_file),
+                             "--steps", "0")
+        assert code == 2
+        assert "--steps" in err
+        assert out == ""
 
     def test_classify_excluded_single_alpha_skipped(self, capsys, tmp_path):
         body_file = tmp_path / "ball.json"

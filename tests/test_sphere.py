@@ -29,8 +29,11 @@ def even_f(grid):
 
 class TestGrid:
     def test_weights(self, grid):
-        assert grid.weights.sum() == pytest.approx(1.0, abs=1e-14)
-        assert grid.weights.shape == (24, 48)
+        # each node carries its latitude weight over n_phi; the total is 1
+        assert grid.wt.sum() == pytest.approx(1.0, abs=1e-14)
+        assert grid.wt.shape == (24,)
+        ones = sp.GridFunction(grid, np.ones((24, 48)))
+        assert ones.integral() == pytest.approx(1.0, abs=1e-14)
 
     def test_shape_constraints(self):
         with pytest.raises(ValueError):
@@ -81,7 +84,7 @@ class TestAnalyzeSynthesize:
         f = sp.synthesize(c0, grid)
         c1 = sp.analyze(f, 16)
         assert np.abs(c1.coeffs - c0.coeffs).max() < 1e-12
-        quad_energy = float(np.sum(grid.weights * f.values ** 2))
+        quad_energy = float(grid.wt @ (f.values ** 2).mean(axis=1))
         assert quad_energy == pytest.approx(c0.energy(), rel=1e-13)
 
     def test_grid_too_coarse(self, grid):
@@ -93,6 +96,254 @@ class TestAnalyzeSynthesize:
         sub = grid.points[3::5, 7::11]
         vals = sp.synthesize_at(c, sub)
         assert np.abs(vals - even_f.values[3::5, 7::11]).max() < 1e-12
+
+
+# --- references: the dense-table engine and per-point recurrence this module replaced
+
+
+def _ref_pair(j, m):
+    return j * (j + 1) // 2 + m
+
+
+def _ref_legendre(L, t):
+    """P-bar_{j,m}(t) for all pairs, rows j(j+1)/2 + m, in long double."""
+    t = np.asarray(t, dtype=np.longdouble)
+    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+    out = np.empty((_ref_pair(L, L) + 1, t.shape[0]), dtype=np.longdouble)
+    out[0] = 1.0
+    for m in range(1, L + 1):
+        out[_ref_pair(m, m)] = (math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s
+                                * out[_ref_pair(m - 1, m - 1)])
+    for m in range(0, L):
+        out[_ref_pair(m + 1, m)] = math.sqrt(2.0 * m + 3.0) * t * out[_ref_pair(m, m)]
+        a_prev = math.sqrt((4.0 * (m + 1) ** 2 - 1.0) / ((m + 1) ** 2 - m ** 2))
+        for j in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
+            out[_ref_pair(j, m)] = a * (t * out[_ref_pair(j - 1, m)]
+                                        - out[_ref_pair(j - 2, m)] / a_prev)
+            a_prev = a
+    return out.astype(float)
+
+
+def _ref_trig(grid, L):
+    m = np.arange(L + 1)[:, None]
+    return np.cos(m * grid.phi[None, :]), np.sin(m * grid.phi[None, :])
+
+
+def _ref_analyze(f, L):
+    grid = f.grid
+    P = _ref_legendre(L, grid.t)
+    cos_t, sin_t = _ref_trig(grid, L)
+    Ac = (f.values @ cos_t.T) / grid.n_phi
+    As = (f.values @ sin_t.T) / grid.n_phi
+    out = np.empty((L + 1) ** 2)
+    for j in range(L + 1):
+        base = j * j + j
+        out[base] = np.sum(grid.wt * P[_ref_pair(j, 0)] * Ac[:, 0])
+        for m in range(1, j + 1):
+            row = P[_ref_pair(j, m)] * math.sqrt(2.0)
+            out[base + m] = np.sum(grid.wt * row * Ac[:, m])
+            out[base - m] = np.sum(grid.wt * row * As[:, m])
+    return out
+
+
+def _ref_synthesize(c, grid):
+    L = c.L
+    P = _ref_legendre(L, grid.t)
+    cos_t, sin_t = _ref_trig(grid, L)
+    Gc = np.zeros((grid.n_theta, L + 1))
+    Gs = np.zeros((grid.n_theta, L + 1))
+    for j in range(L + 1):
+        base = j * j + j
+        Gc[:, 0] += c.coeffs[base] * P[_ref_pair(j, 0)]
+        for m in range(1, j + 1):
+            row = P[_ref_pair(j, m)] * math.sqrt(2.0)
+            Gc[:, m] += c.coeffs[base + m] * row
+            Gs[:, m] += c.coeffs[base - m] * row
+    return Gc @ cos_t + Gs @ sin_t
+
+
+def _ref_m_components(c, pts):
+    """(P, Q), each (L+1, npts): the series at pts rotated by phi about z is
+    sum_m P[m] cos(m phi) + Q[m] sin(m phi)."""
+    t = np.clip(pts[:, 2], -1.0, 1.0)
+    s = np.hypot(pts[:, 0], pts[:, 1])
+    safe = s > 1e-300
+    cos1 = np.where(safe, np.divide(pts[:, 0], s, where=safe, out=np.ones_like(s)), 1.0)
+    sin1 = np.where(safe, np.divide(pts[:, 1], s, where=safe, out=np.zeros_like(s)), 0.0)
+    L = c.L
+    P = np.zeros((L + 1, pts.shape[0]))
+    Q = np.zeros((L + 1, pts.shape[0]))
+    cos_m, sin_m, pmm = np.ones_like(t), np.zeros_like(t), np.ones_like(t)
+    for m in range(L + 1):
+        if m > 0:
+            pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
+            cos_m, sin_m = cos_m * cos1 - sin_m * sin1, sin_m * cos1 + cos_m * sin1
+        acc_c, acc_s = np.zeros_like(t), np.zeros_like(t)
+        p_prev2, p_prev, a_prev = np.zeros_like(t), pmm, 0.0
+        for j in range(m, L + 1):
+            if j == m:
+                p = pmm
+            elif j == m + 1:
+                p = math.sqrt(2.0 * m + 3.0) * t * pmm
+                a_prev = math.sqrt(2.0 * m + 3.0)
+            else:
+                a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
+                p = a * (t * p_prev - p_prev2 / a_prev)
+                a_prev = a
+            base = j * j + j
+            acc_c += c.coeffs[base + m] * p
+            if m:
+                acc_s += c.coeffs[base - m] * p
+            p_prev2, p_prev = p_prev, p
+        if m == 0:
+            P[0] = acc_c
+        else:
+            P[m] = math.sqrt(2.0) * (acc_c * cos_m + acc_s * sin_m)
+            Q[m] = math.sqrt(2.0) * (acc_s * cos_m - acc_c * sin_m)
+    return P, Q
+
+
+def _ref_synthesize_at(c, points):
+    pts = np.asarray(points, dtype=float)
+    return _ref_m_components(c, pts.reshape(-1, 3))[0].sum(axis=0).reshape(pts.shape[:-1])
+
+
+def _ref_funk_direct(f, L):
+    grid = f.grid
+    n_circle = 4 * L + 8
+    c = sp.HarmonicCoeffs(L, _ref_analyze(f, L))
+    a, b = sp._circle_frames(grid.points[:, 0, :])
+    psi = 2.0 * np.pi * np.arange(n_circle) / n_circle
+    pts = (a[:, None, :] * np.cos(psi)[None, :, None]
+           + b[:, None, :] * np.sin(psi)[None, :, None])
+    P, Q = _ref_m_components(c, pts.reshape(-1, 3))
+    P = P.reshape(L + 1, grid.n_theta, n_circle).mean(axis=2)
+    Q = Q.reshape(L + 1, grid.n_theta, n_circle).mean(axis=2)
+    cos_t, sin_t = _ref_trig(grid, L)
+    return P.T @ cos_t + Q.T @ sin_t
+
+
+def _dev(got, ref):
+    """Sup deviation, relative to the reference's scale when that exceeds 1."""
+    ref = np.asarray(ref)
+    if ref.size == 0:
+        return 0.0
+    return float(np.max(np.abs(got - ref))) / max(1.0, float(np.max(np.abs(ref))))
+
+
+def _random_coeffs(L, seed):
+    return sp.HarmonicCoeffs(L, np.random.default_rng(seed).uniform(-1, 1, (L + 1) ** 2))
+
+
+class TestEngineAgainstReference:
+    # (grid shape, band limit): square grids at L in {0, 1, 2, 7, 16, 33},
+    # wide grids (n_phi > 2 n_theta) and analysis below the grid's band limit
+    CASES = [((1, 2), 0), ((2, 4), 1), ((3, 6), 2), ((8, 16), 7), ((17, 34), 16),
+             ((34, 68), 33), ((6, 40), 5), ((9, 64), 8), ((20, 40), 7), ((12, 50), 3)]
+
+    @pytest.mark.parametrize("shape,L", CASES)
+    def test_analyze(self, shape, L):
+        grid = sp.S2Grid(*shape)
+        rng = np.random.default_rng(L)
+        f = sp.GridFunction(grid, rng.uniform(-1, 1, shape))   # not band-limited
+        assert _dev(sp.analyze(f, L).coeffs, _ref_analyze(f, L)) <= 1e-13
+
+    @pytest.mark.parametrize("shape,L", CASES)
+    def test_synthesize(self, shape, L):
+        grid = sp.S2Grid(*shape)
+        c = _random_coeffs(L, L)
+        assert _dev(sp.synthesize(c, grid).values, _ref_synthesize(c, grid)) <= 1e-13
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 7, 16, 33])
+    def test_synthesize_at(self, L):
+        c = _random_coeffs(L, 100 + L)
+        pts = np.random.default_rng(L).normal(size=(500, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        assert _dev(sp.synthesize_at(c, pts), _ref_synthesize_at(c, pts)) <= 1e-13
+
+    def test_synthesize_at_poles_and_shapes(self):
+        c = _random_coeffs(16, 5)
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        got = sp.synthesize_at(c, poles)
+        assert np.all(np.isfinite(got))
+        assert _dev(got, _ref_synthesize_at(c, poles)) <= 1e-13
+        # at the poles only the m = 0 terms survive: sum_j c_{j,0} sqrt(2j+1) (+-1)^j
+        js = np.arange(17)
+        zonal = c.coeffs[js * (js + 1)] * np.sqrt(2 * js + 1)
+        assert got == pytest.approx([zonal.sum(), (zonal * (-1.0) ** js).sum()],
+                                    abs=1e-13)
+        pts = np.random.default_rng(2).normal(size=(2, 3, 3))
+        pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+        got = sp.synthesize_at(c, pts)
+        assert got.shape == (2, 3)
+        assert _dev(got, _ref_synthesize_at(c, pts)) <= 1e-13
+        empty = sp.synthesize_at(c, np.empty((0, 3)))
+        assert empty.shape == (0,)
+
+    def test_synthesize_at_crosses_chunks(self, monkeypatch):
+        c = _random_coeffs(7, 9)
+        pts = np.random.default_rng(4).normal(size=(50, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        whole = sp.synthesize_at(c, pts)
+        monkeypatch.setattr(sp, "_POINT_CHUNK", 16)
+        assert np.array_equal(sp.synthesize_at(c, pts), whole)
+
+    @pytest.mark.parametrize("shape,L", [((4, 8), 2), ((8, 20), 5), ((13, 26), 12),
+                                         ((24, 48), 12)])
+    def test_funk_direct(self, shape, L):
+        grid = sp.S2Grid(*shape)
+        f = sp.synthesize(_random_coeffs(L, 7 + L), grid)
+        assert _dev(sp.funk_direct(f, L=L).values, _ref_funk_direct(f, L)) <= 1e-13
+
+    def test_legendre_table_built_once_per_grid_and_L(self, monkeypatch):
+        calls = []
+        build = sp._legendre_blocks
+
+        def counting(L, t):
+            calls.append(L)
+            return build(L, t)
+
+        monkeypatch.setattr(sp, "_legendre_blocks", counting)
+        grid = sp.S2Grid(10, 20)
+        f = sp.synthesize(_random_coeffs(6, 1), grid)
+        for _ in range(3):
+            sp.analyze(f, 6)
+            sp.synthesize(sp.analyze(f, 4), grid)
+        assert calls == [6, 4]
+        assert grid.legendre_table(6) is grid.legendre_table(6)
+        sp.analyze(sp.GridFunction(sp.S2Grid(10, 20), f.values), 6)   # a new grid builds
+        assert calls == [6, 4, 6]
+
+    def test_legendre_blocks_layout(self):
+        grid = sp.S2Grid(9, 18)
+        blocks = grid.legendre_table(8)
+        ref = _ref_legendre(8, grid.t)
+        assert len(blocks) == 9
+        for m, blk in enumerate(blocks):
+            assert blk.shape == (9 - m, 9)
+            want = ref[[_ref_pair(j, m) for j in range(m, 9)]] * (math.sqrt(2) if m else 1)
+            assert np.abs(blk - want).max() <= 1e-14
+
+
+class TestDegreeBlocks:
+    def test_scale_degrees_bitwise_as_blockwise_loop(self):
+        rng = np.random.default_rng(11)
+        c = sp.HarmonicCoeffs(20, rng.normal(size=441))
+        factors = rng.normal(size=21) * 10.0 ** rng.uniform(-8, 8, 21)
+        want = c.coeffs.copy()
+        for j in range(21):
+            want[j * j:(j + 1) * (j + 1)] *= factors[j]
+        assert np.array_equal(c.scale_degrees(factors).coeffs, want)
+        assert np.array_equal(c.scale_degrees(list(factors)).coeffs, want)
+
+    def test_degree_energies_and_odd_fraction(self):
+        c = sp.HarmonicCoeffs(9, np.random.default_rng(12).normal(size=100))
+        per_degree = [float(np.sum(c.degree_slice(j) ** 2)) for j in range(10)]
+        assert c.degree_energies() == pytest.approx(per_degree, rel=1e-14)
+        assert c.odd_energy_fraction() == pytest.approx(
+            sum(per_degree[1::2]) / c.energy(), rel=1e-14)
+        assert sp.HarmonicCoeffs(2, np.zeros(9)).odd_energy_fraction() == 0.0
 
 
 class TestApplySpectral:
