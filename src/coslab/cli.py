@@ -7,8 +7,8 @@ Subcommands:
   body         make / intersect / classify / pair-check star bodies
 
 Exit codes: 0 success, 1 identity failure, 2 argument error, 3 excluded
-parameter or quadrature window, 4 representation mismatch, 5 non-positive
-or non-symmetric body.
+parameter or quadrature window, 4 representation mismatch or malformed
+input file, 5 non-positive or non-symmetric body.
 """
 
 from __future__ import annotations
@@ -69,6 +69,16 @@ def _read_config(path: str | None) -> dict:
             key, value = line.split("=", 1)
             cfg[key.strip()] = value.strip()
     return cfg
+
+
+def _write_report(report: RunReport, out: str | None) -> None:
+    """The run report as JSON: to ``out`` if given, else to stdout."""
+    text = report.to_json()
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _setting(args, cfg: dict, name: str, default, cast):
@@ -155,12 +165,7 @@ def _cmd_verify(args) -> int:
         results=results,
         wall_time=time.perf_counter() - start,
     )
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_report(report, args.out)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.identity} abs={r.max_abs_err:.3e} rel={r.max_rel_err:.3e}",
@@ -176,18 +181,11 @@ def _spectral_grid(f: GridFunction, family: str, **params) -> GridFunction:
     return sphere.synthesize(sphere.apply_spectral(c, family, **params), f.grid)
 
 
-def _apply_zonal_direct_cosine(f: ZonalFunction, alpha: float) -> ZonalFunction:
+def _apply_zonal_direct(f: ZonalFunction, direct, param: float) -> ZonalFunction:
+    """Sample a direct zonal engine (its order or t is ``param``) at the Gauss
+    nodes and analyze the samples."""
     rule = zn.gauss_jacobi_rule(f.n, f.degree + 1)
-    vals = np.array([zn.zonal_cosine_direct(f.n, f, alpha, float(t0),
-                                            degree_hint=f.degree)
-                     for t0 in rule.nodes])
-    return zn.zonal_analyze(f.n, vals, f.degree, rule)
-
-
-def _apply_zonal_direct_poisson(f: ZonalFunction, t: float) -> ZonalFunction:
-    rule = zn.gauss_jacobi_rule(f.n, f.degree + 1)
-    vals = np.array([zn.zonal_poisson_direct(f.n, f, t, float(t0),
-                                             degree_hint=f.degree)
+    vals = np.array([direct(f.n, f, param, float(t0), degree_hint=f.degree)
                      for t0 in rule.nodes])
     return zn.zonal_analyze(f.n, vals, f.degree, rule)
 
@@ -234,9 +232,9 @@ def _cmd_apply(args) -> int:
             if method == "spectral":
                 out = zn.zonal_apply(obj, family, **params)
             elif op == "cosine":
-                out = _apply_zonal_direct_cosine(obj, params["alpha"])
+                out = _apply_zonal_direct(obj, zn.zonal_cosine_direct, params["alpha"])
             elif op == "poisson":
-                out = _apply_zonal_direct_poisson(obj, params["t"])
+                out = _apply_zonal_direct(obj, zn.zonal_poisson_direct, params["t"])
             else:
                 raise RepresentationError(f"{op} on zonal input is spectral-only")
         elif isinstance(obj, HarmonicCoeffs):
@@ -285,11 +283,7 @@ def _cmd_body(args) -> int:
             raise RepresentationError("classify needs a star-body file")
         start = time.perf_counter()
         if args.alpha is not None:
-            if mult.excluded(body.n, args.alpha, mult.Family.K_CLASS):
-                raise ExcludedParameterError(
-                    f"alpha={args.alpha} is on the class exclusion lattice "
-                    f"{{0, -2, ...}} U {{n, n+2, ...}} for n={body.n}")
-            alphas = [args.alpha]
+            alphas = [mult.check_order(body.n, args.alpha, mult.Family.K_CLASS)]
         elif args.steps < 1:
             raise argparse.ArgumentTypeError(f"--steps must be at least 1, got {args.steps}")
         else:
@@ -309,12 +303,7 @@ def _cmd_body(args) -> int:
             results=[v.to_dict() for v in verdicts],
             wall_time=time.perf_counter() - start,
         )
-        text = report.to_json()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write_report(report, args.out)
         if args.csv:
             with open(args.csv, "w", newline="") as fh:
                 writer = csv.writer(fh)

@@ -38,11 +38,19 @@ _LOADERS = {
 
 
 def load_object(path: str | Path):
+    """Read a representation file; a missing key or a malformed field raises
+    RepresentationError."""
     with open(path) as fh:
         d = json.load(fh)
     if not isinstance(d, dict):
         raise RepresentationError(f"{path}: expected a JSON object")
-    return _LOADERS[detect_kind(d)](d)
+    kind = detect_kind(d)
+    try:
+        return _LOADERS[kind](d)
+    except KeyError as exc:
+        raise RepresentationError(f"{path}: {kind} file needs the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise RepresentationError(f"{path}: malformed {kind} file: {exc}") from exc
 
 
 def save_object(obj, path: str | Path, meta: dict | None = None) -> None:

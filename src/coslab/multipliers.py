@@ -111,6 +111,27 @@ def excluded(n: int, alpha: float, family: Family | str, i: int | None = None) -
     return bool(_excluded_mask(n, alpha, family, i))
 
 
+# family -> its excluded lattice, as ExcludedParameterError names it
+_LATTICES = {
+    Family.M: "the cosine-family pole lattice 1, 3, 5, ...",
+    Family.Q: "the sine-family pole lattice n, n+2, ... (n={n})",
+    Family.R_I: "the i={i} Radon-family order lattice n-i, n-i+2, ... (n={n})",
+    Family.K_CLASS: "the class exclusion lattice {{0, -2, ...}} U {{n, n+2, ...}} (n={n})",
+}
+
+
+def check_order(n: int, alpha, family: Family | str, i: int | None = None):
+    """Return alpha (a float or an array) if none of its orders is ``excluded``.
+
+    Otherwise raise ExcludedParameterError naming the family's lattice.
+    """
+    bad = _excluded_mask(n, alpha, family, i)
+    if np.any(bad):
+        lattice = _LATTICES[Family(family)].format(n=n, i=i)
+        raise ExcludedParameterError(f"alpha={np.asarray(alpha)[bad].flat[0]} is on {lattice}")
+    return alpha
+
+
 def _check_dim(n: int) -> None:
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
@@ -267,16 +288,6 @@ def _ratio(numerators, denominators):
     return np.where(num_pole, np.nan, values), num_pole
 
 
-def _admissible(n: int, alpha, family: Family):
-    bad = _excluded_mask(n, alpha, family)
-    if np.any(bad):
-        lattice = {Family.M: "the cosine-family pole lattice 1, 3, 5, ...",
-                   Family.Q: f"the sine-family pole lattice n, n+2, ... (n={n})"}[family]
-        raise ExcludedParameterError(
-            f"alpha={np.asarray(alpha)[bad].flat[0]} is on {lattice}")
-    return alpha
-
-
 def _table(n: int, j: np.ndarray, family: str, params: dict):
     """Multipliers over broadcast degrees and orders, plus the numerator-pole mask.
 
@@ -284,13 +295,13 @@ def _table(n: int, j: np.ndarray, family: str, params: dict):
     raise, they are NaN in the values and set in the mask.
     """
     if family in ("M", "Funk"):
-        alpha = 0.0 if family == "Funk" else _admissible(n, params["alpha"], Family.M)
+        alpha = 0.0 if family == "Funk" else check_order(n, params["alpha"], Family.M)
         values, pole = _ratio([(j + 1.0 - alpha) / 2.0], [(j + n - 1.0 + alpha) / 2.0])
         values = np.where((j // 2) % 2 == 1, -values, values)
         if family == "Funk":
             values = values / constant("c_limit", n, i=n - 1)
     elif family == "Q":
-        alpha = _admissible(n, params["alpha"], Family.Q)
+        alpha = check_order(n, params["alpha"], Family.Q)
         values, pole = _ratio(
             [(j + n - 1.0 - alpha) / 2.0, (j + 1.0) / 2.0],
             [(j + alpha + 1.0) / 2.0, (j + n - 1.0) / 2.0])

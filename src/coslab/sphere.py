@@ -32,11 +32,10 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from . import multipliers as mult
-from .zonal import gauss_jacobi_rule, zonal_basis
+from .zonal import _check_direct_order, gauss_jacobi_rule, zonal_basis
 from .errors import (
     GridTooCoarseError,
     OddInputError,
-    QuadratureWindowError,
     RepresentationError,
 )
 from .reports import IdentityReport, make_report
@@ -60,9 +59,6 @@ __all__ = [
     "random_even_function",
     "verify_s2_suite",
 ]
-
-ALPHA_WINDOW = (0.0, 3.0)
-
 
 # --- grid and data types -----------------------------------------------------
 
@@ -205,13 +201,8 @@ class GridFunction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridFunction":
-        try:
-            g = S2Grid(int(d["grid"]["n_theta"]), int(d["grid"]["n_phi"]))
-            vals = np.asarray(d["values"], dtype=float)
-        except KeyError as exc:
-            raise RepresentationError(f"grid function needs the key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise RepresentationError(f"malformed grid function: {exc}") from exc
+        g = S2Grid(int(d["grid"]["n_theta"]), int(d["grid"]["n_phi"]))
+        vals = np.asarray(d["values"], dtype=float)
         if vals.shape != (g.n_theta * g.n_phi,):
             raise RepresentationError(
                 f"need {g.n_theta * g.n_phi} values for grid {g.n_theta}x{g.n_phi}, "
@@ -281,7 +272,10 @@ class HarmonicCoeffs:
     def from_dict(cls, d: dict) -> "HarmonicCoeffs":
         if d.get("ordering") != "j-major,k-ascending":
             raise RepresentationError(f"unknown ordering {d.get('ordering')!r}")
-        return cls(int(d["L"]), np.asarray(d["coeffs"], dtype=float))
+        coeffs = np.asarray(d["coeffs"], dtype=float)
+        if not np.all(np.isfinite(coeffs)):
+            raise RepresentationError("harmonic coefficients must be finite")
+        return cls(int(d["L"]), coeffs)
 
 
 @dataclass
@@ -468,44 +462,19 @@ def apply_spectral(c: HarmonicCoeffs, family: str, **params) -> HarmonicCoeffs:
 # --- direct kernel-quadrature engines ---------------------------------------
 
 
-def _check_window(alpha: float) -> None:
-    lo, hi = ALPHA_WINDOW
-    if not (lo < alpha <= hi):
-        raise QuadratureWindowError(
-            f"direct quadrature validated for {lo} < alpha <= {hi}, got {alpha}")
+def _funk_hecke(f: GridFunction, L: int, s: np.ndarray, w: np.ndarray,
+                scale: float, const: float) -> GridFunction:
+    """Apply a zonal kernel K(theta . u) by the Funk-Hecke theorem (n = 3).
 
-
-def _cosine_kernel_weights(L: int, alpha: float) -> np.ndarray:
-    """Latitudinal moments of the cosine kernel against Legendre polynomials.
-
-    w_j = gamma_3(alpha) * (1/2) * int_{-1}^{1} |s|^(alpha-1) P_j(s) ds,
-    computed exactly per degree by a Gauss-Jacobi rule in v = s^2 with
-    weight v^(alpha/2 - 1).  Odd degrees vanish by parity.
+    Degree j is multiplied by the kernel's Legendre moment
+    const * (1/2) int K(s) P_j(s) ds, which the caller's Gauss-Jacobi rule
+    (nodes s, weights w, and the factor ``scale`` that maps its weighted sum
+    onto (1/2) int ds) gives exactly.  Odd degrees vanish by parity.
     """
-    nv = L // 2 + 2
-    x, w = roots_jacobi(nv, 0.0, alpha / 2.0 - 1.0)
-    v = (1.0 + x) / 2.0
-    s = np.sqrt(v)
-    # zonal_basis(3, ...) is sqrt(2j+1) P_j.  (1/2) from the substitution
-    # ds -> dv, (1/2)^(alpha/2) from mapping the Jacobi rule's [-1,1] onto v
-    scale = 0.5 ** (alpha / 2.0 + 1.0)
+    # zonal_basis(3, ...) is sqrt(2j+1) P_j
     moments = scale * (zonal_basis(3, L, s) @ w) / np.sqrt(2.0 * np.arange(L + 1) + 1.0)
     moments[1::2] = 0.0
-    return mult.constant("gamma_alpha", 3, alpha=alpha) * moments
-
-
-def _sine_kernel_weights(L: int, alpha: float, gamma_const: float) -> np.ndarray:
-    """Latitudinal moments of the kernel (1-s^2)^((alpha-2)/2) (n = 3).
-
-    w_j = gamma_const * (1/2) * int (1-s^2)^((alpha-2)/2) P_j(s) ds via the
-    matching Gauss-Jacobi rule; exact per degree, odd degrees vanish.
-    """
-    a = (alpha - 2.0) / 2.0
-    nq = L // 2 + 2
-    x, w = roots_jacobi(nq, a, a)
-    moments = 0.5 * (zonal_basis(3, L, x) @ w) / np.sqrt(2.0 * np.arange(L + 1) + 1.0)
-    moments[1::2] = 0.0
-    return gamma_const * moments
+    return synthesize(analyze(f, L).scale_degrees(const * moments), f.grid)
 
 
 def cosine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFunction:
@@ -516,27 +485,22 @@ def cosine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFu
     exactly by a Jacobi rule (see module docstring), so the result is exact
     for band-limited input.  The multiplier closed forms are not used.
     """
-    _check_window(alpha)
-    if mult.excluded(3, alpha, mult.Family.M):
-        raise mult.ExcludedParameterError(
-            f"alpha={alpha} is on the cosine-family pole lattice")
-    if L is None:
-        L = f.grid.band_limit
-    weights = _cosine_kernel_weights(L, alpha)
-    return synthesize(analyze(f, L).scale_degrees(weights), f.grid)
+    _check_direct_order(3, alpha, mult.Family.M)
+    L = f.grid.band_limit if L is None else L
+    # Gauss-Jacobi in v = s^2 with weight v^(alpha/2 - 1): (1/2) from ds -> dv,
+    # (1/2)^(alpha/2) from mapping the rule's [-1, 1] onto v in [0, 1]
+    x, w = roots_jacobi(L // 2 + 2, 0.0, alpha / 2.0 - 1.0)
+    return _funk_hecke(f, L, np.sqrt((1.0 + x) / 2.0), w, 0.5 ** (alpha / 2.0 + 1.0),
+                       mult.constant("gamma_alpha", 3, alpha=alpha))
 
 
 def sine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFunction:
     """Generalized sine transform by direct quadrature of its kernel."""
-    _check_window(alpha)
-    if mult.excluded(3, alpha, mult.Family.Q):
-        raise mult.ExcludedParameterError(
-            f"alpha={alpha} is on the sine-family pole lattice")
-    if L is None:
-        L = f.grid.band_limit
-    gamma_const = mult.constant("gamma_sine", 3, alpha=alpha)
-    weights = _sine_kernel_weights(L, alpha, gamma_const)
-    return synthesize(analyze(f, L).scale_degrees(weights), f.grid)
+    _check_direct_order(3, alpha, mult.Family.Q)
+    L = f.grid.band_limit if L is None else L
+    # kernel (1 - s^2)^((alpha-2)/2) is the weight of a symmetric Jacobi rule
+    x, w = roots_jacobi(L // 2 + 2, (alpha - 2.0) / 2.0, (alpha - 2.0) / 2.0)
+    return _funk_hecke(f, L, x, w, 0.5, mult.constant("gamma_sine", 3, alpha=alpha))
 
 
 def _circle_frames(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -553,9 +517,10 @@ def _circle_frames(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def funk_direct(f: GridFunction, L: int | None = None) -> GridFunction:
     """Great-circle averages (Funk-Radon transform) of f.
 
-    Values on each great circle come from coefficient synthesis, so the
-    periodic trapezoid average over 4L+8 nodes is exact for band-limited
-    input.  Within one latitude ring the output nodes are z-rotations of
+    Values on each great circle come from coefficient synthesis.  There a
+    degree-L series is a trigonometric polynomial of degree <= L, so the
+    periodic trapezoid average over the smallest even node count above L
+    is exact.  Within one latitude ring the output nodes are z-rotations of
     each other, so the circle quadrature runs once per ring: the ring means
     of each order's components give the ring's cos(m phi) and sin(m phi)
     amplitudes.
@@ -563,7 +528,7 @@ def funk_direct(f: GridFunction, L: int | None = None) -> GridFunction:
     grid = f.grid
     if L is None:
         L = grid.band_limit
-    n_circle = 4 * L + 8
+    n_circle = L + 2 - L % 2        # even and > L: exact means, mirror-symmetric nodes
     c = analyze(f, L)
     a, b = _circle_frames(grid.points[:, 0, :])            # phi = 0 node per ring
     psi = 2.0 * np.pi * np.arange(n_circle) / n_circle
@@ -574,13 +539,14 @@ def funk_direct(f: GridFunction, L: int | None = None) -> GridFunction:
     for lo in range(0, grid.n_theta, step):
         rings = pts[lo:lo + step]
         parts = _order_sums(c, rings.reshape(-1, 3))
-        for m, (u, v, cos_m, sin_m) in enumerate(parts):
+        for m, (u, v, cos_m, _) in enumerate(parts):
             # the series at x rotated by phi about z, order m:
-            # (u cos_m + v sin_m) cos(m phi) + (v cos_m - u sin_m) sin(m phi)
-            amp[m, lo:lo + step, 0] = (u * cos_m + v * sin_m).reshape(
-                rings.shape[:2]).mean(axis=1)
-            amp[m, lo:lo + step, 1] = (v * cos_m - u * sin_m).reshape(
-                rings.shape[:2]).mean(axis=1)
+            # (u cos_m + v sin_m) cos(m phi) + (v cos_m - u sin_m) sin(m phi).
+            # Each circle is mirror-symmetric in y and so is its even node set,
+            # while u, v are even and sin_m odd under that mirror: the sin_m
+            # terms have mean 0 and are left out.
+            amp[m, lo:lo + step, 0] = (u * cos_m).reshape(rings.shape[:2]).mean(axis=1)
+            amp[m, lo:lo + step, 1] = (v * cos_m).reshape(rings.shape[:2]).mean(axis=1)
     return GridFunction(grid, _from_orders(amp, grid.n_phi))
 
 
@@ -635,19 +601,14 @@ def ri_alpha_direct(f: GridFunction, i: int, alpha: float,
     keyed by normals.  i = 1: the projection onto the plane perpendicular
     to the line gives (1 - (theta . u)^2)^((alpha-2)/2).
     """
-    _check_window(alpha)
-    if mult.excluded(3, alpha, mult.Family.R_I, i=i):
-        raise mult.ExcludedParameterError(
-            f"alpha={alpha} is on the order lattice of the i={i} Radon family")
+    _check_direct_order(3, alpha, mult.Family.R_I, i=i)
     if i == 2:
         return GrassmannFunctionS2("planes", cosine_direct(f, alpha, L=L))
     if i == 1:
-        if L is None:
-            L = f.grid.band_limit
-        gamma_const = mult.constant("gamma_alpha_i", 3, i=1, alpha=alpha)
-        weights = _sine_kernel_weights(L, alpha, gamma_const)
-        out = synthesize(analyze(f, L).scale_degrees(weights), f.grid)
-        return GrassmannFunctionS2("lines", out)
+        L = f.grid.band_limit if L is None else L
+        x, w = roots_jacobi(L // 2 + 2, (alpha - 2.0) / 2.0, (alpha - 2.0) / 2.0)
+        const = mult.constant("gamma_alpha_i", 3, i=1, alpha=alpha)
+        return GrassmannFunctionS2("lines", _funk_hecke(f, L, x, w, 0.5, const))
     raise ValueError(f"i must be 1 or 2 on S^2, got {i}")
 
 
@@ -771,9 +732,8 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     pairs_forms, pairs_recon = [], []
     for f in fs[:3]:
         cf = analyze(f, L)
-        m2n = synthesize(apply_spectral(cf, "M", alpha=-1.0), grid)
-        a1 = GridFunction(grid, k1 * radon_transform(m2n, 1).perp().repr_.values)
         minv = synthesize(apply_spectral(cf, "M", alpha=-1.0), grid)
+        a1 = GridFunction(grid, k1 * radon_transform(minv, 1).perp().repr_.values)
         a2 = GridFunction(grid, k2 * minv.values)  # continued R_2^(-1) = spectral M^(-1)
         qinv = synthesize(_spectral_inverse_q(cf, 1.0), grid)
         a3 = GridFunction(grid, k3 * radon_transform(qinv, 2, L=L).repr_.values)
@@ -809,15 +769,14 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     # sine-transform composition identities, fully direct inside the window
     pairs = []
     alpha = 0.5
-    lam12 = mult.constant("lambda1", 3, i=2)
     for f in fs[:2]:
         r2 = radon_transform(f, 2, L=L)
         lhs = cosine_direct(r2.repr_, alpha, L=L)       # continued dual family on normals
         rhs = sine_direct(f, alpha + 1.0, L=L)
-        pairs.append(_sup_err(lhs.values, lam12 * rhs.values))
+        pairs.append(_sup_err(lhs.values, lam * rhs.values))
         lhs2 = dual_radon(ri_alpha_direct(f, 2, alpha, L=L), L=L)
-        pairs.append(_sup_err(lhs2.values, lam12 * rhs.values))
-    report("sine_composites", {"L": L, "alpha": alpha, "lambda": lam12}, pairs, tol)
+        pairs.append(_sup_err(lhs2.values, lam * rhs.values))
+    report("sine_composites", {"L": L, "alpha": alpha, "lambda": lam}, pairs, tol)
 
     # Funk inversion: sqrt(pi) M^(-1) (M f) = f, spectral and great-circle paths
     pairs_spec, pairs_quad = [], []

@@ -61,21 +61,13 @@ class StarBody:
         if self.is_grid:
             if self.n != 3:
                 raise RepresentationError("grid-represented bodies live in R^3")
-            if float(self.repr_.values.min()) <= 0.0:
-                raise NonPositiveBodyError("radial function must be strictly positive")
-            if self.repr_.odd_energy_fraction() > ODD_ENERGY_LIMIT:
-                raise OddInputError(
-                    "body is not origin-symmetric (odd energy above limit)")
+            values = self.repr_.values
         else:
-            t = np.linspace(-1.0, 1.0, 401)
-            profile = zn.zonal_synth(self.repr_, t)
-            if float(profile.min()) <= 0.0:
-                raise NonPositiveBodyError("radial function must be strictly positive")
-            odd = float(np.sum(self.repr_.coeffs[1::2] ** 2))
-            total = float(np.sum(self.repr_.coeffs ** 2))
-            if total > 0 and odd / total > ODD_ENERGY_LIMIT:
-                raise OddInputError(
-                    "body is not origin-symmetric (odd energy above limit)")
+            values = zn.zonal_synth(self.repr_, np.linspace(-1.0, 1.0, 401))
+        if float(values.min()) <= 0.0:
+            raise NonPositiveBodyError("radial function must be strictly positive")
+        if self.repr_.odd_energy_fraction() > ODD_ENERGY_LIMIT:
+            raise OddInputError("body is not origin-symmetric (odd energy above limit)")
 
     @property
     def is_grid(self) -> bool:
@@ -252,9 +244,7 @@ def classify_K_alpha(body: StarBody, alpha: float, t_smooth: float = 0.98,
     the top four degrees as a truncation-risk indicator.
     """
     n = body.n
-    if mult.excluded(n, alpha, mult.Family.K_CLASS):
-        raise ExcludedParameterError(
-            f"alpha={alpha} is on the class exclusion lattice for n={n}")
+    mult.check_order(n, alpha, mult.Family.K_CLASS)
     if not 0.0 < t_smooth < 1.0:
         raise ValueError(f"smoothing parameter must be in (0,1), got {t_smooth}")
 
@@ -264,8 +254,6 @@ def classify_K_alpha(body: StarBody, alpha: float, t_smooth: float = 0.98,
                                                           grid.band_limit)
         powered = body.radial_power(alpha)
         coeffs = sphere.analyze(powered, L)
-        if coeffs.odd_energy_fraction() > ODD_ENERGY_LIMIT:
-            raise OddInputError("rho^alpha has odd energy above the limit")
         factors = _class_factors(n, L, alpha, t_smooth)
         smoothed = sphere.synthesize(coeffs.scale_degrees(factors), grid)
         min_value = float(smoothed.values.min())
@@ -275,12 +263,11 @@ def classify_K_alpha(body: StarBody, alpha: float, t_smooth: float = 0.98,
         rule = zn.gauss_jacobi_rule(n, max(2 * L, L + 1))
         profile = zn.zonal_synth(body.repr_, rule.nodes) ** alpha
         coeffs = zn.zonal_analyze(n, profile, L, rule)
-        total = float(np.sum(coeffs.coeffs ** 2))
-        if total > 0 and float(np.sum(coeffs.coeffs[1::2] ** 2)) / total > ODD_ENERGY_LIMIT:
-            raise OddInputError("rho^alpha has odd energy above the limit")
         smoothed = zn.ZonalFunction(n, _class_factors(n, L, alpha, t_smooth) * coeffs.coeffs)
         min_value = float(zn.zonal_synth(smoothed, np.linspace(-1, 1, 201)).min())
         tail = _tail_energy(coeffs.coeffs ** 2)
+    if coeffs.odd_energy_fraction() > ODD_ENERGY_LIMIT:
+        raise OddInputError("rho^alpha has odd energy above the limit")
 
     return ClassVerdict(alpha=float(alpha), member=_verdict(min_value, margin),
                         min_value=min_value, margin=margin, smoothing_t=t_smooth,
@@ -297,13 +284,13 @@ def _tail_energy(per_degree: np.ndarray) -> float:
 def embeds_in_Lp(body: StarBody, p: float, t_smooth: float = 0.98,
                  margin: float = 1e-7,
                  band_limit: int | None = None) -> ClassVerdict:
-    """Isometric-embedding test into L_p via membership at order -p."""
+    """Isometric-embedding test into L_p via membership at order -p.
+
+    Even p, where the criterion degenerates, is the class lattice
+    {0, -2, ...} at -p, so ``classify_K_alpha`` rejects it.
+    """
     if p <= 0:
         raise ExcludedParameterError(f"embedding exponent must be positive, got {p}")
-    k = round(p / 2.0)
-    if k >= 1 and abs(p - 2.0 * k) <= mult.EPS_POLE:
-        raise ExcludedParameterError(
-            f"p={p} is on the even lattice 2, 4, ... where the criterion degenerates")
     return classify_K_alpha(body, -p, t_smooth=t_smooth, margin=margin,
                             band_limit=band_limit)
 

@@ -85,25 +85,36 @@ class ZonalFunction:
             "coeffs": [float(c) for c in self.coeffs],
         }
 
+    def odd_energy_fraction(self) -> float:
+        """Share of the coefficient energy in odd degrees."""
+        total = float(np.sum(self.coeffs ** 2))
+        if total == 0.0:
+            return 0.0
+        return float(np.sum(self.coeffs[1::2] ** 2)) / total
+
     @classmethod
     def from_dict(cls, d: dict) -> "ZonalFunction":
         if d.get("basis") != "orthonormal-gegenbauer-prob":
             raise RepresentationError(f"unknown zonal basis {d.get('basis')!r}")
-        return cls(n=int(d["n"]), coeffs=np.asarray(d["coeffs"], dtype=float))
+        coeffs = np.asarray(d["coeffs"], dtype=float)
+        if not np.all(np.isfinite(coeffs)):
+            raise RepresentationError("zonal coefficients must be finite")
+        return cls(n=int(d["n"]), coeffs=coeffs)
 
 
-def _recurrence_sqrt_b(n: int, k_max: int) -> np.ndarray:
+def _recurrence_sqrt_b(n: int, k_max: int, dtype=np.dtype(float)) -> np.ndarray:
     """sqrt(b_k), k = 1..k_max, for the orthonormal three-term recurrence.
 
     b_1 = 1/n and b_k = k (k+n-3) / ((2k+n-2)(2k+n-4)) for k >= 2; these are
     the monic recurrence coefficients of the weight (1-t^2)^((n-3)/2).
+    Computed in ``dtype`` from exact integers.
     """
-    b = np.empty(k_max + 1)
+    b = np.empty(k_max + 1, dtype=dtype)
     b[0] = np.nan  # unused
     if k_max >= 1:
-        b[1] = 1.0 / n
-    k = np.arange(2, k_max + 1, dtype=float)
-    b[2:] = k * (k + n - 3.0) / ((2.0 * k + n - 2.0) * (2.0 * k + n - 4.0))
+        b[1] = dtype.type(1) / n
+    k = np.arange(2, k_max + 1).astype(dtype)
+    b[2:] = k * (k + n - 3) / ((2 * k + n - 2) * (2 * k + n - 4))
     return np.sqrt(b)
 
 
@@ -135,23 +146,13 @@ def _basis_with_derivative(n: int, J: int, t: np.ndarray) -> tuple[np.ndarray, n
     Z[0] = one
     if J == 0:
         return Z, dZ
-    sb = np.sqrt(_recurrence_b_exact(n, J, t.dtype))
+    sb = _recurrence_sqrt_b(n, J, t.dtype)
     Z[1] = t / sb[1]
     dZ[1] = one / sb[1]
     for k in range(2, J + 1):
         Z[k] = (t * Z[k - 1] - sb[k - 1] * Z[k - 2]) / sb[k]
         dZ[k] = (Z[k - 1] + t * dZ[k - 1] - sb[k - 1] * dZ[k - 2]) / sb[k]
     return Z, dZ
-
-
-def _recurrence_b_exact(n: int, k_max: int, dtype) -> np.ndarray:
-    b = np.empty(k_max + 1, dtype=dtype)
-    b[0] = np.nan
-    if k_max >= 1:
-        b[1] = dtype.type(1) / n
-    k = np.arange(2, k_max + 1).astype(dtype)
-    b[2:] = k * (k + n - 3) / ((2 * k + n - 2) * (2 * k + n - 4))
-    return b
 
 
 def gauss_jacobi_rule(n: int, N: int) -> JacobiRule:
@@ -226,12 +227,19 @@ def zonal_apply(f: ZonalFunction, family: str, **params) -> ZonalFunction:
 # --- direct quadrature oracle ------------------------------------------------
 
 
-def _check_window(alpha: float) -> None:
+def _check_direct_order(n: int, alpha: float, family: mult.Family,
+                        i: int | None = None) -> None:
+    """Guard of every direct engine: the quadrature window, then the lattice.
+
+    Raises QuadratureWindowError unless alpha lies in ALPHA_WINDOW, then
+    ExcludedParameterError if it is on the family's lattice.
+    """
     lo, hi = ALPHA_WINDOW
     if not (lo < alpha <= hi):
         raise QuadratureWindowError(
             f"direct quadrature validated for {lo} < alpha <= {hi}, got {alpha}"
         )
+    mult.check_order(n, alpha, family, i)
 
 
 def _slice_rule(n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,12 +264,9 @@ def zonal_cosine_direct(n: int, profile, alpha: float, t0: float,
     v = (theta.u)^2, and the slice rule of S^(n-2) in the azimuthal
     variable.  Exact for polynomial profiles of degree <= degree_hint.
     """
-    _check_window(alpha)
+    _check_direct_order(n, alpha, mult.Family.M)
     if not -1.0 <= t0 <= 1.0:
         raise ValueError(f"t0 must lie in [-1, 1], got {t0}")
-    if mult.excluded(n, alpha, mult.Family.M):
-        raise mult.ExcludedParameterError(
-            f"alpha={alpha} is on the cosine-family pole lattice")
 
     J = max(int(degree_hint), 1)
     nv = J // 4 + 3

@@ -184,6 +184,41 @@ class TestApply:
         assert err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["coeffs_without_L", "zonal_without_n",
+                                      "body_without_payload", "subspace_bad_kind",
+                                      "coeffs_nan", "zonal_nan"])
+    def test_malformed_file_exits_4(self, capsys, tmp_path, ones_grid_file, case):
+        from coslab.sphere import HarmonicCoeffs
+        coeffs = HarmonicCoeffs(2, np.arange(9.0)).to_dict()
+        zonal = zn.zonal_analyze(3, lambda t: t ** 2, 4).to_dict()
+        grid = json.loads(ones_grid_file.read_text())
+        out = tmp_path / "x.json"
+        argv = ["apply", "--op", "funk", "--output", str(out)]
+        if case == "coeffs_without_L":
+            del coeffs["L"]
+            d = coeffs
+        elif case == "zonal_without_n":
+            del zonal["n"]
+            d = zonal
+        elif case == "body_without_payload":
+            d = {"n": 3, "repr_kind": "grid", "meta": {}}
+            argv = ["body", "classify", "--alpha", "0.5", "--out", str(out)]
+        elif case == "subspace_bad_kind":
+            d = {**grid, "kind": "circles"}
+            argv = ["apply", "--op", "dualradon", "--output", str(out)]
+        elif case == "coeffs_nan":
+            coeffs["coeffs"][4] = float("nan")
+            d = coeffs
+        else:
+            zonal["coeffs"][2] = float("nan")
+            d = zonal
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        code, _, err = run(capsys, *argv, "--input", str(bad))
+        assert code == 4
+        assert err.startswith("error:")
+        assert not out.exists()
+
     def test_radon_then_dual(self, capsys, tmp_path, ones_grid_file):
         mid = tmp_path / "planes.json"
         out = tmp_path / "back.json"
@@ -276,6 +311,16 @@ class TestBody:
                              "--steps", "0")
         assert code == 2
         assert "--steps" in err
+        assert out == ""
+
+    def test_classify_single_alpha_on_lattice_exits_3(self, capsys, tmp_path):
+        body_file = tmp_path / "ball.json"
+        run(capsys, "body", "make", "--shape", "ball", "--r", "1", "--n", "3",
+            "--out", str(body_file))
+        code, out, err = run(capsys, "body", "classify", "--input", str(body_file),
+                             "--alpha", "0")
+        assert code == 3
+        assert err.startswith("error:") and "lattice" in err
         assert out == ""
 
     def test_classify_excluded_single_alpha_skipped(self, capsys, tmp_path):

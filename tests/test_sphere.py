@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from coslab import sphere as sp
+from coslab import starbody as sb
+from coslab import zonal as zn
 from coslab.errors import (
     ExcludedParameterError,
     GridTooCoarseError,
@@ -290,7 +292,7 @@ class TestEngineAgainstReference:
         assert np.array_equal(sp.synthesize_at(c, pts), whole)
 
     @pytest.mark.parametrize("shape,L", [((4, 8), 2), ((8, 20), 5), ((13, 26), 12),
-                                         ((24, 48), 12)])
+                                         ((24, 48), 12), ((2, 4), 1)])
     def test_funk_direct(self, shape, L):
         grid = sp.S2Grid(*shape)
         f = sp.synthesize(_random_coeffs(L, 7 + L), grid)
@@ -483,6 +485,44 @@ class TestRiAlphaDirect:
         spec = sp.synthesize(sp.apply_spectral(sp.analyze(even_f, 10), "Q",
                                                alpha=1.5), grid)
         assert np.abs(direct.values - spec.values).max() < 1e-12
+
+
+# engine, orders outside the direct-quadrature window (0, 3], an order on its lattice
+GUARD_CASES = [
+    ("cosine_direct", (-0.5, 0.0, 3.5), 1.0),
+    ("sine_direct", (-0.5, 0.0, 3.5), 3.0),
+    ("ri_alpha_direct_i1", (-0.5, 0.0, 3.5), 2.0),
+    ("ri_alpha_direct_i2", (-0.5, 0.0, 3.5), 3.0),
+    ("zonal_cosine_direct", (-0.5, 0.0, 3.5), 1.0),
+    ("classify_K_alpha", (), 0.0),      # no quadrature, so no window
+]
+
+
+@pytest.fixture(scope="module")
+def guarded():
+    ones = sp.GridFunction(sp.S2Grid(8, 16), np.ones((8, 16)))
+    profile = zn.ZonalFunction(3, np.array([1.0, 0.0, 0.2]))
+    ball = sb.make_body(3, "ball", resolution=8)
+    return {
+        "cosine_direct": lambda a: sp.cosine_direct(ones, a),
+        "sine_direct": lambda a: sp.sine_direct(ones, a),
+        "ri_alpha_direct_i1": lambda a: sp.ri_alpha_direct(ones, 1, a),
+        "ri_alpha_direct_i2": lambda a: sp.ri_alpha_direct(ones, 2, a),
+        "zonal_cosine_direct": lambda a: zn.zonal_cosine_direct(3, profile, a, 0.0),
+        "classify_K_alpha": lambda a: sb.classify_K_alpha(ball, a),
+    }
+
+
+@pytest.mark.parametrize("engine,outside,on_lattice", GUARD_CASES,
+                         ids=[case[0] for case in GUARD_CASES])
+def test_order_guard(guarded, engine, outside, on_lattice):
+    call = guarded[engine]
+    for alpha in outside:
+        with pytest.raises(QuadratureWindowError):
+            call(alpha)
+    with pytest.raises(ExcludedParameterError, match="lattice"):
+        call(on_lattice)
+    call(0.5)       # an admissible order inside the window passes
 
 
 class TestSerialization:

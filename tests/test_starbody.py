@@ -78,6 +78,8 @@ class TestMakeBody:
         vals = 1.0 + 0.2 * grid.points[..., 2]   # odd bump
         with pytest.raises(OddInputError):
             sb.StarBody(3, sp.GridFunction(grid, vals), {})
+        with pytest.raises(OddInputError):
+            sb.StarBody(3, zn.ZonalFunction(3, np.array([1.0, 0.2])), {})
 
     def test_rejects_nonpositive_body(self):
         grid = sp.S2Grid(16)
@@ -183,6 +185,19 @@ class TestClassify:
             sb.classify_K_alpha(ball, 0.0)
         with pytest.raises(ExcludedParameterError):
             sb.classify_K_alpha(ball, 3.0)
+
+    @pytest.mark.parametrize("kind", ["grid", "zonal"])
+    def test_odd_power_rejected(self, kind):
+        # odd energy ~5e-9 passes the body's check (limit 1e-8); rho^2.9 has ~8x that
+        if kind == "grid":
+            grid = sp.S2Grid(16)
+            body = sb.StarBody(3, sp.GridFunction(grid, 1.0 + 1.22e-4 * grid.points[..., 2]),
+                               {})
+        else:
+            body = sb.StarBody(3, zn.ZonalFunction(3, np.array([1.0, 7.07e-5])), {})
+        assert sb.classify_K_alpha(body, 0.5).member == "yes"
+        with pytest.raises(OddInputError):
+            sb.classify_K_alpha(body, 2.9)
 
     def test_smoothing_domain(self, ball):
         with pytest.raises(ValueError):
