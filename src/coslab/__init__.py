@@ -56,6 +56,7 @@ from .sphere import (
     apply_spectral,
     cosine_direct,
     dual_radon,
+    funk_at,
     funk_direct,
     radon_r1,
     radon_transform,

@@ -20,6 +20,8 @@ form K(theta . u), rotation invariance reduces the integral at each output
 direction to a weighted 1-D integral of the latitudinal averages around u;
 the weight (|s|^(alpha-1) or (1-s^2)^((alpha-2)/2)) is absorbed into a
 Gauss-Jacobi rule, making the quadrature exact for band-limited input.
+The Funk kernel is a point mass at s = 0; :func:`funk_at` integrates it
+pointwise over great circles instead.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "cosine_direct",
     "sine_direct",
     "funk_direct",
+    "funk_at",
     "radon_r1",
     "radon_transform",
     "dual_radon",
@@ -221,6 +224,8 @@ class HarmonicCoeffs:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
+        if self.L < 0:
+            raise RepresentationError(f"band limit must be >= 0, got {self.L}")
         if self.coeffs.shape != ((self.L + 1) ** 2,):
             raise RepresentationError(
                 f"need {(self.L + 1) ** 2} coefficients for L={self.L}, "
@@ -338,17 +343,6 @@ def _order_pairs(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
     return np.append(c.coeffs, 0.0)[idx], offsets
 
 
-def _from_orders(amp: np.ndarray, n_phi: int) -> np.ndarray:
-    """Ring values of sum_m amp[m, i, 0] cos(m phi) + amp[m, i, 1] sin(m phi).
-
-    amp has shape (L+1, n_theta, 2); one inverse real FFT per ring.
-    """
-    spec = np.zeros((amp.shape[1], n_phi // 2 + 1), dtype=complex)
-    spec[:, :amp.shape[0]] = (amp[..., 0] - 1j * amp[..., 1]).T
-    spec[:, 1:] *= 0.5
-    return np.fft.irfft(spec, n=n_phi, axis=1, norm="forward")
-
-
 def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
     """Project onto the orthonormal harmonic basis (exact for band-limited f).
 
@@ -383,72 +377,85 @@ def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
     amp = np.empty((c.L + 1, grid.n_theta, 2))
     for m, blk in enumerate(blocks):
         amp[m] = blk.T @ pairs[:, offsets[m]:offsets[m + 1]].T
-    return GridFunction(grid, _from_orders(amp, grid.n_phi))
+    spec = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
+    spec[:, :c.L + 1] = (amp[..., 0] - 1j * amp[..., 1]).T
+    spec[:, 1:] *= 0.5
+    return GridFunction(grid, np.fft.irfft(spec, n=grid.n_phi, axis=1, norm="forward"))
 
 
 # points per block of the per-point recurrence; a block holds (L+1) rows of this length
 _POINT_CHUNK = 1 << 14
 
 
-def _order_sums(c: HarmonicCoeffs, pts: np.ndarray):
-    """Order-by-order parts of the series at unit vectors pts, shape (k, 3).
-
-    Yields (u, v, cos_m, sin_m) for m = 0..L, where the order-m terms of the
-    series at a point of longitude phi are u cos(m phi) + v sin(m phi) and
-    cos_m, sin_m are cos(m phi), sin(m phi).  The order's Legendre values
-    fill a preallocated block by the rolling three-term recurrence in float;
-    one product contracts the block with the order's coefficients.  This
-    route never reads the grid's Legendre table.
-    """
-    L = c.L
-    t = np.clip(pts[:, 2], -1.0, 1.0)
-    s = np.hypot(pts[:, 0], pts[:, 1])
-    safe = s > 1e-300
-    cos1 = np.divide(pts[:, 0], s, where=safe, out=np.ones_like(s))
-    sin1 = np.divide(pts[:, 1], s, where=safe, out=np.zeros_like(s))
-    cos_m, sin_m = np.ones_like(t), np.zeros_like(t)
-    blk = np.empty((L + 1, t.shape[0]))
-    tmp = np.empty_like(t)
-    pmm = blk[0]
-    pmm[:] = 1.0
-    pairs, offsets = _order_pairs(c)
-    pairs[:, offsets[1]:] *= math.sqrt(2.0)
-    for m in range(L + 1):
-        if m:
-            pmm *= math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s
-            cos_m, sin_m = cos_m * cos1 - sin_m * sin1, sin_m * cos1 + cos_m * sin1
-        if m < L:
-            a_prev = math.sqrt(2.0 * m + 3.0)
-            np.multiply(t, pmm, out=blk[1])
-            blk[1] *= a_prev
-        for k in range(2, L + 1 - m):
-            j = m + k
-            a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
-            np.multiply(t, blk[k - 1], out=blk[k])
-            np.divide(blk[k - 2], a_prev, out=tmp)
-            blk[k] -= tmp
-            blk[k] *= a
-            a_prev = a
-        u, v = pairs[:, offsets[m]:offsets[m + 1]] @ blk[:L + 1 - m]
-        yield u, v, cos_m, sin_m
-
-
 def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Evaluate the series at arbitrary unit vectors (shape (..., 3)).
 
     Runs its own per-point Legendre recurrence, order by order, so it is
-    independent of the grid tables.  Points go through in chunks, so
-    memory stays at (L+1) x _POINT_CHUNK floats however many there are.
+    independent of the grid tables: each order's values fill a preallocated
+    block by the rolling three-term recurrence in float, and one product
+    contracts the block with the order's coefficients.  Points go through in
+    chunks, so memory stays at (L+1) x _POINT_CHUNK floats however many
+    there are.
     """
+    L = c.L
     pts = np.asarray(points, dtype=float)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
     out = np.zeros(pts.shape[0])
+    pairs, offsets = _order_pairs(c)
+    pairs[:, offsets[1]:] *= math.sqrt(2.0)
     for lo in range(0, pts.shape[0], _POINT_CHUNK):
+        chunk = pts[lo:lo + _POINT_CHUNK]
         part = out[lo:lo + _POINT_CHUNK]
-        for u, v, cos_m, sin_m in _order_sums(c, pts[lo:lo + _POINT_CHUNK]):
+        t = np.clip(chunk[:, 2], -1.0, 1.0)
+        s = np.hypot(chunk[:, 0], chunk[:, 1])
+        safe = s > 1e-300
+        cos1 = np.divide(chunk[:, 0], s, where=safe, out=np.ones_like(s))
+        sin1 = np.divide(chunk[:, 1], s, where=safe, out=np.zeros_like(s))
+        cos_m, sin_m = np.ones_like(t), np.zeros_like(t)
+        blk = np.empty((L + 1, t.shape[0]))
+        tmp = np.empty_like(t)
+        pmm = blk[0]
+        pmm[:] = 1.0
+        for m in range(L + 1):
+            if m:
+                pmm *= math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s
+                cos_m, sin_m = cos_m * cos1 - sin_m * sin1, sin_m * cos1 + cos_m * sin1
+            if m < L:
+                a_prev = math.sqrt(2.0 * m + 3.0)
+                np.multiply(t, pmm, out=blk[1])
+                blk[1] *= a_prev
+            for k in range(2, L + 1 - m):
+                j = m + k
+                a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
+                np.multiply(t, blk[k - 1], out=blk[k])
+                np.divide(blk[k - 2], a_prev, out=tmp)
+                blk[k] -= tmp
+                blk[k] *= a
+                a_prev = a
+            u, v = pairs[:, offsets[m]:offsets[m + 1]] @ blk[:L + 1 - m]
             part += u * cos_m + v * sin_m
     return out.reshape(shape)
+
+
+def funk_at(c: HarmonicCoeffs, normals: np.ndarray) -> np.ndarray:
+    """Great-circle means of the series, one per unit normal (shape (..., 3)).
+
+    On a great circle a degree-L series is a trigonometric polynomial of
+    degree <= L, so the trapezoid mean over L+2-L%2 nodes is exact.  Values
+    come from :func:`synthesize_at`: this route shares neither the grid
+    tables nor the Funk-Hecke moments of :func:`funk_direct`.
+    """
+    u = np.asarray(normals, dtype=float)
+    pts = u.reshape(-1, 3)
+    helper = np.where(np.abs(pts[:, 2:3]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    a = np.cross(helper, pts)
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b = np.cross(pts, a)
+    n_circle = c.L + 2 - c.L % 2
+    psi = 2.0 * np.pi * np.arange(n_circle) / n_circle
+    circles = a[:, None, :] * np.cos(psi)[:, None] + b[:, None, :] * np.sin(psi)[:, None]
+    return synthesize_at(c, circles).mean(axis=1).reshape(u.shape[:-1])
 
 
 # --- spectral application ----------------------------------------------------
@@ -503,51 +510,16 @@ def sine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFunc
     return _funk_hecke(f, L, x, w, 0.5, mult.constant("gamma_sine", 3, alpha=alpha))
 
 
-def _circle_frames(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent pairs (a, b) for each unit vector in points."""
-    pts = points.reshape(-1, 3)
-    helper = np.where(np.abs(pts[:, 2:3]) < 0.9,
-                      np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    a = np.cross(helper, pts)
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b = np.cross(pts, a)
-    return a, b
-
-
 def funk_direct(f: GridFunction, L: int | None = None) -> GridFunction:
     """Great-circle averages (Funk-Radon transform) of f.
 
-    Values on each great circle come from coefficient synthesis.  There a
-    degree-L series is a trigonometric polynomial of degree <= L, so the
-    periodic trapezoid average over the smallest even node count above L
-    is exact.  Within one latitude ring the output nodes are z-rotations of
-    each other, so the circle quadrature runs once per ring: the ring means
-    of each order's components give the ring's cos(m phi) and sin(m phi)
-    amplitudes.
+    The kernel is a point mass at s = 0, so by the Funk-Hecke theorem degree
+    j is multiplied by P_j(0), taken from the Legendre recurrence rather
+    than from the gamma closed forms.  :func:`funk_at` evaluates the same
+    transform pointwise by circle quadrature.
     """
-    grid = f.grid
-    if L is None:
-        L = grid.band_limit
-    n_circle = L + 2 - L % 2        # even and > L: exact means, mirror-symmetric nodes
-    c = analyze(f, L)
-    a, b = _circle_frames(grid.points[:, 0, :])            # phi = 0 node per ring
-    psi = 2.0 * np.pi * np.arange(n_circle) / n_circle
-    pts = (a[:, None, :] * np.cos(psi)[None, :, None]
-           + b[:, None, :] * np.sin(psi)[None, :, None])   # (n_theta, n_circle, 3)
-    amp = np.empty((L + 1, grid.n_theta, 2))
-    step = max(1, _POINT_CHUNK // n_circle)                 # whole rings per chunk
-    for lo in range(0, grid.n_theta, step):
-        rings = pts[lo:lo + step]
-        parts = _order_sums(c, rings.reshape(-1, 3))
-        for m, (u, v, cos_m, _) in enumerate(parts):
-            # the series at x rotated by phi about z, order m:
-            # (u cos_m + v sin_m) cos(m phi) + (v cos_m - u sin_m) sin(m phi).
-            # Each circle is mirror-symmetric in y and so is its even node set,
-            # while u, v are even and sin_m odd under that mirror: the sin_m
-            # terms have mean 0 and are left out.
-            amp[m, lo:lo + step, 0] = (u * cos_m).reshape(rings.shape[:2]).mean(axis=1)
-            amp[m, lo:lo + step, 1] = (v * cos_m).reshape(rings.shape[:2]).mean(axis=1)
-    return GridFunction(grid, _from_orders(amp, grid.n_phi))
+    L = f.grid.band_limit if L is None else L
+    return _funk_hecke(f, L, np.zeros(1), np.ones(1), 1.0, 1.0)
 
 
 def radon_r1(f: GridFunction, line: np.ndarray, L: int | None = None) -> float | np.ndarray:
@@ -679,15 +651,18 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
         pairs.append((abs(lhs - rhs), abs(lhs - rhs)))
     report("duality", {"L": L, "i": [1, 2]}, pairs, tol_spec)
 
-    # Funk factorization: M f = R_i^* R_(n-i),perp f, both i
+    # Funk factorization: M f = R_i^* R_(n-i),perp f, both i.  The right side
+    # runs funk_direct (grid tables, Legendre moments); the left is circle
+    # quadrature of the point recurrence at seeded grid nodes.
     pairs = []
     for f in fs:
-        mf = funk_direct(f, L=L)
+        nodes = rng.choice(grid.n_theta * grid.n_phi, 32, replace=False)
+        mf = funk_at(analyze(f, L), grid.points.reshape(-1, 3)[nodes])
         for i in (1, 2):
             swapped = radon_transform(f, 3 - i, L=L).perp()
             rhs = dual_radon(swapped, L=L)
-            pairs.append(_sup_err(mf.values, rhs.values))
-    report("funk_factorization", {"L": L, "i": [1, 2], "functions": len(fs)},
+            pairs.append(_sup_err(mf, rhs.values.reshape(-1)[nodes]))
+    report("funk_factorization", {"L": L, "i": [1, 2], "functions": len(fs), "nodes": 32},
            pairs, tol_spec)
 
     # cosine/Radon chain: R_2 M^alpha f = c R^(alpha+1)_(1,perp) f, alpha in window
@@ -778,7 +753,7 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
         pairs.append(_sup_err(lhs2.values, lam * rhs.values))
     report("sine_composites", {"L": L, "alpha": alpha, "lambda": lam}, pairs, tol)
 
-    # Funk inversion: sqrt(pi) M^(-1) (M f) = f, spectral and great-circle paths
+    # Funk inversion: sqrt(pi) M^(-1) (M f) = f, spectral and Funk-Hecke paths
     pairs_spec, pairs_quad = [], []
     for f in fs:
         cf = analyze(f, L)

@@ -71,6 +71,12 @@ class ZonalFunction:
     n: int
     coeffs: np.ndarray
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise RepresentationError(f"ambient dimension must be >= 2, got {self.n}")
+        if len(self.coeffs) == 0:
+            raise RepresentationError("a zonal function needs at least one coefficient")
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -186,7 +186,8 @@ class TestApply:
 
     @pytest.mark.parametrize("case", ["coeffs_without_L", "zonal_without_n",
                                       "body_without_payload", "subspace_bad_kind",
-                                      "coeffs_nan", "zonal_nan"])
+                                      "coeffs_nan", "zonal_nan", "coeffs_negative_L",
+                                      "zonal_empty", "zonal_n1"])
     def test_malformed_file_exits_4(self, capsys, tmp_path, ones_grid_file, case):
         from coslab.sphere import HarmonicCoeffs
         coeffs = HarmonicCoeffs(2, np.arange(9.0)).to_dict()
@@ -209,9 +210,15 @@ class TestApply:
         elif case == "coeffs_nan":
             coeffs["coeffs"][4] = float("nan")
             d = coeffs
-        else:
+        elif case == "zonal_nan":
             zonal["coeffs"][2] = float("nan")
             d = zonal
+        elif case == "coeffs_negative_L":
+            d = {**coeffs, "L": -1, "coeffs": []}
+        elif case == "zonal_empty":
+            d = {**zonal, "coeffs": []}
+        else:
+            d = {**zonal, "n": 1}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(d))
         code, _, err = run(capsys, *argv, "--input", str(bad))

@@ -211,11 +211,22 @@ def _ref_synthesize_at(c, points):
     return _ref_m_components(c, pts.reshape(-1, 3))[0].sum(axis=0).reshape(pts.shape[:-1])
 
 
+def _ref_circle_frames(points):
+    """Orthonormal tangent pairs (a, b) for each unit vector in points."""
+    helper = np.where(np.abs(points[:, 2:3]) < 0.9,
+                      np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    a = np.cross(helper, points)
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    return a, np.cross(points, a)
+
+
 def _ref_funk_direct(f, L):
+    """Great-circle engine: 4L+8 trapezoid nodes on the circle of each ring's
+    phi = 0 node, rotated about z by each order's ring means."""
     grid = f.grid
     n_circle = 4 * L + 8
     c = sp.HarmonicCoeffs(L, _ref_analyze(f, L))
-    a, b = sp._circle_frames(grid.points[:, 0, :])
+    a, b = _ref_circle_frames(grid.points[:, 0, :])
     psi = 2.0 * np.pi * np.arange(n_circle) / n_circle
     pts = (a[:, None, :] * np.cos(psi)[None, :, None]
            + b[:, None, :] * np.sin(psi)[None, :, None])
@@ -292,11 +303,22 @@ class TestEngineAgainstReference:
         assert np.array_equal(sp.synthesize_at(c, pts), whole)
 
     @pytest.mark.parametrize("shape,L", [((4, 8), 2), ((8, 20), 5), ((13, 26), 12),
-                                         ((24, 48), 12), ((2, 4), 1)])
+                                         ((24, 48), 12), ((2, 4), 1), ((33, 66), 32),
+                                         ((65, 130), 64)])
     def test_funk_direct(self, shape, L):
         grid = sp.S2Grid(*shape)
         f = sp.synthesize(_random_coeffs(L, 7 + L), grid)
         assert _dev(sp.funk_direct(f, L=L).values, _ref_funk_direct(f, L)) <= 1e-13
+
+    @pytest.mark.parametrize("shape,L", [((2, 4), 1), ((4, 8), 2), ((8, 20), 7),
+                                         ((17, 34), 16)])
+    def test_funk_at(self, shape, L):
+        grid = sp.S2Grid(*shape)
+        c = _random_coeffs(L, 30 + L)
+        ref = _ref_funk_direct(sp.synthesize(c, grid), L).reshape(-1)
+        nodes = np.random.default_rng(L).choice(ref.size, min(40, ref.size), replace=False)
+        got = sp.funk_at(c, grid.points.reshape(-1, 3)[nodes])
+        assert _dev(got, ref[nodes]) <= 1e-13
 
     def test_legendre_table_built_once_per_grid_and_L(self, monkeypatch):
         calls = []
@@ -402,6 +424,17 @@ class TestFunkDirect:
         out = sp.funk_direct(f, L=4)
         want = (1.0 - (grid.points @ e) ** 2) / 2.0
         assert np.abs(out.values - want).max() < 1e-13
+
+    def test_funk_at_cos_squared_tilted(self, grid):
+        e = np.array([0.6, 0.0, 0.8])
+        c = sp.analyze(sp.GridFunction(grid, (grid.points @ e) ** 2), 4)
+        normals = np.random.default_rng(5).normal(size=(2, 20, 3))
+        normals[0, :4] = [[0, 0, 1], [0, 0, -1], [1, 0, 0], e]   # both frame branches
+        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        got = sp.funk_at(c, normals)
+        assert got.shape == (2, 20)
+        assert np.abs(got - (1.0 - (normals @ e) ** 2) / 2.0).max() < 1e-13
+        assert sp.funk_at(c, np.empty((0, 3))).shape == (0,)
 
     def test_constant(self, grid):
         out = sp.funk_direct(sp.GridFunction(grid, np.full((24, 48), 2.5)), L=2)
@@ -548,6 +581,25 @@ class TestSuite:
         reports = sp.verify_s2_suite(L=12, tol=1e-6, seed=7)
         failed = [r for r in reports if not r.passed]
         assert not failed, [(r.identity, r.max_abs_err) for r in failed]
+
+    def test_perturbed_funk_moment_fails_both_funk_checks(self, monkeypatch):
+        # funk_factorization and istar_chain set funk_direct (Funk-Hecke moments
+        # P_j(0)) against funk_at (circle quadrature); a 1e-6 relative error in
+        # the degree-2 moment alone must fail both
+        basis = sp.zonal_basis
+
+        def perturbed(n, J, t):
+            Z = basis(n, J, t)
+            if not np.any(t):           # the Funk kernel's one node, s = 0
+                Z[2] *= 1.0 + 1e-6
+            return Z
+
+        monkeypatch.setattr(sp, "zonal_basis", perturbed)
+        reports = sp.verify_s2_suite(L=8, tol=1e-6, seed=3, n_functions=2)
+        failed = [r.identity for r in reports if not r.passed]
+        assert failed.count("funk_factorization") == 1
+        assert failed.count("istar_chain") == 2     # both probes
+        assert "cross_engine_cosine" not in failed  # the other kernels are untouched
 
     def test_deterministic_under_seed(self):
         a = sp.verify_s2_suite(L=8, tol=1e-6, seed=3, n_functions=2)
