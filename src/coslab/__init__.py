@@ -58,6 +58,7 @@ from .sphere import (
     dual_radon,
     funk_at,
     funk_direct,
+    kernel_at,
     radon_r1,
     radon_transform,
     ri_alpha_direct,

@@ -247,6 +247,13 @@ class TestConstants:
         assert m.constant("lambda1", 3, i=2) == pytest.approx(1 / SQRT_PI, rel=1e-13)
         assert m.constant("lambda2", 3, i=2) == m.constant("lambda1", 3, i=2)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_right_inverse_forms_1_and_2_agree(self, n):
+        # the first two right-inverse forms differ only in their constants
+        # at i = n - 1, where the Radon transform over lines is the even part
+        assert m.constant("a_form1", n) == pytest.approx(m.constant("a_form2", n, i=n - 1),
+                                                         rel=1e-13)
+
     def test_ib_map(self):
         assert m.constant("ib_map", 3) == pytest.approx(math.pi, rel=1e-13)
 

@@ -310,15 +310,39 @@ class TestEngineAgainstReference:
         f = sp.synthesize(_random_coeffs(L, 7 + L), grid)
         assert _dev(sp.funk_direct(f, L=L).values, _ref_funk_direct(f, L)) <= 1e-13
 
-    @pytest.mark.parametrize("shape,L", [((2, 4), 1), ((4, 8), 2), ((8, 20), 7),
-                                         ((17, 34), 16)])
-    def test_funk_at(self, shape, L):
+    # kernel engine -> (its output on f, the rule it hands to the Funk-Hecke apply)
+    KERNEL_ENGINES = {
+        "cosine0.5": lambda f, L: (sp.cosine_direct(f, 0.5, L=L), sp._cosine_rule(0.5, L)),
+        "cosine2.5": lambda f, L: (sp.cosine_direct(f, 2.5, L=L), sp._cosine_rule(2.5, L)),
+        "sine1.5": lambda f, L: (sp.sine_direct(f, 1.5, L=L), sp._sine_rule(
+            1.5, L, sp.mult.constant("gamma_sine", 3, alpha=1.5))),
+        "ri1_1.5": lambda f, L: (sp.ri_alpha_direct(f, 1, 1.5, L=L).repr_, sp._sine_rule(
+            1.5, L, sp.mult.constant("gamma_alpha_i", 3, i=1, alpha=1.5))),
+        "funk": lambda f, L: (sp.funk_direct(f, L=L), (np.zeros(1), np.ones(1))),
+    }
+
+    # funk_at against the great-circle reference (engine None), and kernel_at
+    # against each kernel engine; the coefficients are not even, so the
+    # oracle must cancel odd degrees through its rule's +-s symmetry, which
+    # the engines get by zeroing odd moments
+    @pytest.mark.parametrize("shape,L,engine", [
+        *(pytest.param(shape, L, None, id=f"shape{k}-{L}") for k, (shape, L) in
+          enumerate([((2, 4), 1), ((4, 8), 2), ((8, 20), 7), ((17, 34), 16)])),
+        *(pytest.param(shape, L, engine, id=f"{engine}-{L}")
+          for engine in KERNEL_ENGINES for shape, L in [((8, 20), 7), ((17, 34), 16)])])
+    def test_funk_at(self, shape, L, engine):
         grid = sp.S2Grid(*shape)
         c = _random_coeffs(L, 30 + L)
-        ref = _ref_funk_direct(sp.synthesize(c, grid), L).reshape(-1)
-        nodes = np.random.default_rng(L).choice(ref.size, min(40, ref.size), replace=False)
-        got = sp.funk_at(c, grid.points.reshape(-1, 3)[nodes])
-        assert _dev(got, ref[nodes]) <= 1e-13
+        f = sp.synthesize(c, grid)
+        nodes = np.random.default_rng(L).choice(f.values.size, min(40, f.values.size),
+                                                replace=False)
+        normals = grid.points.reshape(-1, 3)[nodes]
+        if engine is None:
+            ref, got = _ref_funk_direct(f, L), sp.funk_at(c, normals)
+        else:
+            out, rule = self.KERNEL_ENGINES[engine](f, L)
+            ref, got = out.values, sp.kernel_at(c, normals, *rule)
+        assert _dev(got, ref.reshape(-1)[nodes]) <= 1e-13
 
     def test_legendre_table_built_once_per_grid_and_L(self, monkeypatch):
         calls = []
@@ -576,30 +600,89 @@ class TestSerialization:
         assert np.allclose(back.repr_.values, even_f.values, atol=0)
 
 
+def _funk_moment(basis):
+    def perturbed(n, J, t):
+        Z = basis(n, J, t)
+        if not np.any(t):           # the Funk kernel's one node, s = 0
+            Z[2] *= 1.0 + 1e-6
+        return Z
+    return perturbed
+
+
+def _first_weight(eps):
+    def wrap(rule):
+        def perturbed(*args):
+            s, w = rule(*args)
+            return s, np.concatenate(([w[0] * (1.0 + eps)], w[1:]))
+        return perturbed
+    return wrap
+
+
+def _degree2_table(family):
+    def wrap(table):
+        def perturbed(n, degrees, fam, **params):
+            out = table(n, degrees, fam, **params)
+            return np.where(np.asarray(degrees) == 2, out * (1.0 + 1e-4), out) \
+                if fam == family else out
+        return perturbed
+    return wrap
+
+
+def _degree2_analysis(analyze):
+    def perturbed(f, L):
+        c = analyze(f, L)
+        c.coeffs[4:9] *= 1.0 + 1e-4
+        return c
+    return perturbed
+
+
+# name -> (module, attribute perturbed, wrapper, the reports it must fail).  Each
+# perturbation sits above the tolerance it targets: 1e-6 relative in the
+# degree-2 Funk moment against the 1e-8 of the spectral checks, 1e-2 in one
+# cosine weight against cosine_funk_limit's 1e-3, and 1e-4 elsewhere
+# against 1e-6.
+PERTURBATIONS = {
+    "funk_moment": (sp, "zonal_basis", _funk_moment,
+                    ["funk_factorization", "istar_chain", "istar_chain",
+                     "right_inverse_forms"]),
+    "cosine_weights": (sp, "_cosine_rule", _first_weight(1e-2),
+                       ["cosine_funk_limit", "cosine_radon_chain", "cross_engine_cosine",
+                        "range_swap", "sine_composites"]),
+    "sine_weights": (sp, "_sine_rule", _first_weight(1e-4),
+                     ["cosine_radon_chain", "sine_composites"]),
+    "table_M": (sp.mult, "table", _degree2_table("M"),
+                ["cross_engine_cosine", "funk_inversion_spectral", "radon_inversion",
+                 "range_swap", "right_inverse_forms"]),
+    "table_Q": (sp.mult, "table", _degree2_table("Q"),
+                ["right_inverse_forms", "right_inverse_reconstruction"]),
+    "table_Funk": (sp.mult, "table", _degree2_table("Funk"), ["funk_inversion_spectral"]),
+    "analyze_degree2": (sp, "analyze", _degree2_analysis,
+                        ["cosine_radon_chain", "cross_engine_cosine", "funk_factorization",
+                         "istar_chain", "istar_chain", "radon_inversion", "range_swap",
+                         "right_inverse_forms", "right_inverse_reconstruction",
+                         "sine_composites"]),
+}
+
+
 class TestSuite:
     def test_everything_passes(self):
         reports = sp.verify_s2_suite(L=12, tol=1e-6, seed=7)
         failed = [r for r in reports if not r.passed]
         assert not failed, [(r.identity, r.max_abs_err) for r in failed]
 
-    def test_perturbed_funk_moment_fails_both_funk_checks(self, monkeypatch):
-        # funk_factorization and istar_chain set funk_direct (Funk-Hecke moments
-        # P_j(0)) against funk_at (circle quadrature); a 1e-6 relative error in
-        # the degree-2 moment alone must fail both
-        basis = sp.zonal_basis
-
-        def perturbed(n, J, t):
-            Z = basis(n, J, t)
-            if not np.any(t):           # the Funk kernel's one node, s = 0
-                Z[2] *= 1.0 + 1e-6
-            return Z
-
-        monkeypatch.setattr(sp, "zonal_basis", perturbed)
+    @pytest.mark.parametrize("target,attr,perturb,must_fail",
+                             [pytest.param(*row, id=name) for name, row in PERTURBATIONS.items()])
+    def test_perturbation_fails_its_identities(self, monkeypatch, target, attr, perturb,
+                                               must_fail):
+        monkeypatch.setattr(target, attr, perturb(getattr(target, attr)))
         reports = sp.verify_s2_suite(L=8, tol=1e-6, seed=3, n_functions=2)
-        failed = [r.identity for r in reports if not r.passed]
-        assert failed.count("funk_factorization") == 1
-        assert failed.count("istar_chain") == 2     # both probes
-        assert "cross_engine_cosine" not in failed  # the other kernels are untouched
+        assert sorted(r.identity for r in reports if not r.passed) == must_fail
+
+    def test_perturbations_cover_every_identity(self):
+        # a check that no perturbation fails cannot fail at all
+        reports = sp.verify_s2_suite(L=8, tol=1e-6, seed=3, n_functions=2)
+        covered = {name for row in PERTURBATIONS.values() for name in row[-1]}
+        assert {r.identity for r in reports} == covered
 
     def test_deterministic_under_seed(self):
         a = sp.verify_s2_suite(L=8, tol=1e-6, seed=3, n_functions=2)

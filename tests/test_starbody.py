@@ -224,16 +224,33 @@ class TestClassify:
 
 
 class TestEmbedding:
+    # The ball embeds in every L_p: the criterion is the sign of the Fourier
+    # transform of Gamma(-p/2) ||x||^p, not of the order -p class density,
+    # which is negative for the ball at p in (0, 2).
     def test_ball_p1_sign(self, ball):
-        v = sb.embeds_in_Lp(ball, 1.0)
-        assert v.member == "no"
+        assert sb.embeds_in_Lp(ball, 1.0).member == "yes"
+        v = sb.classify_K_alpha(ball, -1.0)
         assert v.min_value == pytest.approx(sb.ball_class_sign(3, -1.0), abs=1e-10)
 
     def test_ball_p_half_sign(self, ball):
-        v = sb.embeds_in_Lp(ball, 0.5)
-        assert v.member == "no"
+        assert sb.embeds_in_Lp(ball, 0.5).member == "yes"
+        v = sb.classify_K_alpha(ball, -0.5)
         assert math.copysign(1, v.min_value) == math.copysign(
             1, sb.ball_class_sign(3, -0.5))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.4, 1.9, 3.0, 5.0])
+    def test_ball_embeds(self, ball, p):
+        v = sb.embeds_in_Lp(ball, p)
+        assert v.member == "yes" and v.min_value > 0.0
+        assert v.min_value == pytest.approx(abs(sb.ball_class_sign(3, -p)), rel=1e-8)
+
+    @pytest.mark.parametrize("q", [3.0, 4.0, 8.0])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 1.9])
+    def test_lq_ball_does_not_embed(self, q, p):
+        # l_q, q > 2, embeds in no L_p with p <= 2 (Koldobsky, Schoenberg's
+        # problem on positive definite functions, 1991)
+        v = sb.embeds_in_Lp(sb.make_body(3, "lp_ball", p=q, resolution=48), p)
+        assert v.member == "no" and v.min_value < 0.0
 
     def test_even_p_rejected(self, ball):
         with pytest.raises(ExcludedParameterError):
