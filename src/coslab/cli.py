@@ -100,6 +100,8 @@ def _cmd_multiplier(args) -> int:
     if missing:
         raise argparse.ArgumentTypeError(
             f"family {args.family!r} needs {' and '.join(missing)}")
+    if args.jmax < 0:
+        raise argparse.ArgumentTypeError(f"--jmax must be at least 0, got {args.jmax}")
     degrees = np.arange(args.jmax + 1)
     values = mult.table(args.n, degrees, family,
                         **{name: getattr(args, name) for name in names})
@@ -130,6 +132,10 @@ def _cmd_verify(args) -> int:
     tol = float(_setting(args, cfg, "tol", 1e-6, float))
     seed = int(_setting(args, cfg, "seed", 7, int))
     n_theta = int(_setting(args, cfg, "n_theta", max(4 * lmax, 48), int))
+    if min(n_list) < 2:
+        raise argparse.ArgumentTypeError(f"dimensions must be at least 2, got {n_list}")
+    if args.suite in ("s2", "all") and lmax < 2:
+        raise argparse.ArgumentTypeError(f"the S^2 suite needs lmax >= 2, got {lmax}")
 
     jobs = []
     if args.suite in ("multipliers", "all"):
@@ -143,8 +149,7 @@ def _cmd_verify(args) -> int:
         for n in n_list:
             jobs.append(lambda n=n: mult.check_identities(n, jmax, grid_alphas, mtol))
     if args.suite in ("zonal", "all"):
-        zonal_ns = tuple(n for n in n_list if n >= 2) or (3,)
-        jobs.append(lambda: zn.verify_zonal_suite(zonal_ns, J=min(lmax, 16),
+        jobs.append(lambda: zn.verify_zonal_suite(tuple(n_list), J=min(lmax, 16),
                                                   seed=seed, tol=max(tol * 1e-2, 1e-8)))
     if args.suite in ("s2", "all"):
         jobs.append(lambda: sphere.verify_s2_suite(L=lmax, tol=tol, seed=seed,

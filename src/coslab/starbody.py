@@ -137,8 +137,8 @@ def make_body(n: int, shape: str, *, r: float = 1.0, axes=None, p: float = 2.0,
         grid = sphere.S2Grid(resolution)
         pts = grid.points
         if shape == "ball":
-            if r <= 0:
-                raise BadShapeParamsError(f"ball radius must be positive, got {r}")
+            if not (math.isfinite(r) and r > 0):
+                raise BadShapeParamsError(f"ball radius must be positive and finite, got {r}")
             vals = np.full(pts.shape[:2], float(r))
             meta = {"shape": "ball", "params": {"r": r}}
         elif shape == "ellipsoid":
@@ -146,8 +146,8 @@ def make_body(n: int, shape: str, *, r: float = 1.0, axes=None, p: float = 2.0,
             vals = 1.0 / np.sqrt(sum((pts[..., k] / axes[k]) ** 2 for k in range(3)))
             meta = {"shape": "ellipsoid", "params": {"axes": list(axes)}}
         elif shape == "lp_ball":
-            if p <= 0:
-                raise BadShapeParamsError(f"lp exponent must be positive, got {p}")
+            if not (math.isfinite(p) and p > 0):
+                raise BadShapeParamsError(f"lp exponent must be positive and finite, got {p}")
             vals = (np.abs(pts[..., 0]) ** p + np.abs(pts[..., 1]) ** p
                     + np.abs(pts[..., 2]) ** p) ** (-1.0 / p)
             meta = {"shape": "lp_ball", "params": {"p": p}}
@@ -157,8 +157,8 @@ def make_body(n: int, shape: str, *, r: float = 1.0, axes=None, p: float = 2.0,
 
     J = resolution
     if shape == "ball":
-        if r <= 0:
-            raise BadShapeParamsError(f"ball radius must be positive, got {r}")
+        if not (math.isfinite(r) and r > 0):
+            raise BadShapeParamsError(f"ball radius must be positive and finite, got {r}")
         coeffs = np.zeros(J + 1)
         coeffs[0] = float(r)
         return StarBody(n, zn.ZonalFunction(n, coeffs),
@@ -186,8 +186,8 @@ def _check_axes(axes, n: int):
     if axes is None or len(axes) != n:
         raise BadShapeParamsError(f"ellipsoid in R^{n} needs {n} semi-axes, got {axes}")
     axes = [float(a) for a in axes]
-    if any(a <= 0 for a in axes):
-        raise BadShapeParamsError(f"semi-axes must be positive, got {axes}")
+    if not all(math.isfinite(a) and a > 0 for a in axes):
+        raise BadShapeParamsError(f"semi-axes must be positive and finite, got {axes}")
     return axes
 
 

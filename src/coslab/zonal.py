@@ -22,6 +22,7 @@ operator's definition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ __all__ = [
 ALPHA_WINDOW = (0.0, 3.0)  # direct quadrature validated for 0 < alpha <= 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class JacobiRule:
     """Gauss rule for the probability weight ~ (1-t^2)^((n-3)/2) on [-1,1]."""
 
@@ -161,13 +162,15 @@ def _basis_with_derivative(n: int, J: int, t: np.ndarray) -> tuple[np.ndarray, n
     return Z, dZ
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_jacobi_rule(n: int, N: int) -> JacobiRule:
     """N-point Gauss rule, probability-normalized, exact to degree 2N-1.
 
     Library nodes/weights carry an orthogonality defect around 1e-14, which
     downstream order-negative multipliers amplify; the nodes are therefore
     polished by Newton iteration on the orthonormal polynomial in extended
-    precision, with the weights recomputed as Christoffel numbers.
+    precision, with the weights recomputed as Christoffel numbers.  Each
+    (n, N) rule is built once per process and returned read-only.
     """
     if N < 1:
         raise ValueError(f"need at least one node, got N={N}")
@@ -183,7 +186,9 @@ def gauss_jacobi_rule(n: int, N: int) -> JacobiRule:
     Z, _ = _basis_with_derivative(n, N - 1 if N > 1 else 0, x)
     w = 1.0 / np.sum(Z * Z, axis=0)
     w = w / w.sum()
-    return JacobiRule(n=n, nodes=x.astype(float), weights=w.astype(float))
+    nodes, weights = x.astype(float), w.astype(float)
+    nodes.flags.writeable = weights.flags.writeable = False    # shared by every caller
+    return JacobiRule(n=n, nodes=nodes, weights=weights)
 
 
 def zonal_analyze(n: int, profile, J: int, rule: JacobiRule | None = None) -> ZonalFunction:

@@ -60,6 +60,12 @@ class TestMultiplier:
         assert err.startswith("error:") and needs in err
         assert out == ""
 
+    def test_negative_jmax_exits_2(self, capsys):
+        code, out, err = run(capsys, "multiplier", "--family", "m", "--jmax", "-1")
+        assert code == 2
+        assert err.startswith("error:") and "--jmax" in err
+        assert out == ""
+
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
             run(capsys, "multiplier", "--family", "bogus")
@@ -96,6 +102,19 @@ class TestVerify:
             assert code == 0
         a, b = json.loads(f1.read_text()), json.loads(f2.read_text())
         assert a["results"] == b["results"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "s2", "--lmax", "0"],
+        ["--suite", "s2", "--lmax", "1"],
+        ["--suite", "all", "--lmax", "1"],
+        ["--suite", "zonal", "--n", "1"],
+    ])
+    def test_bad_size_exits_2(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "r.json"
+        code, out, err = run(capsys, "verify", *argv, "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert out == "" and not out_file.exists()
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "coslab.cfg"
@@ -309,6 +328,19 @@ class TestBody:
         code, _, _ = run(capsys, "body", "classify", "--input", str(bad),
                          "--alpha", "1.0")
         assert code == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["--shape", "ball", "--r", "nan"],
+        ["--shape", "ball", "--r", "inf", "--n", "5"],
+        ["--shape", "lp_ball", "--p", "nan"],
+        ["--shape", "ellipsoid", "--axes", "1,1,inf"],
+    ])
+    def test_make_non_finite_params_exits_5(self, capsys, tmp_path, argv):
+        body_file = tmp_path / "body.json"
+        code, out, err = run(capsys, "body", "make", *argv, "--out", str(body_file))
+        assert code == 5
+        assert err.startswith("error:") and "finite" in err
+        assert out == "" and not body_file.exists()
 
     def test_classify_zero_steps_exits_2(self, capsys, tmp_path):
         body_file = tmp_path / "ball.json"

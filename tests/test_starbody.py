@@ -55,6 +55,18 @@ class TestMakeBody:
         with pytest.raises(BadShapeParamsError):
             sb.make_body(3, "cube")
 
+    @pytest.mark.parametrize("n,shape,params", [
+        (3, "ball", {"r": math.nan}),
+        (3, "ball", {"r": math.inf}),
+        (5, "ball", {"r": math.nan}),
+        (3, "lp_ball", {"p": math.nan}),
+        (3, "ellipsoid", {"axes": [1.0, 1.0, math.inf]}),
+        (5, "ellipsoid", {"axes": [1.0, 1.0, 1.0, 1.0, math.nan]}),
+    ])
+    def test_non_finite_params(self, n, shape, params):
+        with pytest.raises(BadShapeParamsError, match="finite"):
+            sb.make_body(n, shape, resolution=16, **params)
+
     def test_zonal_ball(self):
         b = sb.make_body(5, "ball", r=1.5, resolution=16)
         assert not b.is_grid

@@ -1,6 +1,7 @@
 """Zonal expansions, operator application, and the direct-quadrature oracle."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from coslab.errors import (
     QuadratureWindowError,
     RepresentationError,
 )
+from coslab.sphere import S2Grid
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -50,6 +52,29 @@ class TestRule:
             Z = zn.zonal_basis(n, 13, rule.nodes)
             G = (Z * rule.weights) @ Z.T
             assert np.abs(G - np.eye(14)).max() < 1e-12
+
+    def test_rule_is_shared_and_read_only(self):
+        rule = zn.gauss_jacobi_rule(5, 6)
+        assert zn.gauss_jacobi_rule(5, 6) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            rule.nodes = np.zeros(6)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("N", [1, 6, 48])
+    def test_shared_rule_is_bitwise_a_fresh_build(self, n, N):
+        fresh = zn.gauss_jacobi_rule.__wrapped__(n, N)
+        shared = zn.gauss_jacobi_rule(n, N)
+        assert shared.nodes.tobytes() == fresh.nodes.tobytes()
+        assert shared.weights.tobytes() == fresh.weights.tobytes()
+
+    def test_grids_share_read_only_latitudes(self):
+        a, b = S2Grid(48), S2Grid(48)
+        assert a.t is b.t and a.wt is b.wt
+        assert not (a.t.flags.writeable or a.wt.flags.writeable)
 
 
 class TestBasis:
