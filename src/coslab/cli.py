@@ -50,6 +50,9 @@ EXIT_BODY = 5
 _PARAM_ERRORS = (ExcludedParameterError, QuadratureWindowError, GammaPoleError,
                  NumeratorPoleError, UnknownConstantError)
 _BODY_ERRORS = (NonPositiveBodyError, OddInputError, BadShapeParamsError)
+# error kinds -> exit code; any other argument, file or coslab error exits EXIT_USAGE
+_EXIT_CODES = ((_PARAM_ERRORS, EXIT_PARAM), (RepresentationError, EXIT_REPR),
+               (_BODY_ERRORS, EXIT_BODY))
 # --family choice -> multiplier family of multipliers.table
 _FAMILIES = {family.lower(): family for family in mult.FAMILY_PARAMS}
 
@@ -79,6 +82,14 @@ def _write_report(report: RunReport, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _check_bound(flag: str, value: float, positive: bool = True) -> float:
+    """Return value if it is finite and > 0 (>= 0 unless ``positive``), else exit 2."""
+    if np.isfinite(value) and (value > 0 or value == 0 and not positive):
+        return value
+    raise argparse.ArgumentTypeError(
+        f"{flag} must be finite and {'>' if positive else '>='} 0, got {value}")
 
 
 def _setting(args, cfg: dict, name: str, default, cast):
@@ -129,23 +140,25 @@ def _cmd_verify(args) -> int:
     n_list = [int(x) for x in (args.n or cfg.get("n", "3")).split(",")]
     jmax = int(_setting(args, cfg, "jmax", 200, int))
     lmax = int(_setting(args, cfg, "lmax", 12, int))
-    tol = float(_setting(args, cfg, "tol", 1e-6, float))
+    tol = _check_bound("--tol", _setting(args, cfg, "tol", 1e-6, float))
     seed = int(_setting(args, cfg, "seed", 7, int))
     n_theta = int(_setting(args, cfg, "n_theta", max(4 * lmax, 48), int))
     if min(n_list) < 2:
         raise argparse.ArgumentTypeError(f"dimensions must be at least 2, got {n_list}")
+    if jmax < 0:
+        raise argparse.ArgumentTypeError(f"--jmax must be at least 0, got {jmax}")
     if args.suite in ("s2", "all") and lmax < 2:
         raise argparse.ArgumentTypeError(f"the S^2 suite needs lmax >= 2, got {lmax}")
+    if args.suite == "zonal" and lmax < 1:
+        raise argparse.ArgumentTypeError(f"the zonal suite needs lmax >= 1, got {lmax}")
 
     jobs = []
     if args.suite in ("multipliers", "all"):
         grid_alphas = _alpha_grid(40, -6.0, 6.0)
         # --tol governs the multiplier suite when it is the one requested;
         # under "all" the multiplier identities keep their own 1e-10 default
-        if args.suite == "multipliers" and args.tol is not None:
-            mtol = args.tol
-        else:
-            mtol = float(_setting(args, cfg, "mult_tol", 1e-10, float))
+        mtol = (tol if args.suite == "multipliers" and args.tol is not None
+                else _check_bound("mult_tol", _setting(args, cfg, "mult_tol", 1e-10, float)))
         for n in n_list:
             jobs.append(lambda n=n: mult.check_identities(n, jmax, grid_alphas, mtol))
     if args.suite in ("zonal", "all"):
@@ -190,8 +203,7 @@ def _apply_zonal_direct(f: ZonalFunction, direct, param: float) -> ZonalFunction
     """Sample a direct zonal engine (its order or t is ``param``) at the Gauss
     nodes and analyze the samples."""
     rule = zn.gauss_jacobi_rule(f.n, f.degree + 1)
-    vals = np.array([direct(f.n, f, param, float(t0), degree_hint=f.degree)
-                     for t0 in rule.nodes])
+    vals = direct(f.n, f, param, rule.nodes, degree_hint=f.degree)
     return zn.zonal_analyze(f.n, vals, f.degree, rule)
 
 
@@ -286,6 +298,7 @@ def _cmd_body(args) -> int:
         body = load_object(args.input)
         if not isinstance(body, starbody.StarBody):
             raise RepresentationError("classify needs a star-body file")
+        _check_bound("--margin", args.margin, positive=False)
         start = time.perf_counter()
         if args.alpha is not None:
             alphas = [mult.check_order(body.n, args.alpha, mult.Family.K_CLASS)]
@@ -318,6 +331,7 @@ def _cmd_body(args) -> int:
         return 0
 
     if args.body_cmd == "pair-check":
+        _check_bound("--tol", args.tol)
         K = load_object(args.k)
         L = load_object(args.l)
         if not (isinstance(K, starbody.StarBody) and isinstance(L, starbody.StarBody)):
@@ -418,21 +432,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, OSError, ValueError, CoslabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _PARAM_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAM
-    except RepresentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REPR
-    except _BODY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BODY
-    except (OSError, ValueError, json.JSONDecodeError, CoslabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)),
+                    EXIT_USAGE)
 
 
 if __name__ == "__main__":

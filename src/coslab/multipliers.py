@@ -150,10 +150,7 @@ def m_mult(n: int, j: int, alpha: float) -> float:
     """
     _check_dim(n)
     _check_degree(j)
-    if excluded(n, alpha, Family.M):
-        raise ExcludedParameterError(
-            f"alpha={alpha} is on the cosine-family pole lattice 1, 3, 5, ..."
-        )
+    check_order(n, alpha, Family.M)
     if j % 2 == 1:
         return 0.0
     num = (j + 1.0 - alpha) / 2.0
@@ -174,10 +171,7 @@ def q_mult(n: int, j: int, alpha: float) -> float:
     """
     _check_dim(n)
     _check_degree(j)
-    if excluded(n, alpha, Family.Q):
-        raise ExcludedParameterError(
-            f"alpha={alpha} is on the sine-family pole lattice n, n+2, ... (n={n})"
-        )
+    check_order(n, alpha, Family.Q)
     if j % 2 == 1:
         return 0.0
     if alpha == 0.0:
@@ -517,9 +511,10 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
         "semigroup", {"n": n, "j_max": j_max, "alphas": len(alpha_grid), "skipped": skipped},
         *_errs(m_a * m_0, q), tol))
 
-    # cosine_bridge and bridge_factors over the admissible (alpha, beta) pairs
-    ia, ib = np.nonzero(ok_alpha[:, None] & ~_excluded_mask(n, betas, Family.M)[None, :])
-    a, b = alphas[ia][:, None], betas[ib][:, None]
+    # cosine_bridge and bridge_factors on the (alpha, beta, degree) outer product:
+    # alpha-only and beta-only gamma arguments are evaluated once per order
+    a = alphas[ok_alpha][:, None, None]
+    b = betas[~_excluded_mask(n, betas, Family.M)][None, :, None]
     mu = a - b
     (m_a, m_b, av, q_plus, q_minus), poles = rows(
         m(a), m(b),
@@ -527,7 +522,7 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
         _table(n, j, "Qplus", {"mu": mu, "nu": 2.0 - b}),
         _table(n, j, "Qminus", {"mu": mu, "nu": 1.0 - b}))
     params = {"n": n, "j_max": j_max, "grid": f"{len(alpha_grid)}x{len(beta_grid)}",
-              "skipped": len(alphas) * len(betas) - len(ia) + poles}
+              "skipped": len(alphas) * len(betas) - a.size * b.size + poles}
     reports.append(make_report("cosine_bridge", params, *_errs(m_b * av, m_a), tol))
     reports.append(make_report("bridge_factors", dict(params),
                                *_errs(q_plus * q_minus, av), tol))

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from . import multipliers as mult
-from .zonal import _check_direct_order, gauss_jacobi_rule, zonal_basis
+from .zonal import _POINT_CHUNK, _check_direct_order, gauss_jacobi_rule, zonal_basis
 from .errors import (
     GridTooCoarseError,
     OddInputError,
@@ -385,10 +385,6 @@ def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
     return GridFunction(grid, np.fft.irfft(spec, n=grid.n_phi, axis=1, norm="forward"))
 
 
-# points per block of the per-point recurrence; a block holds (L+1) rows of this length
-_POINT_CHUNK = 1 << 14
-
-
 def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Evaluate the series at arbitrary unit vectors (shape (..., 3)).
 
@@ -556,7 +552,8 @@ def radon_r1(f: GridFunction, line: np.ndarray, L: int | None = None) -> float |
     """
     c = analyze(f, f.grid.band_limit if L is None else L)
     u = np.asarray(line, dtype=float)
-    return 0.5 * (synthesize_at(c, u) + synthesize_at(c, -u))
+    ends = synthesize_at(c, np.stack((u, -u)))
+    return 0.5 * (ends[0] + ends[1])
 
 
 def radon_transform(f: GridFunction, i: int, L: int | None = None) -> GrassmannFunctionS2:

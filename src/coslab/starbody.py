@@ -14,7 +14,7 @@ anything inside the margin stays inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammasgn
@@ -112,14 +112,7 @@ class ClassVerdict:
     tail_energy: float
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "member": self.member,
-            "min_value": self.min_value,
-            "margin": self.margin,
-            "smoothing_t": self.smoothing_t,
-            "tail_energy": self.tail_energy,
-        }
+        return asdict(self)
 
 
 # --- construction -------------------------------------------------------------

@@ -108,6 +108,10 @@ class TestVerify:
         ["--suite", "s2", "--lmax", "1"],
         ["--suite", "all", "--lmax", "1"],
         ["--suite", "zonal", "--n", "1"],
+        ["--suite", "multipliers", "--jmax", "-1"],
+        ["--suite", "all", "--jmax", "-1"],
+        ["--suite", "zonal", "--lmax", "-1"],
+        ["--suite", "zonal", "--lmax", "0"],
     ])
     def test_bad_size_exits_2(self, capsys, tmp_path, argv):
         out_file = tmp_path / "r.json"
@@ -115,6 +119,28 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "s2", "--tol", "nan"],
+        ["--suite", "multipliers", "--tol", "inf"],
+        ["--suite", "multipliers", "--tol", "0"],
+        ["--suite", "zonal", "--tol=-1e-6"],
+    ])
+    def test_bad_tolerance_exits_2(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "r.json"
+        code, out, err = run(capsys, "verify", *argv, "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: --tol must be finite") and err.count("\n") == 1
+        assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("line", ["tol = nan", "mult_tol = inf"])
+    def test_bad_config_tolerance_exits_2(self, capsys, tmp_path, line):
+        cfg = tmp_path / "coslab.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "verify", "--suite", "all", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+        assert out == ""
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "coslab.cfg"
@@ -341,6 +367,23 @@ class TestBody:
         assert code == 5
         assert err.startswith("error:") and "finite" in err
         assert out == "" and not body_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "{ball}", "--alpha", "1.5", "--margin", "nan"],
+        ["classify", "--input", "{ball}", "--alpha", "1.5", "--margin=-1e-7"],
+        ["classify", "--input", "{ball}", "--margin", "inf"],
+        ["pair-check", "--k", "{ball}", "--l", "{ball}", "--i", "2", "--tol", "inf"],
+        ["pair-check", "--k", "{ball}", "--l", "{ball}", "--tol", "nan"],
+        ["pair-check", "--k", "{ball}", "--l", "{ball}", "--tol", "0"],
+    ])
+    def test_bad_tolerance_or_margin_exits_2(self, capsys, tmp_path, argv):
+        body_file = tmp_path / "ball.json"
+        run(capsys, "body", "make", "--shape", "ball", "--out", str(body_file))
+        code, out, err = run(capsys, "body", *[a.format(ball=body_file) for a in argv])
+        flag = "--margin" if argv[0] == "classify" else "--tol"
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be finite") and err.count("\n") == 1
+        assert out == ""
 
     def test_classify_zero_steps_exits_2(self, capsys, tmp_path):
         body_file = tmp_path / "ball.json"

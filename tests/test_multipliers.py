@@ -491,6 +491,24 @@ class TestIdentitySuiteArrays:
             assert g.max_rel_err == pytest.approx(w.max_rel_err, abs=1e-12)
         assert any(r.params["skipped"] for r in want)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_bridge_outer_product_is_the_per_alpha_maximum(self, n):
+        # the CLI's 40-order grid plus an excluded order, a guard-band order
+        # and beta = -4, whose a(j, alpha, -4) has numerator poles
+        grid = [-6.0 + (k + 0.5) * 0.3 for k in range(40)] + [1.0, 3.0 + 5e-9, -4.0]
+
+        def bridge(reports):
+            return {r.identity: r for r in reports
+                    if r.identity in ("cosine_bridge", "bridge_factors")}
+
+        whole = bridge(m.check_identities(n, 60, grid))
+        rows = [bridge(m.check_identities(n, 60, [a], beta_grid=grid)) for a in grid]
+        for name, report in whole.items():
+            assert report.max_abs_err == max(r[name].max_abs_err for r in rows)
+            assert report.max_rel_err == max(r[name].max_rel_err for r in rows)
+            assert report.params["skipped"] == sum(r[name].params["skipped"] for r in rows)
+        assert whole["cosine_bridge"].params["skipped"] >= 2 * len(grid)
+
     def test_numerator_pole_rows_are_skipped(self):
         # a(j, 0.35, -4) has Gamma(-1) in its numerator at j = 0
         reports = {r.identity: r for r in

@@ -477,6 +477,19 @@ class TestRadon:
         want = sp.synthesize_at(sp.analyze(even_f, 10), u)
         assert float(got) == pytest.approx(float(want), abs=1e-12)
 
+    def test_r1_is_the_mean_of_both_ends(self, grid):
+        rng = np.random.default_rng(5)
+        c = sp.HarmonicCoeffs(10, rng.uniform(-1, 1, 121))
+        f = sp.synthesize(c, grid)
+        u = rng.normal(size=(64, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        cf = sp.analyze(f, 10)
+        for line in (u, u[0]):
+            want = 0.5 * (sp.synthesize_at(cf, line) + sp.synthesize_at(cf, -line))
+            got = sp.radon_r1(f, line, L=10)
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
     def test_r1_odd_vanishes(self, grid):
         f = sp.GridFunction(grid, grid.points[..., 0])
         got = sp.radon_r1(f, np.array([1.0, 0.0, 0.0]), L=3)

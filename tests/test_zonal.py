@@ -90,6 +90,16 @@ class TestBasis:
         Z = zn.zonal_basis(5, 3, np.array([0.2]))
         assert Z[0, 0] == 1.0
 
+    def test_synth_in_chunks_matches_one_table(self):
+        # more points than one chunk, in a 2-d shape; a ragged last chunk
+        f = zn.ZonalFunction(4, np.random.default_rng(3).uniform(-1, 1, 12))
+        t = np.linspace(-1, 1, 2 * zn._POINT_CHUNK + 6).reshape(2, -1)
+        want = f.coeffs @ zn.zonal_basis(4, f.degree, t.ravel())
+        got = zn.zonal_synth(f, t)
+        assert got.shape == t.shape
+        np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-15)
+        assert zn.zonal_synth(f, np.empty((0, 3))).shape == (0, 3)
+
 
 class TestAnalyze:
     def test_constant(self):
@@ -223,6 +233,41 @@ class TestPoissonDirect:
         # Poisson integral of the constant is the constant
         got = zn.zonal_poisson_direct(4, lambda t: np.ones_like(t), 0.6, 0.2)
         assert got == pytest.approx(1.0, abs=1e-12)
+
+
+# both direct oracles as (n, profile, t0) -> value, with their own order or t
+ORACLES = {
+    "cosine": lambda n, f, t0: zn.zonal_cosine_direct(n, f, 1.5, t0, degree_hint=8),
+    "poisson": lambda n, f, t0: zn.zonal_poisson_direct(n, f, 0.5, t0, degree_hint=8),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+class TestArrayOutputPoints:
+    """An array of output points t0 gives, point for point, the scalar calls."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_scalar_calls_and_keeps_shape(self, oracle, n):
+        rng = np.random.default_rng(n)
+        f = zn.ZonalFunction(n, rng.uniform(-1, 1, 9) * (1 + np.arange(9.0)) ** -2)
+        t0 = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        got = ORACLES[oracle](n, f, t0)
+        assert got.shape == t0.shape
+        want = np.array([ORACLES[oracle](n, f, float(t)) for t in t0.ravel()])
+        np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-15)
+
+    def test_float_point_gives_a_python_float(self, oracle):
+        f = zn.ZonalFunction(3, np.array([1.0, 0.5, 0.25]))
+        assert type(ORACLES[oracle](3, f, 0.3)) is float
+        assert type(ORACLES[oracle](3, f, np.float64(-1.0))) is float
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1.5, np.nan])
+    def test_one_point_outside_rejects_the_call(self, oracle, bad):
+        f = zn.ZonalFunction(3, np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"t0 must lie in \[-1, 1\]"):
+            ORACLES[oracle](3, f, np.array([0.0, 0.5, bad, 1.0]))
+        with pytest.raises(ValueError, match=r"t0 must lie in \[-1, 1\]"):
+            ORACLES[oracle](3, f, bad)
 
 
 class TestSerialization:
