@@ -372,7 +372,8 @@ def table(n: int, degrees, family: str, **params) -> np.ndarray:
 #   a_form1/2/3        the three right-inverse representations of the dual
 #                      Radon transform
 #   c_range_f, c_range_f1   the two constants linking f and f1 when
-#                      R_i^alpha f = R_i f1
+#                      R_i^alpha f = R_i f1 (the values of c_cosine_radon
+#                      and c_limit)
 
 def constant(name: str, n: int, i: int | None = None, alpha: float | None = None) -> float:
     """Evaluate a named closed-form normalization constant."""
@@ -403,7 +404,7 @@ def constant(name: str, n: int, i: int | None = None, alpha: float | None = None
         return sigma(n) / (2.0 * math.pi ** ((n - 1) / 2.0)) * gamma_ratio(
             [(n - 1.0 - a) / 2.0], [a / 2.0]
         )
-    if name == "c_limit":
+    if name in ("c_limit", "c_range_f1"):
         ii = need_i()
         return sigma(ii) / (2.0 * math.pi ** ((ii - 1) / 2.0))
     if name in ("lambda1", "lambda2"):
@@ -417,7 +418,7 @@ def constant(name: str, n: int, i: int | None = None, alpha: float | None = None
             * gamma_ratio([(n - 1.0) / 2.0], [(n - ii) / 2.0])
             / sigma(ii)
         )
-    if name == "c_cosine_radon":
+    if name in ("c_cosine_radon", "c_range_f"):
         ii = need_i()
         return 2.0 * math.pi ** ((ii - 1) / 2.0) / sigma(ii)
     if name == "c_perp_swap":
@@ -436,12 +437,6 @@ def constant(name: str, n: int, i: int | None = None, alpha: float | None = None
     if name == "a_form3":
         ii = need_i()
         return math.pi ** (1.0 - ii) * sigma(n - 1) * sigma(ii) / (2.0 * sigma(n - ii))
-    if name == "c_range_f":
-        ii = need_i()
-        return 2.0 * math.pi ** ((ii - 1) / 2.0) / sigma(ii)
-    if name == "c_range_f1":
-        ii = need_i()
-        return math.pi ** ((1 - ii) / 2.0) * sigma(ii) / 2.0
     raise UnknownConstantError(f"no constant named {name!r}")
 
 
@@ -477,6 +472,8 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
     ``_table``; each row is one order or order pair.  The error metric is
     relative where |expected| > 1, absolute otherwise.
     """
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
     if beta_grid is None:
         beta_grid = alpha_grid
     alphas = np.asarray(alpha_grid, dtype=float)

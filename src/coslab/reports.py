@@ -78,8 +78,8 @@ class RunReport:
             "fail_count": self.fail_count,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
 def _result_passed(r) -> bool:

@@ -19,8 +19,9 @@ Direct (kernel-quadrature) engines never use the gamma closed forms of
 form K(theta . u), rotation invariance reduces the integral at each output
 direction to a weighted 1-D integral of the latitudinal averages around u;
 the weight (|s|^(alpha-1) or (1-s^2)^((alpha-2)/2)) is absorbed into a
-Gauss-Jacobi rule, making the quadrature exact for band-limited input.
-The Funk kernel is a point mass at s = 0.  :func:`kernel_at` takes the same
+Gauss-Jacobi rule, making the quadrature exact for band-limited input; the
+cosine rule is the zonal oracle's, ``zonal._cosine_rule`` at n = 3.  The
+Funk kernel is a point mass at s = 0.  :func:`kernel_at` takes the same
 rules pointwise: it integrates the series over the circles theta . u = s
 of each node, through :func:`synthesize_at` instead of the grid.
 """
@@ -35,7 +36,8 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from . import multipliers as mult
-from .zonal import _POINT_CHUNK, _check_direct_order, gauss_jacobi_rule, zonal_basis
+from .zonal import (_POINT_CHUNK, _check_direct_order, _cosine_rule, gauss_jacobi_rule,
+                    zonal_basis)
 from .errors import (
     GridTooCoarseError,
     OddInputError,
@@ -493,17 +495,6 @@ def _funk_hecke(f: GridFunction, L: int, s: np.ndarray, w: np.ndarray) -> GridFu
     return synthesize(analyze(f, L).scale_degrees(moments), f.grid)
 
 
-def _cosine_rule(alpha: float, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule for gamma_alpha |s|^(alpha-1): nodes +-s, exact to degree L."""
-    # Gauss-Jacobi in v = s^2 with weight v^(alpha/2 - 1): (1/2) from ds -> dv,
-    # (1/2)^(alpha/2) from mapping the rule's [-1, 1] onto v in [0, 1], and
-    # (1/2) for each of the nodes +-s
-    x, w = roots_jacobi(L // 2 + 2, 0.0, alpha / 2.0 - 1.0)
-    s = np.sqrt((1.0 + x) / 2.0)
-    w = w * (0.5 ** (alpha / 2.0 + 2.0) * mult.constant("gamma_alpha", 3, alpha=alpha))
-    return np.concatenate((s, -s)), np.concatenate((w, w))
-
-
 def _sine_rule(alpha: float, L: int, const: float) -> tuple[np.ndarray, np.ndarray]:
     """Rule for const (1 - s^2)^((alpha-2)/2): a symmetric Jacobi rule, exact to degree L."""
     x, w = roots_jacobi(L // 2 + 2, (alpha - 2.0) / 2.0, (alpha - 2.0) / 2.0)
@@ -520,7 +511,7 @@ def cosine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFu
     """
     _check_direct_order(3, alpha, mult.Family.M)
     L = f.grid.band_limit if L is None else L
-    return _funk_hecke(f, L, *_cosine_rule(alpha, L))
+    return _funk_hecke(f, L, *_cosine_rule(3, alpha, L))
 
 
 def sine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFunction:
@@ -605,19 +596,18 @@ def ri_alpha_direct(f: GridFunction, i: int, alpha: float,
 # --- verification suite -------------------------------------------------------
 
 
-def _random_even_coeffs(L: int, rng: np.random.Generator, decay: float = 2.0) -> HarmonicCoeffs:
-    """Seeded even coefficients, degree-j blocks scaled by (1+j)^-decay."""
+def _random_even_coeffs(L: int, rng: np.random.Generator) -> HarmonicCoeffs:
+    """Seeded even coefficients, degree-j blocks scaled by (1+j)^-2."""
     coeffs = rng.uniform(-1.0, 1.0, (L + 1) ** 2)
     for j in range(L + 1):
         block = coeffs[j * j:(j + 1) * (j + 1)]
-        block *= 0.0 if j % 2 else (1.0 + j) ** -decay
+        block *= 0.0 if j % 2 else (1.0 + j) ** -2.0
     return HarmonicCoeffs(L, coeffs)
 
 
-def random_even_function(grid: S2Grid, L: int, rng: np.random.Generator,
-                         decay: float = 2.0) -> GridFunction:
+def random_even_function(grid: S2Grid, L: int, rng: np.random.Generator) -> GridFunction:
     """Seeded band-limited even test function with decaying coefficients."""
-    return synthesize(_random_even_coeffs(L, rng, decay), grid)
+    return synthesize(_random_even_coeffs(L, rng), grid)
 
 
 def _sup_err(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -629,8 +619,7 @@ def _sup_err(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 
 def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
-                    n_theta: int | None = None, n_phi: int | None = None,
-                    n_functions: int = 5) -> list[IdentityReport]:
+                    n_theta: int | None = None, n_functions: int = 5) -> list[IdentityReport]:
     """Numerically verify the operator identities on S^2.
 
     Quadrature-limited identities pass at ``tol``; purely spectral chains
@@ -639,7 +628,7 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     functions' generating coefficients at seeded grid nodes, so they share
     neither analysis nor Funk-Hecke moments with the grid side.
     """
-    grid = S2Grid(max(4 * L, 48) if n_theta is None else n_theta, n_phi)
+    grid = S2Grid(max(4 * L, 48) if n_theta is None else n_theta)
     rng = np.random.default_rng(seed)
     cs = [_random_even_coeffs(L, rng) for _ in range(n_functions)]
     fs = [synthesize(c, grid) for c in cs]
@@ -764,7 +753,7 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     pairs = []
     for k, alpha in enumerate(alphas):
         idx = nodes()
-        direct = kernel_at(cs[k % len(cs)], points[idx], *_cosine_rule(alpha, L))
+        direct = kernel_at(cs[k % len(cs)], points[idx], *_cosine_rule(3, alpha, L))
         spec = synthesize(apply_spectral(analyze(fs[k % len(fs)], L), "M", alpha=alpha), grid)
         pairs.append(_sup_err(direct, spec.values.reshape(-1)[idx]))
     report("cross_engine_cosine", {"L": L, "alphas": alphas, "nodes": 32}, pairs, tol)

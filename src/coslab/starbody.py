@@ -281,9 +281,7 @@ def _tail_energy(per_degree: np.ndarray) -> float:
     return float(per_degree[-4:].sum()) / total
 
 
-def embeds_in_Lp(body: StarBody, p: float, t_smooth: float = 0.98,
-                 margin: float = 1e-7,
-                 band_limit: int | None = None) -> ClassVerdict:
+def embeds_in_Lp(body: StarBody, p: float) -> ClassVerdict:
     """Isometric-embedding test into L_p through the order -p class density.
 
     The body embeds iff the Fourier transform of Gamma(-p/2) ||x||^p is
@@ -292,11 +290,11 @@ def embeds_in_Lp(body: StarBody, p: float, t_smooth: float = 0.98,
     positive factor, so the verdict and ``min_value`` rest on the minimum of
     sign(Gamma(-p/2)) times the density.  Even p, where the criterion
     degenerates, is the class lattice {0, -2, ...} at -p and is rejected.
+    Smoothing, margin and band limit are ``classify_K_alpha``'s defaults.
     """
     if p <= 0:
         raise ExcludedParameterError(f"embedding exponent must be positive, got {p}")
-    return _signed_verdict(body, -p, float(gammasgn(-p / 2.0)), t_smooth, margin,
-                           band_limit)
+    return _signed_verdict(body, -p, float(gammasgn(-p / 2.0)), 0.98, 1e-7, None)
 
 
 # --- identity checks ----------------------------------------------------------
@@ -309,8 +307,7 @@ def _rel_sup(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
 
 
 def i_intersection_pair_check(K: StarBody, L_body: StarBody, i: int,
-                              tol: float = 1e-6,
-                              band_limit: int | None = None) -> IdentityReport:
+                              tol: float = 1e-6) -> IdentityReport:
     """Check whether K is the i-intersection body of L_body (n = 3).
 
     Verifies both the section-volume identity
@@ -327,8 +324,7 @@ def i_intersection_pair_check(K: StarBody, L_body: StarBody, i: int,
     if K.repr_.grid != L_body.repr_.grid:
         raise RepresentationError("pair check needs bodies on the same grid")
     grid = K.repr_.grid
-    Lband = band_limit if band_limit is not None else min(DEFAULT_CLASSIFY_L,
-                                                          grid.band_limit)
+    Lband = min(DEFAULT_CLASSIFY_L, grid.band_limit)
     rho_k_i = K.radial_power(float(i))
     rho_l_co = L_body.radial_power(float(3 - i))
 
@@ -354,8 +350,7 @@ def i_intersection_pair_check(K: StarBody, L_body: StarBody, i: int,
         [abs1, abs2], [rel1, rel2], tol)
 
 
-def istar_chain_check(g: "sphere.GridFunction", tol: float = 1e-8,
-                      band_limit: int | None = None) -> IdentityReport:
+def istar_chain_check(g: "sphere.GridFunction", tol: float = 1e-8) -> IdentityReport:
     """Chain from a planes-measure body to its line sections (n = 3, i = 1).
 
     Given an even density g on planes (keyed by normals), the body with
@@ -368,7 +363,7 @@ def istar_chain_check(g: "sphere.GridFunction", tol: float = 1e-8,
     if g.odd_energy_fraction() > 1e-10:
         raise OddInputError("plane densities must be even")
     grid = g.grid
-    Lband = band_limit if band_limit is not None else grid.band_limit
+    Lband = grid.band_limit
     rho_k = sphere.dual_radon(sphere.GrassmannFunctionS2("planes", g))
     if float(rho_k.values.min()) <= 0.0:
         raise NonPositiveBodyError("dual Radon transform of g is not positive")
@@ -385,10 +380,10 @@ def istar_chain_check(g: "sphere.GridFunction", tol: float = 1e-8,
 # --- suite --------------------------------------------------------------------
 
 
-def verify_starbody_suite(seed: int = 11, tol: float = 1e-6,
-                          resolution: int = 48) -> list[IdentityReport]:
+def verify_starbody_suite(seed: int = 11, tol: float = 1e-6) -> list[IdentityReport]:
     """Battery of construction/classification checks for the CLI verify command."""
     rng = np.random.default_rng(seed)
+    resolution = 48
     reports: list[IdentityReport] = []
 
     # intersection body of a ball is the ball of the section area
@@ -447,8 +442,8 @@ def verify_starbody_suite(seed: int = 11, tol: float = 1e-6,
     return reports
 
 
-def _random_body(rng: np.random.Generator, resolution: int,
-                 L: int = 8) -> StarBody:
+def _random_body(rng: np.random.Generator, resolution: int) -> StarBody:
+    L = 8
     grid = sphere.S2Grid(resolution)
     bump = sphere.random_even_function(grid, L, rng)
     vals = 1.0 + 0.3 * bump.values / max(1.0, float(np.max(np.abs(bump.values))))

@@ -14,7 +14,8 @@ generalized cosine transform by quadrature of its defining kernel integral.
 The integral is taken in coordinates adapted to the evaluation direction,
 where the kernel depends only on the polar variable s = theta . u.  The odd
 part of the integrand drops, and the substitution v = s^2 turns the
-|s|^(alpha-1) factor into a Gauss-Jacobi weight, so the rule is exact for
+|s|^(alpha-1) factor into a Gauss-Jacobi weight (``_cosine_rule``, also the
+cosine kernel of :mod:`coslab.sphere`), so the rule is exact for
 band-limited profiles; the azimuthal average is likewise exact.  No gamma
 identities enter this path beyond the normalization constant in the
 operator's definition.
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import eval_jacobi, roots_jacobi
 
 from . import multipliers as mult
 from .errors import (
@@ -128,38 +129,35 @@ def _recurrence_sqrt_b(n: int, k_max: int, dtype=np.dtype(float)) -> np.ndarray:
 def zonal_basis(n: int, J: int, t) -> np.ndarray:
     """Evaluate the orthonormal zonal polynomials Z_0..Z_J at points t.
 
-    Returns an array of shape (J+1, len(t)).  For n = 3 these are
-    sqrt(2j+1) P_j(t).
+    Returns an array of shape (J+1, len(t)), long double for long-double t
+    and float otherwise.  For n = 3 these are sqrt(2j+1) P_j(t).
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    Z = np.empty((J + 1, t.shape[0]))
+    t = np.atleast_1d(np.asarray(t))
+    t = t.astype(np.result_type(t, float), copy=False)
+    Z = np.empty((J + 1, t.shape[0]), dtype=t.dtype)
     Z[0] = 1.0
     if J == 0:
         return Z
-    sb = _recurrence_sqrt_b(n, J)
+    sb = _recurrence_sqrt_b(n, J, t.dtype)
     Z[1] = t / sb[1]
     for k in range(2, J + 1):
         Z[k] = (t * Z[k - 1] - sb[k - 1] * Z[k - 2]) / sb[k]
     return Z
 
 
-def _basis_with_derivative(n: int, J: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis values and t-derivatives, in the dtype of t."""
-    one = t.dtype.type(1)
-    Z = np.empty((J + 1, t.shape[0]), dtype=t.dtype)
-    dZ = np.zeros((J + 1, t.shape[0]), dtype=t.dtype)
-    Z[0] = one
+def _basis_derivative(n: int, t: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """t-derivatives of the rows Z = zonal_basis(n, J, t), in the dtype of t."""
+    J = Z.shape[0] - 1
+    dZ = np.zeros_like(Z)
     if J == 0:
-        return Z, dZ
+        return dZ
     sb = _recurrence_sqrt_b(n, J, t.dtype)
-    Z[1] = t / sb[1]
-    dZ[1] = one / sb[1]
+    dZ[1] = 1 / sb[1]
     for k in range(2, J + 1):
-        Z[k] = (t * Z[k - 1] - sb[k - 1] * Z[k - 2]) / sb[k]
         dZ[k] = (Z[k - 1] + t * dZ[k - 1] - sb[k - 1] * dZ[k - 2]) / sb[k]
-    return Z, dZ
+    return dZ
 
 
 @functools.lru_cache(maxsize=32)
@@ -180,10 +178,10 @@ def gauss_jacobi_rule(n: int, N: int) -> JacobiRule:
     nodes, _ = roots_jacobi(N, mu, mu)
     x = nodes.astype(np.longdouble)
     for _ in range(3):
-        Z, dZ = _basis_with_derivative(n, N, x)
-        x = x - Z[N] / dZ[N]
+        Z = zonal_basis(n, N, x)
+        x = x - Z[N] / _basis_derivative(n, x, Z)[N]
     x = 0.5 * (x - x[::-1])       # enforce exact antisymmetry
-    Z, _ = _basis_with_derivative(n, N - 1 if N > 1 else 0, x)
+    Z = zonal_basis(n, N - 1, x)
     w = 1.0 / np.sum(Z * Z, axis=0)
     w = w / w.sum()
     nodes, weights = x.astype(float), w.astype(float)
@@ -281,57 +279,60 @@ def _output_points(t0) -> np.ndarray:
     return t0
 
 
+def _cosine_rule(n: int, alpha: float, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule for gamma_n(alpha) |s|^(alpha-1) against the law of s = theta.u on S^(n-1).
+
+    Nodes +-s, exact to degree J in s: Gauss-Jacobi in v = s^2 for the weight
+    v^(alpha/2-1) (1-v)^((n-3)/2).  The weights are 1 / ((1-x^2) P_N'(x)^2)
+    at the rule's nodes x, normalized, with P_N' a multiple of
+    P_(N-1)^(a+1,b+1): the library's own are off by up to ~1e-12 near v = 0.
+    Folded in: the weight's mass E|s|^(alpha-1), gamma_n(alpha), and 1/2
+    for each of the nodes +-s.
+    """
+    a, b, N = (n - 3) / 2.0, alpha / 2.0 - 1.0, J // 4 + 3
+    x, _ = roots_jacobi(N, a, b)
+    w = 1.0 / ((1.0 - x * x) * eval_jacobi(N - 1, a + 1.0, b + 1.0, x) ** 2)
+    s = np.sqrt((1.0 + x) / 2.0)
+    mass = math.gamma(n / 2.0) * math.gamma(alpha / 2.0) / (
+        math.sqrt(math.pi) * math.gamma((n - 1.0 + alpha) / 2.0))
+    w *= mass * mult.constant("gamma_alpha", n, alpha=alpha) / (2.0 * w.sum())
+    return np.concatenate((s, -s)), np.concatenate((w, w))
+
+
 def zonal_cosine_direct(n: int, profile, alpha: float, t0, degree_hint: int = 32):
     """Generalized cosine transform of a zonal profile at output points t0.
 
     Evaluates gamma_n(alpha) * E[f(theta.e) |theta.u|^(alpha-1)] for
-    u.e = t0 by tensor quadrature in coordinates adapted to u: Gauss-Jacobi
-    with weight v^(alpha/2-1) (1-v)^((n-3)/2) in the squared polar variable
-    v = (theta.u)^2, and the slice rule of S^(n-2) in the azimuthal
-    variable.  Exact for polynomial profiles of degree <= degree_hint.
-    ``t0`` is a float or an array, and the result is a float or its shape.
+    u.e = t0 by tensor quadrature in coordinates adapted to u: the cosine
+    rule in the polar variable s = theta.u, and the slice rule of S^(n-2)
+    in the azimuthal variable.  Exact for polynomial profiles of degree
+    <= degree_hint.  ``t0`` is a float or an array, and the result is a
+    float or its shape.
     """
     _check_direct_order(n, alpha, mult.Family.M)
     t0 = _output_points(t0)[..., None, None]
-
     J = max(int(degree_hint), 1)
-    nv = J // 4 + 3
-    a_exp = (n - 3) / 2.0
-    b_exp = alpha / 2.0 - 1.0
-    x, w = roots_jacobi(nv, a_exp, b_exp)
-    v = (1.0 + x)[:, None] / 2.0
-    s = np.sqrt(v)
-
+    s, w = _cosine_rule(n, alpha, J)
     sigma_nodes, sigma_weights = _slice_rule(n, J + 2)
-
-    c = np.sqrt(np.clip((1.0 - v) * (1.0 - t0 * t0), 0.0, None))
-    # inner average over the slice, symmetrized in s to keep only the even part;
     # the block is (t0, polar node, slice node)
-    args_plus = s * t0 + c * sigma_nodes
-    args_minus = -s * t0 + c * sigma_nodes
-    f_even = 0.5 * (np.asarray(profile(args_plus), dtype=float)
-                    + np.asarray(profile(args_minus), dtype=float))
-    inner = f_even @ sigma_weights
-
-    c_n = math.gamma(n / 2.0) / (math.sqrt(math.pi) * math.gamma((n - 1) / 2.0))
-    scale = c_n * 0.5 ** (a_exp + b_exp + 1.0)
-    out = mult.constant("gamma_alpha", n, alpha=alpha) * (scale * (inner @ w))
+    c = np.sqrt(np.clip((1.0 - s[:, None] ** 2) * (1.0 - t0 * t0), 0.0, None))
+    inner = np.asarray(profile(s[:, None] * t0 + c * sigma_nodes), dtype=float) @ sigma_weights
+    out = inner @ w
     return float(out) if out.ndim == 0 else out
 
 
-def zonal_poisson_direct(n: int, profile, t: float, t0,
-                         degree_hint: int = 32, kernel_nodes: int = 64):
+def zonal_poisson_direct(n: int, profile, t: float, t0, degree_hint: int = 32):
     """Poisson integral of a zonal profile by direct kernel quadrature.
 
     Evaluates (1-t^2) * E[f(theta.e) |u - t theta|^(-n)] at u.e = t0, a
-    float or an array as in ``zonal_cosine_direct``.  The kernel is
-    analytic for t < 1, so the tensor Gauss rule converges geometrically in
-    ``kernel_nodes``.
+    float or an array as in ``zonal_cosine_direct``.  The profile is sampled
+    at the nodes of tau = theta.e only; the kernel is analytic for t < 1, so
+    the tensor Gauss rule (at least 64 nodes) converges geometrically.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError(f"Poisson parameter must satisfy 0 <= t < 1, got {t}")
     t0 = _output_points(t0)[..., None, None]
-    N = max(kernel_nodes, degree_hint + 2)
+    N = max(64, degree_hint + 2)
     rule = gauss_jacobi_rule(n, N)
     tau = rule.nodes[:, None]
     sigma_nodes, sigma_weights = _slice_rule(n, N)
@@ -362,19 +363,20 @@ def _seeded_profile(n: int, J: int, rng: np.random.Generator,
 
 
 def verify_zonal_suite(n_list=(3, 4, 5), J: int = 16, seed: int = 0,
-                       tol: float = 1e-8,
-                       alphas=(0.5, 1.5, 2.0, 2.5)) -> list[IdentityReport]:
+                       tol: float = 1e-8) -> list[IdentityReport]:
     """Cross-validate the spectral and direct engines on zonal functions.
 
     Checks, per dimension: spectral/direct agreement of the cosine
-    transform on 21 output latitudes; parity annihilation; analysis/
-    synthesis round trip; positivity of the bridge operator on nonnegative
-    profiles; spectral/direct agreement of the Poisson integral.
+    transform at four orders on 21 output latitudes; parity annihilation;
+    analysis/synthesis round trip; spectral/direct agreement of the Poisson
+    integral.  Once, at n = 3: positivity of the bridge operator on
+    nonnegative profiles.
     """
     rng = np.random.default_rng(seed)
     reports: list[IdentityReport] = []
     t0s = np.linspace(-1.0, 1.0, 21)
     fine_t = np.linspace(-1.0, 1.0, 201)
+    alphas = (0.5, 1.5, 2.0, 2.5)
 
     for n in n_list:
         f = _seeded_profile(n, J, rng)

@@ -197,6 +197,23 @@ class TestApply:
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("op,param", [("cosine", ("--alpha", "1.5")),
+                                          ("poisson", ("--t", "0.5"))])
+    def test_zonal_direct_matches_spectral(self, capsys, tmp_path, n, op, param):
+        coeffs = np.random.default_rng(n).uniform(-1, 1, 11) * (1 + np.arange(11.0)) ** -2
+        path = tmp_path / "f.json"
+        save_object(zn.ZonalFunction(n, coeffs), path)
+        outs = {}
+        for method in ("direct", "spectral"):
+            outs[method] = tmp_path / f"{method}.json"
+            code, _, _ = run(capsys, "apply", "--op", op, "--method", method, *param,
+                             "--input", str(path), "--output", str(outs[method]))
+            assert code == 0
+        direct, spectral = (load_object(outs[k]).coeffs for k in ("direct", "spectral"))
+        assert direct.shape == spectral.shape == (11,)
+        assert np.abs(direct - spectral).max() <= 1e-10
+
     def test_window_violation_exits_3(self, capsys, tmp_path, ones_grid_file):
         code, _, _ = run(capsys, "apply", "--op", "cosine", "--method", "direct",
                          "--alpha", "3.5", "--input", str(ones_grid_file),

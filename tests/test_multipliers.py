@@ -267,6 +267,14 @@ class TestConstants:
         with pytest.raises(UnknownConstantError):
             m.constant("nope", 3)
 
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_equal_constants_share_one_formula(self, n):
+        # each value has one formula, so the names that carry it agree bitwise
+        for i in range(1, n):
+            for name, same in (("c_range_f", "c_cosine_radon"),
+                               ("c_range_f1", "c_limit"), ("lambda2", "lambda1")):
+                assert m.constant(name, n, i=i) == m.constant(same, n, i=i), (name, i)
+
 
 class TestInversionProperty:
     @given(st.integers(min_value=2, max_value=8),
@@ -303,6 +311,11 @@ class TestIdentitySuite:
         reports = m.check_identities(n, 100, grid, tol=1e-10)
         for r in reports:
             assert r.passed, (r.identity, r.max_abs_err, r.max_rel_err)
+
+    def test_negative_degree_bound_raises(self):
+        # an empty degree range would report the identities as checked
+        with pytest.raises(ValueError, match="j_max must be >= 0"):
+            m.check_identities(3, -1, [0.5])
 
     def test_reports_serializable(self):
         reports = m.check_identities(3, 20, [0.35, -1.15], tol=1e-10)

@@ -312,8 +312,8 @@ class TestEngineAgainstReference:
 
     # kernel engine -> (its output on f, the rule it hands to the Funk-Hecke apply)
     KERNEL_ENGINES = {
-        "cosine0.5": lambda f, L: (sp.cosine_direct(f, 0.5, L=L), sp._cosine_rule(0.5, L)),
-        "cosine2.5": lambda f, L: (sp.cosine_direct(f, 2.5, L=L), sp._cosine_rule(2.5, L)),
+        "cosine0.5": lambda f, L: (sp.cosine_direct(f, 0.5, L=L), sp._cosine_rule(3, 0.5, L)),
+        "cosine2.5": lambda f, L: (sp.cosine_direct(f, 2.5, L=L), sp._cosine_rule(3, 2.5, L)),
         "sine1.5": lambda f, L: (sp.sine_direct(f, 1.5, L=L), sp._sine_rule(
             1.5, L, sp.mult.constant("gamma_sine", 3, alpha=1.5))),
         "ri1_1.5": lambda f, L: (sp.ri_alpha_direct(f, 1, 1.5, L=L).repr_, sp._sine_rule(

@@ -90,6 +90,16 @@ class TestBasis:
         Z = zn.zonal_basis(5, 3, np.array([0.2]))
         assert Z[0, 0] == 1.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+    def test_long_double_rows_keep_their_dtype(self, n):
+        # the Gauss rules are polished on these long-double rows; at degree 6
+        # the float recurrence is within 1e-15 of them (relative where |Z| > 1)
+        t = np.linspace(-1, 1, 11)
+        Z = zn.zonal_basis(n, 6, t.astype(np.longdouble))
+        Z_float = zn.zonal_basis(n, 6, t)
+        assert Z.dtype == np.longdouble and Z_float.dtype == np.float64
+        assert np.all(np.abs(Z - Z_float) <= 1e-15 * np.maximum(np.abs(Z_float), 1.0))
+
     def test_synth_in_chunks_matches_one_table(self):
         # more points than one chunk, in a 2-d shape; a ragged last chunk
         f = zn.ZonalFunction(4, np.random.default_rng(3).uniform(-1, 1, 12))
@@ -210,6 +220,18 @@ class TestCosineDirect:
         with pytest.raises(QuadratureWindowError):
             zn.zonal_cosine_direct(3, f, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.5, 2.9])
+    @pytest.mark.parametrize("J", [8, 24, 64])
+    def test_rule_moments_are_the_multipliers(self, n, alpha, J):
+        # Funk-Hecke: the rule's moments of Z_j / Z_j(1) are the cosine
+        # multipliers, odd degrees 0 through the rule's +-s symmetry
+        s, w = zn._cosine_rule(n, alpha, J)
+        Z = zn.zonal_basis(n, J, s)
+        moments = (Z @ w) / zn.zonal_basis(n, J, 1.0)[:, 0]
+        want = m.table(n, np.arange(J + 1), "M", alpha=alpha)
+        assert np.all(np.abs(moments - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
     def test_poles_at_endpoint_output(self):
         # t0 = 1 aligns the axis with the output direction
         f = zn.zonal_analyze(3, lambda t: 1 + 0.2 * t ** 2, 4)
@@ -268,6 +290,80 @@ class TestArrayOutputPoints:
             ORACLES[oracle](3, f, np.array([0.0, 0.5, bad, 1.0]))
         with pytest.raises(ValueError, match=r"t0 must lie in \[-1, 1\]"):
             ORACLES[oracle](3, f, bad)
+
+
+def _first_weight(rule):
+    def perturbed(*args):
+        s, w = rule(*args)
+        return s, np.concatenate(([w[0] * (1.0 + 1e-4)], w[1:]))
+    return perturbed
+
+
+def _table_at(family, degree, change):
+    def wrap(table):
+        def perturbed(n, degrees, fam, **params):
+            out = table(n, degrees, fam, **params)
+            return np.where(np.asarray(degrees) == degree, change(out), out) \
+                if fam == family else out
+        return perturbed
+    return wrap
+
+
+def _odd_funk_leak(table):
+    def perturbed(n, degrees, fam, **params):
+        out = table(n, degrees, fam, **params)
+        return out + 1e-3 * (np.asarray(degrees) % 2) if fam == "Funk" else out
+    return perturbed
+
+
+def _basis_row2(basis):
+    # float rows only: the long-double rows build the cached Gauss rules,
+    # and a rule built from a perturbed basis would outlive the test
+    def perturbed(n, J, t):
+        Z = basis(n, J, t)
+        if Z.dtype == np.float64 and J >= 2:
+            Z[2] *= 1.0 + 1e-4
+        return Z
+    return perturbed
+
+
+# name -> (module, attribute perturbed, wrapper, the reports it must fail in
+# a run at n = 3 and 5; bridge positivity runs once).  Each perturbation is
+# 1e-4 relative or more against the suite's 1e-8 and 1e-10 tolerances.  The
+# bridge-positivity row negates degree 0: scaling degree 2 by 3 instead
+# leaves every output of that check nonnegative, so it fails nothing.
+ZONAL_PERTURBATIONS = {
+    "cosine_weights": (zn, "_cosine_rule", _first_weight,
+                       ["zonal_cross_engine_cosine"] * 2),
+    "table_M": (m, "table", _table_at("M", 2, lambda v: v * (1.0 + 1e-4)),
+                ["zonal_cross_engine_cosine"] * 2),
+    "table_Poisson": (m, "table", _table_at("Poisson", 2, lambda v: v * (1.0 + 1e-4)),
+                      ["zonal_cross_engine_poisson"] * 2),
+    "funk_odd_leak": (m, "table", _odd_funk_leak, ["zonal_parity"] * 2),
+    "basis_row2": (zn, "zonal_basis", _basis_row2, ["zonal_round_trip"] * 2),
+    "table_A": (m, "table", _table_at("A", 0, lambda v: -v), ["zonal_bridge_positivity"]),
+}
+
+
+class TestZonalSuite:
+    def test_everything_passes(self):
+        reports = zn.verify_zonal_suite((2, 3, 5, 8), J=12, seed=7)
+        assert [r.identity for r in reports if not r.passed] == []
+
+    @pytest.mark.parametrize("target,attr,perturb,must_fail",
+                             [pytest.param(*row, id=name)
+                              for name, row in ZONAL_PERTURBATIONS.items()])
+    def test_perturbation_fails_its_identities(self, monkeypatch, target, attr, perturb,
+                                               must_fail):
+        monkeypatch.setattr(target, attr, perturb(getattr(target, attr)))
+        reports = zn.verify_zonal_suite((3, 5), J=8, seed=3)
+        assert sorted(r.identity for r in reports if not r.passed) == must_fail
+
+    def test_perturbations_cover_every_identity(self):
+        # a check that no perturbation fails cannot fail at all
+        reports = zn.verify_zonal_suite((3, 5), J=8, seed=3)
+        covered = {name for row in ZONAL_PERTURBATIONS.values() for name in row[-1]}
+        assert {r.identity for r in reports} == covered
 
 
 class TestSerialization:
