@@ -5,8 +5,10 @@ analysis/synthesis of band-limited functions is exact.  The harmonic basis
 is real and orthonormal with respect to the probability measure; storage
 is j-major with k ascending from -j to j.  Grid analysis and synthesis run
 one real FFT per latitude ring and one matrix product per longitudinal
-order m against that order's block of Legendre values; evaluation at
-arbitrary points runs its own per-point recurrence, order by order.
+order m against that order's block of Legendre values.  Evaluation at
+arbitrary points shares none of those tables: its own float recurrence at
+L+2 colatitudes turns the series into a Fourier series in colatitude for
+each order, which two matrix products per chunk of points then sum.
 
 Subspace-valued functions (lines through the origin, planes through the
 origin) are carried as even functions on the sphere: a line is keyed by
@@ -33,11 +35,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import multipliers as mult
-from .zonal import (_POINT_CHUNK, _check_direct_order, _cosine_rule, gauss_jacobi_rule,
-                    zonal_basis)
+from .zonal import (_POINT_CHUNK, _check_direct_order, _cosine_rule, _jacobi_rule,
+                    gauss_jacobi_rule, zonal_basis)
 from .errors import (
     GridTooCoarseError,
     OddInputError,
@@ -387,55 +388,112 @@ def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
     return GridFunction(grid, np.fft.irfft(spec, n=grid.n_phi, axis=1, norm="forward"))
 
 
-def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
-    """Evaluate the series at arbitrary unit vectors (shape (..., 3)).
+def _colatitude_series(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients in theta of each order's amplitudes of the series.
 
-    Runs its own per-point Legendre recurrence, order by order, so it is
-    independent of the grid tables: each order's values fill a preallocated
-    block by the rolling three-term recurrence in float, and one product
-    contracts the block with the order's coefficients.  Points go through in
-    chunks, so memory stays at (L+1) x _POINT_CHUNK floats however many
-    there are.
+    Order m contributes g_m(theta) cos(m phi) + h_m(theta) sin(m phi), with
+    g_m, h_m = sum_j c_{j,+-m} P-bar_{j,m}(cos theta) (times sqrt(2) for
+    m >= 1).  Each is a cosine polynomial of degree <= L in theta for even
+    m and a sine polynomial for odd m, so its samples at the L+2
+    colatitudes pi q/(L+1), extended to [0, 2 pi) by
+    g_m(2 pi - theta) = (-1)^m g_m(theta), give its coefficients exactly
+    through one real FFT.  The samples come from the rolling three-term
+    recurrence in float, order by order, with one product per order.
+
+    Returns (even, odd): rows 2i and 2i+1 of ``even`` (shape (2 x orders,
+    L+1)) hold the cos(k theta) coefficients, k = 0..L, of g_m and h_m for
+    m = 2i; rows 2i and 2i+1 of ``odd`` (shape (2 x orders, L)) hold the
+    sin(k theta) coefficients, k = 1..L, for m = 2i+1.
+    """
+    L = c.L
+    theta = np.pi * np.arange(L + 2) / (L + 1)
+    t, s = np.cos(theta), np.sin(theta)
+    pairs, offsets = _order_pairs(c)
+    pairs[:, offsets[1]:] *= math.sqrt(2.0)
+    g = np.empty((2 * L + 2, L + 1, 2))      # (colatitude, order, cos/sin amplitude)
+    blk = np.empty((L + 1, L + 2))
+    tmp = np.empty_like(t)
+    pmm = blk[0]
+    pmm[:] = 1.0
+    for m in range(L + 1):
+        if m:
+            pmm *= math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s
+        if m < L:
+            a_prev = math.sqrt(2.0 * m + 3.0)
+            np.multiply(t, pmm, out=blk[1])
+            blk[1] *= a_prev
+        for k in range(2, L + 1 - m):
+            j = m + k
+            a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
+            np.multiply(t, blk[k - 1], out=blk[k])
+            np.divide(blk[k - 2], a_prev, out=tmp)
+            blk[k] -= tmp
+            blk[k] *= a
+            a_prev = a
+        g[:L + 2, m] = (pairs[:, offsets[m]:offsets[m + 1]] @ blk[:L + 1 - m]).T
+    g[L + 2:] = g[L:0:-1] * (-1.0) ** np.arange(L + 1)[:, None]     # at 2 pi - theta
+    spec = np.fft.rfft(g, axis=0)[:L + 1] / (L + 1)
+    spec[0] *= 0.5
+    even = spec[:, 0::2].real.reshape(L + 1, L // 2 * 2 + 2).T
+    odd = -spec[1:, 1::2].imag.reshape(L, (L + 1) // 2 * 2).T
+    return np.ascontiguousarray(even), np.ascontiguousarray(odd)
+
+
+def _unit_powers(z: np.ndarray, L: int) -> np.ndarray:
+    """Rows z^k, k = 0..L, of unit complex numbers z: rows 1..b times z^b fill rows b+1..2b."""
+    out = np.empty((L + 1, z.shape[0]), dtype=complex)
+    out[0] = 1.0
+    out[1:2] = z
+    b = 1
+    while b < L:
+        n = min(b, L - b)
+        np.multiply(out[1:n + 1], out[b], out=out[b + 1:b + n + 1])
+        b += n
+    return out
+
+
+def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
+    """Evaluate the series at the directions p/|p| of points p (shape (..., 3)).
+
+    A non-finite point or one of zero length raises ValueError.  Independent
+    of the grid tables: the series is first written as a Fourier series in
+    colatitude, order by order (:func:`_colatitude_series`, which runs its
+    own float recurrence at L+2 colatitudes).  At each point, cos(k theta),
+    sin(k theta), cos(m phi) and sin(m phi) then come from the point's own
+    coordinates by angle addition; two matrix products give every order's
+    cos(m phi) and sin(m phi) amplitude, and one sum over m adds them up.
+    Points go through in chunks of _POINT_CHUNK / (L+1), so each of the
+    chunk's (L+1)-row blocks holds about _POINT_CHUNK numbers however many
+    points there are.
     """
     L = c.L
     pts = np.asarray(points, dtype=float)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
-    out = np.zeros(pts.shape[0])
-    pairs, offsets = _order_pairs(c)
-    pairs[:, offsets[1]:] *= math.sqrt(2.0)
-    for lo in range(0, pts.shape[0], _POINT_CHUNK):
-        chunk = pts[lo:lo + _POINT_CHUNK]
-        part = out[lo:lo + _POINT_CHUNK]
-        t = np.clip(chunk[:, 2], -1.0, 1.0)
-        s = np.hypot(chunk[:, 0], chunk[:, 1])
-        safe = s > 1e-300
-        cos1 = np.divide(chunk[:, 0], s, where=safe, out=np.ones_like(s))
-        sin1 = np.divide(chunk[:, 1], s, where=safe, out=np.zeros_like(s))
-        cos_m, sin_m = np.ones_like(t), np.zeros_like(t)
-        blk = np.empty((L + 1, t.shape[0]))
-        tmp = np.empty_like(t)
-        pmm = blk[0]
-        pmm[:] = 1.0
-        for m in range(L + 1):
-            if m:
-                pmm *= math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s
-                cos_m, sin_m = cos_m * cos1 - sin_m * sin1, sin_m * cos1 + cos_m * sin1
-            if m < L:
-                a_prev = math.sqrt(2.0 * m + 3.0)
-                np.multiply(t, pmm, out=blk[1])
-                blk[1] *= a_prev
-            for k in range(2, L + 1 - m):
-                j = m + k
-                a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
-                np.multiply(t, blk[k - 1], out=blk[k])
-                np.divide(blk[k - 2], a_prev, out=tmp)
-                blk[k] -= tmp
-                blk[k] *= a
-                a_prev = a
-            u, v = pairs[:, offsets[m]:offsets[m + 1]] @ blk[:L + 1 - m]
-            part += u * cos_m + v * sin_m
-    return out.reshape(shape)
+    n = pts.shape[0]
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    r = np.hypot(rho, pts[:, 2])
+    bad = ~(np.isfinite(r) & (r > 0.0))
+    if np.any(bad):
+        raise ValueError(f"points must have finite nonzero length, got {pts[bad][0]}")
+    even, odd = _colatitude_series(c)
+    # numpy takes a one-column product through gemv, which rounds unlike the
+    # gemm of wider chunks; an even count in even chunks leaves no such chunk,
+    # so a lone point evaluates as it does beside its antipode in radon_r1
+    if n % 2:
+        pts, rho, r = (np.concatenate((x, x[-1:])) for x in (pts, rho, r))
+    out = np.empty(pts.shape[0])
+    size = max(2, _POINT_CHUNK // (L + 1) // 2 * 2)
+    for lo in range(0, pts.shape[0], size):
+        p, rh, rr = pts[lo:lo + size], rho[lo:lo + size], r[lo:lo + size]
+        colat = _unit_powers((p[:, 2] + 1j * rh) / rr, L)
+        amp = np.empty((L + 1, 2, p.shape[0]))
+        amp[0::2] = (even @ np.ascontiguousarray(colat.real)).reshape(-1, 2, p.shape[0])
+        amp[1::2] = (odd @ np.ascontiguousarray(colat[1:].imag)).reshape(-1, 2, p.shape[0])
+        lon = _unit_powers(np.divide(p[:, 0] + 1j * p[:, 1], rh, where=rh > 0.0,
+                                     out=np.ones(p.shape[0], dtype=complex)), L)
+        out[lo:lo + size] = (amp[:, 0] * lon.real + amp[:, 1] * lon.imag).sum(axis=0)
+    return out[:n].reshape(shape)
 
 
 def kernel_at(c: HarmonicCoeffs, normals: np.ndarray, s: np.ndarray,
@@ -497,7 +555,7 @@ def _funk_hecke(f: GridFunction, L: int, s: np.ndarray, w: np.ndarray) -> GridFu
 
 def _sine_rule(alpha: float, L: int, const: float) -> tuple[np.ndarray, np.ndarray]:
     """Rule for const (1 - s^2)^((alpha-2)/2): a symmetric Jacobi rule, exact to degree L."""
-    x, w = roots_jacobi(L // 2 + 2, (alpha - 2.0) / 2.0, (alpha - 2.0) / 2.0)
+    x, w = _jacobi_rule(L // 2 + 2, (alpha - 2.0) / 2.0, (alpha - 2.0) / 2.0)
     return x, w * (0.5 * const)
 
 
@@ -645,7 +703,7 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
 
     # Funk factorization: M f = R_i^* R_(n-i),perp f, both i.  The right side
     # runs funk_direct (grid tables, Legendre moments); the left is circle
-    # quadrature of the point recurrence at seeded grid nodes.
+    # quadrature of synthesize_at at seeded grid nodes.
     pairs = []
     for c, f in zip(cs, fs):
         idx = nodes()

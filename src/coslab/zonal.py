@@ -216,7 +216,8 @@ def zonal_analyze(n: int, profile, J: int, rule: JacobiRule | None = None) -> Zo
     return ZonalFunction(n=n, coeffs=coeffs)
 
 
-# points per block of a per-point recurrence; a block holds (degree+1) rows of this length
+# points per block of zonal_synth, whose block holds (degree+1) rows of this length;
+# synthesize_at takes 1/(L+1) as many points, so its (L+1)-row blocks hold as many numbers
 _POINT_CHUNK = 1 << 14
 
 
@@ -279,19 +280,28 @@ def _output_points(t0) -> np.ndarray:
     return t0
 
 
+def _jacobi_rule(N: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """N-point Gauss-Jacobi rule for the weight (1-x)^a (1+x)^b on [-1, 1].
+
+    The library's nodes x, with weights 1 / ((1-x^2) P_N'(x)^2) recomputed
+    from them (P_N' is a multiple of P_(N-1)^(a+1,b+1)) and scaled to the
+    weight's mass: the library's own weights are off by up to ~1e-12 near
+    the ends of the interval when a or b is negative.
+    """
+    x, _, mass = roots_jacobi(N, a, b, mu=True)
+    w = 1.0 / ((1.0 - x * x) * eval_jacobi(N - 1, a + 1.0, b + 1.0, x) ** 2)
+    return x, w * (mass / w.sum())
+
+
 def _cosine_rule(n: int, alpha: float, J: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule for gamma_n(alpha) |s|^(alpha-1) against the law of s = theta.u on S^(n-1).
 
     Nodes +-s, exact to degree J in s: Gauss-Jacobi in v = s^2 for the weight
-    v^(alpha/2-1) (1-v)^((n-3)/2).  The weights are 1 / ((1-x^2) P_N'(x)^2)
-    at the rule's nodes x, normalized, with P_N' a multiple of
-    P_(N-1)^(a+1,b+1): the library's own are off by up to ~1e-12 near v = 0.
-    Folded in: the weight's mass E|s|^(alpha-1), gamma_n(alpha), and 1/2
-    for each of the nodes +-s.
+    v^(alpha/2-1) (1-v)^((n-3)/2) (:func:`_jacobi_rule`).  Folded in: the
+    weight's mass E|s|^(alpha-1), gamma_n(alpha), and 1/2 for each of the
+    nodes +-s.
     """
-    a, b, N = (n - 3) / 2.0, alpha / 2.0 - 1.0, J // 4 + 3
-    x, _ = roots_jacobi(N, a, b)
-    w = 1.0 / ((1.0 - x * x) * eval_jacobi(N - 1, a + 1.0, b + 1.0, x) ** 2)
+    x, w = _jacobi_rule(J // 4 + 3, (n - 3) / 2.0, alpha / 2.0 - 1.0)
     s = np.sqrt((1.0 + x) / 2.0)
     mass = math.gamma(n / 2.0) * math.gamma(alpha / 2.0) / (
         math.sqrt(math.pi) * math.gamma((n - 1.0 + alpha) / 2.0))

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 
 from coslab import sphere as sp
 from coslab import starbody as sb
@@ -165,21 +166,23 @@ def _ref_synthesize(c, grid):
     return Gc @ cos_t + Gs @ sin_t
 
 
-def _ref_m_components(c, pts):
+def _ref_m_components(c, pts, dtype=float):
     """(P, Q), each (L+1, npts): the series at pts rotated by phi about z is
-    sum_m P[m] cos(m phi) + Q[m] sin(m phi)."""
+    sum_m P[m] cos(m phi) + Q[m] sin(m phi).  Runs in ``dtype``, constants too."""
+    pts = np.asarray(pts, dtype=dtype)
     t = np.clip(pts[:, 2], -1.0, 1.0)
     s = np.hypot(pts[:, 0], pts[:, 1])
     safe = s > 1e-300
     cos1 = np.where(safe, np.divide(pts[:, 0], s, where=safe, out=np.ones_like(s)), 1.0)
     sin1 = np.where(safe, np.divide(pts[:, 1], s, where=safe, out=np.zeros_like(s)), 0.0)
     L = c.L
-    P = np.zeros((L + 1, pts.shape[0]))
-    Q = np.zeros((L + 1, pts.shape[0]))
+    root = lambda num, den: np.sqrt(dtype(num) / dtype(den))
+    P = np.zeros((L + 1, pts.shape[0]), dtype=dtype)
+    Q = np.zeros((L + 1, pts.shape[0]), dtype=dtype)
     cos_m, sin_m, pmm = np.ones_like(t), np.zeros_like(t), np.ones_like(t)
     for m in range(L + 1):
         if m > 0:
-            pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
+            pmm = root(2 * m + 1, 2 * m) * s * pmm
             cos_m, sin_m = cos_m * cos1 - sin_m * sin1, sin_m * cos1 + cos_m * sin1
         acc_c, acc_s = np.zeros_like(t), np.zeros_like(t)
         p_prev2, p_prev, a_prev = np.zeros_like(t), pmm, 0.0
@@ -187,10 +190,10 @@ def _ref_m_components(c, pts):
             if j == m:
                 p = pmm
             elif j == m + 1:
-                p = math.sqrt(2.0 * m + 3.0) * t * pmm
-                a_prev = math.sqrt(2.0 * m + 3.0)
+                a_prev = root(2 * m + 3, 1)
+                p = a_prev * t * pmm
             else:
-                a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
+                a = root(4 * j * j - 1, j * j - m * m)
                 p = a * (t * p_prev - p_prev2 / a_prev)
                 a_prev = a
             base = j * j + j
@@ -201,8 +204,8 @@ def _ref_m_components(c, pts):
         if m == 0:
             P[0] = acc_c
         else:
-            P[m] = math.sqrt(2.0) * (acc_c * cos_m + acc_s * sin_m)
-            Q[m] = math.sqrt(2.0) * (acc_s * cos_m - acc_c * sin_m)
+            P[m] = root(2, 1) * (acc_c * cos_m + acc_s * sin_m)
+            Q[m] = root(2, 1) * (acc_s * cos_m - acc_c * sin_m)
     return P, Q
 
 
@@ -301,6 +304,55 @@ class TestEngineAgainstReference:
         whole = sp.synthesize_at(c, pts)
         monkeypatch.setattr(sp, "_POINT_CHUNK", 16)
         assert np.array_equal(sp.synthesize_at(c, pts), whole)
+
+    @pytest.mark.parametrize("L", [64, 128])
+    def test_synthesize_at_long_double(self, L):
+        # points off the sphere, evaluated at their directions; the reference
+        # normalizes them and runs the recurrence in long double
+        c = _random_coeffs(L, 200 + L)
+        pts = np.random.default_rng(L).normal(size=(500, 3))
+        unit = pts.astype(np.longdouble)
+        unit /= np.sqrt(np.sum(unit * unit, axis=1, keepdims=True))
+        ref = _ref_m_components(c, unit, np.longdouble)[0].sum(axis=0)
+        assert _dev(sp.synthesize_at(c, pts), ref) <= 1e-13
+
+    def test_synthesize_at_directions(self):
+        c = _random_coeffs(9, 11)
+        pts = np.random.default_rng(6).normal(size=(40, 3))
+        unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        want = sp.synthesize_at(c, unit)
+        for scale in (1e-200, 1e-3, 7.0, 1e200):
+            assert _dev(sp.synthesize_at(c, scale * pts), want) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                     [0.0, np.inf, 1.0], [1.0, -np.inf, np.nan]])
+    def test_synthesize_at_rejects_points_without_direction(self, bad):
+        c = sp.HarmonicCoeffs(4, np.ones(25))
+        pts = np.array([[0.0, 0.0, 1.0], bad])
+        with pytest.raises(ValueError, match="finite nonzero length"):
+            sp.synthesize_at(c, pts)
+        with pytest.raises(ValueError, match="finite nonzero length"):
+            sp.synthesize_at(c, pts[1])
+
+    def test_pointwise_routes_use_no_grid_table(self, grid, even_f, monkeypatch):
+        # synthesize_at and the oracles on it run their own recurrence;
+        # radon_r1 analyzes on the grid, so its analysis is precomputed here
+        c = sp.analyze(even_f, 10)
+        u = np.random.default_rng(8).normal(size=(5, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        rule = sp._cosine_rule(3, 1.5, 10)
+        calls = [lambda: sp.synthesize_at(c, u), lambda: sp.funk_at(c, u),
+                 lambda: sp.kernel_at(c, u, *rule), lambda: sp.radon_r1(even_f, u, L=10)]
+        want = [call() for call in calls]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid Legendre table read")
+
+        monkeypatch.setattr(sp, "_legendre_blocks", forbidden)
+        monkeypatch.setattr(sp.S2Grid, "legendre_table", forbidden)
+        monkeypatch.setattr(sp, "analyze", lambda f, L: c)
+        for call, value in zip(calls, want):
+            assert np.array_equal(call(), value)
 
     @pytest.mark.parametrize("shape,L", [((4, 8), 2), ((8, 20), 5), ((13, 26), 12),
                                          ((24, 48), 12), ((2, 4), 1), ((33, 66), 32),
@@ -549,6 +601,16 @@ class TestRiAlphaDirect:
     def test_i1_lattice_excluded(self, grid, even_f):
         with pytest.raises(ExcludedParameterError):
             sp.ri_alpha_direct(even_f, 1, 2.0)
+
+    @pytest.mark.parametrize("L", [16, 64, 128])
+    @pytest.mark.parametrize("alpha", [0.5, 1.1, 1.5, 2.5, 2.9])
+    def test_sine_rule_moments(self, alpha, L):
+        # the rule's Legendre moments are the sine multipliers (zero at odd j)
+        x, w = sp._sine_rule(alpha, L, sp.mult.constant("gamma_sine", 3, alpha=alpha))
+        j = np.arange(L + 1)
+        want = sp.mult.table(3, j, "Q", alpha=alpha)
+        got = eval_legendre(j[:, None], x) @ w
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_sine_direct_agrees_with_spectral(self, grid, even_f):
         direct = sp.sine_direct(even_f, 1.5, L=10)
