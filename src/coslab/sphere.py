@@ -6,9 +6,11 @@ is real and orthonormal with respect to the probability measure; storage
 is j-major with k ascending from -j to j.  Grid analysis and synthesis run
 one real FFT per latitude ring and one matrix product per longitudinal
 order m against that order's block of Legendre values.  Evaluation at
-arbitrary points shares none of those tables: its own float recurrence at
-L+2 colatitudes turns the series into a Fourier series in colatitude for
-each order, which two matrix products per chunk of points then sum.
+arbitrary points shares none of those tables: its own float recurrence,
+run along the diagonals j = m + k for all orders at once and folded into
+each order's amplitudes step by step, samples the series at L+2
+colatitudes; one real FFT turns that into a Fourier series in colatitude
+for each order, which two matrix products per chunk of points then sum.
 
 Subspace-valued functions (lines through the origin, planes through the
 origin) are carried as even functions on the sphere: a line is keyed by
@@ -388,6 +390,49 @@ def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
     return GridFunction(grid, np.fft.irfft(spec, n=grid.n_phi, axis=1, norm="forward"))
 
 
+def _colatitude_samples(c: HarmonicCoeffs) -> np.ndarray:
+    """Each order's amplitudes g_m, h_m at the L+2 colatitudes pi q/(L+1).
+
+    Shape (order, cos/sin amplitude, q); see :func:`_colatitude_series`.
+    The three-term recurrence in j runs in float along the diagonals
+    j = m + k, all orders at once, from the sectoral rows
+    P-bar_{m,m} (one cumulative product over orders).  Step k adds each
+    order's new row, times its pair of coefficients, to that order's
+    amplitudes for the parity of k, so no table of rows is kept and the
+    working memory is O(L^2).  The recurrence runs on the northern
+    colatitudes q <= (L+1)/2 only: P-bar_{j,m}(-t) = (-1)^(j-m) P-bar_{j,m}(t)
+    gives the southern ones from the two parity sums.
+    """
+    L = c.L
+    h = (L + 3) // 2                        # q <= (L+1)/2: the equator too when L is odd
+    theta = np.pi * np.arange(h) / (L + 1)
+    t, s = np.cos(theta), np.sin(theta)
+    pairs, offsets = _order_pairs(c)
+    pairs[:, offsets[1]:] *= math.sqrt(2.0)
+    m = np.arange(L + 1)
+    step = np.sqrt((2.0 * m + 1.0) / np.maximum(2.0 * m, 1.0))[:, None] * s
+    step[0] = 1.0
+    prev = np.cumprod(step, axis=0)         # P-bar_{m,m}, row m
+    diag = np.arange(1, L + 1)[:, None]
+    j = m + diag
+    a_diag = np.sqrt((4.0 * j * j - 1.0) / (diag * (j + m)))     # row k-1: degree j = m + k
+    acc = np.zeros((2, 2, L + 1, h))        # (parity of k, cos/sin, order, colatitude)
+    acc[0] = pairs[:, offsets[:-1], None] * prev
+    prev2, a_prev = np.zeros_like(prev), np.ones((L + 1, 1))
+    for k in range(1, L + 1):
+        n = L + 1 - k                       # orders m with a degree j = m + k <= L
+        a = a_diag[k - 1, :n, None]
+        cur = t * prev[:n]
+        cur -= prev2[:n] / a_prev[:n]
+        cur *= a
+        acc[k % 2, :, :n] += pairs[:, offsets[:n] + k, None] * cur
+        prev2, prev, a_prev = prev, cur, a
+    g = np.empty((L + 1, 2, L + 2))
+    g[..., :h] = (acc[0] + acc[1]).transpose(1, 0, 2)
+    g[..., h:] = (acc[0] - acc[1]).transpose(1, 0, 2)[..., L + 1 - h::-1]
+    return g
+
+
 def _colatitude_series(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
     """Fourier coefficients in theta of each order's amplitudes of the series.
 
@@ -397,8 +442,8 @@ def _colatitude_series(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
     m and a sine polynomial for odd m, so its samples at the L+2
     colatitudes pi q/(L+1), extended to [0, 2 pi) by
     g_m(2 pi - theta) = (-1)^m g_m(theta), give its coefficients exactly
-    through one real FFT.  The samples come from the rolling three-term
-    recurrence in float, order by order, with one product per order.
+    through one real FFT.  The samples come from the diagonal recurrence
+    of :func:`_colatitude_samples`.
 
     Returns (even, odd): rows 2i and 2i+1 of ``even`` (shape (2 x orders,
     L+1)) hold the cos(k theta) coefficients, k = 0..L, of g_m and h_m for
@@ -406,36 +451,14 @@ def _colatitude_series(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
     sin(k theta) coefficients, k = 1..L, for m = 2i+1.
     """
     L = c.L
-    theta = np.pi * np.arange(L + 2) / (L + 1)
-    t, s = np.cos(theta), np.sin(theta)
-    pairs, offsets = _order_pairs(c)
-    pairs[:, offsets[1]:] *= math.sqrt(2.0)
-    g = np.empty((2 * L + 2, L + 1, 2))      # (colatitude, order, cos/sin amplitude)
-    blk = np.empty((L + 1, L + 2))
-    tmp = np.empty_like(t)
-    pmm = blk[0]
-    pmm[:] = 1.0
-    for m in range(L + 1):
-        if m:
-            pmm *= math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s
-        if m < L:
-            a_prev = math.sqrt(2.0 * m + 3.0)
-            np.multiply(t, pmm, out=blk[1])
-            blk[1] *= a_prev
-        for k in range(2, L + 1 - m):
-            j = m + k
-            a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
-            np.multiply(t, blk[k - 1], out=blk[k])
-            np.divide(blk[k - 2], a_prev, out=tmp)
-            blk[k] -= tmp
-            blk[k] *= a
-            a_prev = a
-        g[:L + 2, m] = (pairs[:, offsets[m]:offsets[m + 1]] @ blk[:L + 1 - m]).T
-    g[L + 2:] = g[L:0:-1] * (-1.0) ** np.arange(L + 1)[:, None]     # at 2 pi - theta
-    spec = np.fft.rfft(g, axis=0)[:L + 1] / (L + 1)
-    spec[0] *= 0.5
-    even = spec[:, 0::2].real.reshape(L + 1, L // 2 * 2 + 2).T
-    odd = -spec[1:, 1::2].imag.reshape(L, (L + 1) // 2 * 2).T
+    g = np.empty((L + 1, 2, 2 * L + 2))     # (order, cos/sin amplitude, colatitude)
+    g[..., :L + 2] = _colatitude_samples(c)
+    g[..., L + 2:] = g[..., L:0:-1] * (-1.0) ** np.arange(L + 1)[:, None, None]   # at 2 pi - theta
+    spec = np.fft.rfft(g)[..., :L + 1]
+    spec /= L + 1
+    spec[..., 0] *= 0.5
+    even = spec[0::2].real.reshape(L // 2 * 2 + 2, L + 1)
+    odd = -spec[1::2, :, 1:].imag.reshape((L + 1) // 2 * 2, L)
     return np.ascontiguousarray(even), np.ascontiguousarray(odd)
 
 
@@ -452,16 +475,30 @@ def _unit_powers(z: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
+def _lengths(pts: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(|(x, y)|, |p|) of each row p of pts, by hypot (no overflow or underflow).
+
+    A non-finite row or one of zero length raises ValueError naming ``name``.
+    """
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    r = np.hypot(rho, pts[:, 2])
+    bad = ~(np.isfinite(r) & (r > 0.0))
+    if np.any(bad):
+        raise ValueError(f"{name} must have finite nonzero length, got {pts[bad][0]}")
+    return rho, r
+
+
 def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Evaluate the series at the directions p/|p| of points p (shape (..., 3)).
 
     A non-finite point or one of zero length raises ValueError.  Independent
     of the grid tables: the series is first written as a Fourier series in
-    colatitude, order by order (:func:`_colatitude_series`, which runs its
-    own float recurrence at L+2 colatitudes).  At each point, cos(k theta),
-    sin(k theta), cos(m phi) and sin(m phi) then come from the point's own
-    coordinates by angle addition; two matrix products give every order's
-    cos(m phi) and sin(m phi) amplitude, and one sum over m adds them up.
+    colatitude for each order (:func:`_colatitude_series`, which runs its
+    own float recurrence along the diagonals j = m + k at L+2
+    colatitudes).  At each point, cos(k theta), sin(k theta), cos(m phi)
+    and sin(m phi) then come from the point's own coordinates by angle
+    addition; two matrix products give every order's cos(m phi) and
+    sin(m phi) amplitude, and one sum over m adds them up.
     Points go through in chunks of _POINT_CHUNK / (L+1), so each of the
     chunk's (L+1)-row blocks holds about _POINT_CHUNK numbers however many
     points there are.
@@ -471,11 +508,7 @@ def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
     n = pts.shape[0]
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    r = np.hypot(rho, pts[:, 2])
-    bad = ~(np.isfinite(r) & (r > 0.0))
-    if np.any(bad):
-        raise ValueError(f"points must have finite nonzero length, got {pts[bad][0]}")
+    rho, r = _lengths(pts, "points")
     even, odd = _colatitude_series(c)
     # numpy takes a one-column product through gemv, which rounds unlike the
     # gemm of wider chunks; an even count in even chunks leaves no such chunk,
@@ -498,11 +531,13 @@ def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
 
 def kernel_at(c: HarmonicCoeffs, normals: np.ndarray, s: np.ndarray,
               w: np.ndarray) -> np.ndarray:
-    """Zonal kernel transform of the series, one value per unit normal u (shape (..., 3)).
+    """Zonal kernel transform of the series, one value per normal u (shape (..., 3)).
 
     Returns sum_k w_k times the mean of the series over the circle
-    theta . u = s_k.  With a kernel engine's rule (nodes s, weights w that
-    give (1/2) int K(s) g(s) ds) this is that kernel's transform at u.  On
+    theta . u = s_k, taking each normal as its direction u/|u|; a
+    non-finite normal or one of zero length raises ValueError.  With a
+    kernel engine's rule (nodes s, weights w that give
+    (1/2) int K(s) g(s) ds) this is that kernel's transform at u.  On
     each circle a degree-L series is a trigonometric polynomial of degree
     <= L, so the trapezoid mean over L+2-L%2 nodes is exact.  Values come
     from :func:`synthesize_at`: this route shares neither the grid tables
@@ -511,6 +546,7 @@ def kernel_at(c: HarmonicCoeffs, normals: np.ndarray, s: np.ndarray,
     """
     u = np.asarray(normals, dtype=float)
     pts = u.reshape(-1, 3)
+    pts = pts / _lengths(pts, "normals")[1][:, None]
     helper = np.where(np.abs(pts[:, 2:3]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     a = np.cross(helper, pts)
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -524,7 +560,7 @@ def kernel_at(c: HarmonicCoeffs, normals: np.ndarray, s: np.ndarray,
 
 
 def funk_at(c: HarmonicCoeffs, normals: np.ndarray) -> np.ndarray:
-    """Great-circle means of the series, one per unit normal: :func:`kernel_at` at s = 0."""
+    """Great-circle means of the series, one per normal: :func:`kernel_at` at s = 0."""
     return kernel_at(c, normals, np.zeros(1), np.ones(1))
 
 

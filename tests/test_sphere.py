@@ -1,6 +1,7 @@
 """S^2 harmonic analysis, geometric transforms, and the identity suite."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -334,6 +335,19 @@ class TestEngineAgainstReference:
         with pytest.raises(ValueError, match="finite nonzero length"):
             sp.synthesize_at(c, pts[1])
 
+    def test_synthesize_at_peak_memory(self):
+        # the colatitude recurrence keeps O(L^2) numbers; a table of every
+        # order's rows at L = 128 would take it to ~10 MB
+        c = _random_coeffs(128, 12)
+        pts = np.random.default_rng(12).normal(size=(10_256, 3))
+        tracemalloc.start()
+        try:
+            sp.synthesize_at(c, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
     def test_pointwise_routes_use_no_grid_table(self, grid, even_f, monkeypatch):
         # synthesize_at and the oracles on it run their own recurrence;
         # radon_r1 analyzes on the grid, so its analysis is precomputed here
@@ -511,6 +525,25 @@ class TestFunkDirect:
         assert got.shape == (2, 20)
         assert np.abs(got - (1.0 - (normals @ e) ** 2) / 2.0).max() < 1e-13
         assert sp.funk_at(c, np.empty((0, 3))).shape == (0,)
+
+    def test_normals_taken_as_directions(self):
+        c = _random_coeffs(6, 13)
+        rule = sp._cosine_rule(3, 1.5, 6)
+        u = np.array([[0.3, 0.4, 0.5], [0.0, 0.0, -2.0], [1e-3, -4.0, 0.2]])
+        unit = u / np.linalg.norm(u, axis=1, keepdims=True)
+        for oracle in (lambda n: sp.funk_at(c, n), lambda n: sp.kernel_at(c, n, *rule)):
+            want = oracle(unit)
+            for scale in (1e-200, 1e-3, 1.0, 3.0, 1e200):
+                assert _dev(oracle(scale * u), want) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [0.0, np.inf, 1.0]])
+    def test_normals_without_direction_raise(self, bad):
+        c = sp.HarmonicCoeffs(4, np.ones(25))
+        normals = np.array([[0.0, 0.0, 1.0], bad])
+        with pytest.raises(ValueError, match="normals must have finite nonzero length"):
+            sp.funk_at(c, normals)
+        with pytest.raises(ValueError, match="normals must have finite nonzero length"):
+            sp.kernel_at(c, normals[1], *sp._cosine_rule(3, 1.5, 4))
 
     def test_constant(self, grid):
         out = sp.funk_direct(sp.GridFunction(grid, np.full((24, 48), 2.5)), L=2)
