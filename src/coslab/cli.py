@@ -299,6 +299,10 @@ def _cmd_body(args) -> int:
         if not isinstance(body, starbody.StarBody):
             raise RepresentationError("classify needs a star-body file")
         _check_bound("--margin", args.margin, positive=False)
+        for flag, value in (("--alpha", args.alpha), ("--alpha-min", args.alpha_min),
+                            ("--alpha-max", args.alpha_max)):
+            if value is not None and not np.isfinite(value):
+                raise argparse.ArgumentTypeError(f"{flag} must be finite, got {value}")
         start = time.perf_counter()
         if args.alpha is not None:
             alphas = [mult.check_order(body.n, args.alpha, mult.Family.K_CLASS)]

@@ -4,8 +4,11 @@ The grid is Gauss-Legendre in cos(theta) times equiangular longitudes, so
 analysis/synthesis of band-limited functions is exact.  The harmonic basis
 is real and orthonormal with respect to the probability measure; storage
 is j-major with k ascending from -j to j.  Grid analysis and synthesis run
-one real FFT per latitude ring and one matrix product per longitudinal
-order m against that order's block of Legendre values.  Evaluation at
+one real FFT per latitude ring and one batched matrix product over all
+longitudinal orders: each grid's Legendre table is stored folded, orders
+m and L-m sharing one (L+2)-row block (see :func:`_fold_layout`), so the
+triangle of per-order blocks fills a rectangle and every order goes
+through the same product.  Evaluation at
 arbitrary points shares none of those tables: its own float recurrence,
 run along the diagonals j = m + k for all orders at once and folded into
 each order's amplitudes step by step, samples the series at L+2
@@ -35,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,7 +111,7 @@ class S2Grid:
         self.points[..., 0] = st[:, None] * cphi[None, :]
         self.points[..., 1] = st[:, None] * sphi[None, :]
         self.points[..., 2] = self.t[:, None]
-        self._legendre_cache: dict[int, list[np.ndarray]] = {}
+        self._legendre_cache: dict[int, np.ndarray] = {}
 
     @property
     def band_limit(self) -> int:
@@ -121,13 +125,16 @@ class S2Grid:
     def __hash__(self):
         return hash((self.n_theta, self.n_phi))
 
-    def legendre_table(self, L: int) -> list[np.ndarray]:
-        """Real-basis associated Legendre values at the latitude nodes, per order.
+    def legendre_table(self, L: int) -> np.ndarray:
+        """Real-basis associated Legendre values at the latitude nodes, folded.
 
-        Block m has shape (L+1-m, n_theta); its row j-m holds
-        P-bar_{j,m}(t), times sqrt(2) for m >= 1 as in the real basis.  Built
-        once per band limit in extended precision: analysis noise in these
-        values is amplified by strongly order-negative multipliers downstream.
+        Shape (L//2+1, L+2, n_theta): block p holds order p in rows 0..L-p
+        (row j-p is P-bar_{j,p}(t)) and order L-p in rows L-p+1..L+1 (row
+        j+1 is P-bar_{j,L-p}(t)); for even L the middle block holds order
+        L/2 once, over zero rows.  Rows of m >= 1 carry sqrt(2) as in
+        the real basis.  Built once per band limit in extended precision:
+        analysis noise in these values is amplified by strongly
+        order-negative multipliers downstream.  Read-only.
         """
         if L not in self._legendre_cache:
             self._legendre_cache[L] = _legendre_blocks(L, self.t)
@@ -140,35 +147,38 @@ class S2Grid:
         return it, ip
 
 
-def _legendre_blocks(L: int, t: np.ndarray) -> list[np.ndarray]:
-    """P-bar_{j,m}(t) per order m: (1/2) int P-bar^2 dt = 1, no Condon-Shortley phase.
+def _legendre_blocks(L: int, t: np.ndarray) -> np.ndarray:
+    """P-bar_{j,m}(t), folded as in :meth:`S2Grid.legendre_table`.
 
-    The three-term recurrence in j runs along the diagonals j = m + k, all
+    Normalized by (1/2) int P-bar^2 dt = 1, no Condon-Shortley phase.  The
+    three-term recurrence in j runs along the diagonals j = m + k, all
     orders at once, in long double with long-double constants.  Rows land
-    in one order-major float array (sqrt(2) applied for m >= 1 before
-    rounding); the blocks are its per-order slices.
+    in the folded float table (sqrt(2) applied for m >= 1 before rounding)
+    from the row :func:`_fold_layout` gives each order's P-bar_{m,m} on.
     """
     ld = np.longdouble
     t = np.asarray(t, dtype=ld)
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     m = np.arange(L + 1)
-    _, offsets = _order_layout(L)
+    start = _fold_layout(L).start
     # sectoral values: P-bar_{m,m} = prod_{i<=m} sqrt((2i+1)/(2i)) s
     step = np.sqrt(ld(2 * m + 1) / ld(np.maximum(2 * m, 1)))[:, None] * s
     step[0] = 1.0
     prev = np.cumprod(step, axis=0)
     scale = np.where(m > 0, np.sqrt(ld(2)), ld(1))[:, None]
-    flat = np.empty((offsets[-1], t.shape[0]))
-    flat[offsets[:-1]] = scale * prev
+    table = np.zeros((L // 2 + 1, L + 2, t.shape[0]))
+    flat = table.reshape(-1, t.shape[0])
+    flat[start] = scale * prev
     prev2, a_prev = np.zeros_like(prev), np.ones((L + 1, 1), dtype=ld)
     for k in range(1, L + 1):
         n = L + 1 - k                       # orders m with a degree j = m + k <= L
         j = m[:n] + k
         a = np.sqrt(ld(4 * j * j - 1) / ld(j * j - m[:n] ** 2))[:, None]
         cur = a * (t * prev[:n] - prev2[:n] / a_prev[:n])
-        flat[offsets[:n] + k] = scale[:n] * cur
+        flat[start[:n] + k] = scale[:n] * cur
         prev2, prev, a_prev = prev, cur, a
-    return [flat[offsets[i]:offsets[i + 1]] for i in m]
+    table.flags.writeable = False           # shared by every caller on the grid
+    return table
 
 
 @dataclass
@@ -344,6 +354,44 @@ def _order_layout(L: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, offsets
 
 
+class _Fold(NamedTuple):
+    """Index maps of the folded layout at one band limit; see :func:`_fold_layout`."""
+
+    orders: np.ndarray          # (L//2+1, 2): the orders p and L-p of block p
+    start: np.ndarray           # (L+1,): table row of P-bar_{m,m}, blocks flattened
+    slots: np.ndarray           # ((L+1)^2,): flat position of each coefficient
+    to_spectrum: np.ndarray     # ((L+1)^2,): 1 if m = 0, else 1/2 (cosine), -1/2 (sine)
+
+
+@functools.lru_cache(maxsize=32)
+def _fold_layout(L: int) -> _Fold:
+    """Where each order and each coefficient sits in the folded layout.
+
+    Orders m and L-m share block p = min(m, L-m) of the folded Legendre
+    table (:meth:`S2Grid.legendre_table`): order p fills rows 0..L-p,
+    order L-p rows L-p+1..L+1.  In a (L//2+1, L+2, 4) array of the same
+    blocks, a block's first order keeps its cosine and sine coefficient
+    pair in columns 0 and 1, its second order in columns 2 and 3; ``slots``
+    gives the flat position there of each coefficient, j-major as in
+    :class:`HarmonicCoeffs`.  ``to_spectrum`` takes a coefficient to its
+    share of the spectrum that the inverse real FFT sums: a - i b for
+    a cos(m phi) + b sin(m phi), halved for m >= 1.
+    """
+    m = np.arange(L + 1)
+    second = 2 * m > L
+    start = np.where(second, (L - m) * (L + 2) + m + 1, m * (L + 2))
+    j = np.repeat(m, 2 * m + 1)
+    k = np.arange((L + 1) ** 2) - j * (j + 1)       # c_{j,k}: order |k|, sine if k < 0
+    mk = np.abs(k)
+    fold = _Fold(orders=np.stack((m[:L // 2 + 1], L - m[:L // 2 + 1]), axis=1),
+                 start=start,
+                 slots=4 * (start[mk] + j - mk) + 2 * second[mk] + (k < 0),
+                 to_spectrum=np.where(k == 0, 1.0, 0.5 * np.sign(k)))
+    for a in fold:
+        a.flags.writeable = False           # shared by every caller
+    return fold
+
+
 def _order_pairs(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
     """[c_{j,m}; c_{j,-m}] in order-major layout (sine row 0 at m = 0), and the offsets."""
     idx, offsets = _order_layout(c.L)
@@ -354,39 +402,42 @@ def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
     """Project onto the orthonormal harmonic basis (exact for band-limited f).
 
     One real FFT per latitude ring gives the weighted longitude means of
-    f cos(m phi) and f sin(m phi); one product per order m with that
-    order's Legendre block then gives the degree-j coefficients.
+    f cos(m phi) and f sin(m phi).  Set side by side per block of the
+    folded Legendre table (orders p and L-p), they go through one batched
+    product with the table, which gives every order's degree-j
+    coefficients.
     """
+    if L < 0:
+        raise ValueError(f"band limit must be >= 0, got {L}")
     grid = f.grid
     _check_resolution(grid, L)
-    blocks = grid.legendre_table(L)
-    ring = np.fft.rfft(f.values, axis=1)[:, :L + 1] * (grid.wt / grid.n_phi)[:, None]
-    ring = np.ascontiguousarray(ring.T).view(float).reshape(L + 1, grid.n_theta, 2)
-    idx, offsets = _order_layout(L)
-    pairs = np.empty((idx.shape[1], 2))     # cosine mean, minus sine mean
-    for m, blk in enumerate(blocks):
-        pairs[offsets[m]:offsets[m + 1]] = blk @ ring[m]
-    out = np.empty((L + 1) ** 2 + 1)
-    out[idx[1]] = -pairs[:, 1]
-    out[idx[0]] = pairs[:, 0]               # after the sines: m = 0 has none
-    return HarmonicCoeffs(L, out[:-1])
+    fold = grid.legendre_table(L)
+    layout = _fold_layout(L)
+    ring = np.take(np.fft.rfft(f.values, axis=1), layout.orders, axis=1)
+    np.conjugate(ring, out=ring)            # (ring, block, order): cosine + i sine mean
+    ring *= (grid.wt / grid.n_phi)[:, None, None]
+    out = fold @ ring.view(float).transpose(1, 0, 2)
+    return HarmonicCoeffs(L, out.reshape(-1)[layout.slots])
 
 
 def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
     """Pointwise sum of the basis series on the grid.
 
-    One product per order m gives each ring's cos(m phi) and sin(m phi)
-    amplitudes; one inverse real FFT per ring sums them.
+    The coefficients, packed per block of the folded Legendre table
+    (orders p and L-p side by side, zeros elsewhere), go through one
+    batched product with the table; it gives each ring's cos(m phi) and
+    sin(m phi) amplitudes, and one inverse real FFT per ring sums them.
     """
-    _check_resolution(grid, c.L)
-    blocks = grid.legendre_table(c.L)
-    pairs, offsets = _order_pairs(c)
-    amp = np.empty((c.L + 1, grid.n_theta, 2))
-    for m, blk in enumerate(blocks):
-        amp[m] = blk.T @ pairs[:, offsets[m]:offsets[m + 1]].T
+    L = c.L
+    _check_resolution(grid, L)
+    fold = grid.legendre_table(L)
+    layout = _fold_layout(L)
+    packed = np.zeros((L // 2 + 1, L + 2, 4))
+    packed.reshape(-1)[layout.slots] = c.coeffs * layout.to_spectrum
+    amp = (fold.transpose(0, 2, 1) @ packed).view(complex)   # (block, ring, order)
     spec = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
-    spec[:, :c.L + 1] = (amp[..., 0] - 1j * amp[..., 1]).T
-    spec[:, 1:] *= 0.5
+    spec[:, :L // 2 + 1] = amp[:, :, 0].T   # orders p
+    spec[:, L // 2 + 1:L + 1] = amp[:(L + 1) // 2, :, 1][::-1].T     # orders L-p
     return GridFunction(grid, np.fft.irfft(spec, n=grid.n_phi, axis=1, norm="forward"))
 
 

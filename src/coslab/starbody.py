@@ -48,6 +48,7 @@ __all__ = [
 
 ODD_ENERGY_LIMIT = 1e-8
 DEFAULT_CLASSIFY_L = 24
+_DENSITY_T = np.linspace(-1.0, 1.0, 201)    # where zonal class densities are sampled
 
 
 @dataclass
@@ -247,6 +248,10 @@ def _signed_verdict(body: StarBody, alpha: float, sign: float, t_smooth: float,
     mult.check_order(n, alpha, mult.Family.K_CLASS)
     if not 0.0 < t_smooth < 1.0:
         raise ValueError(f"smoothing parameter must be in (0,1), got {t_smooth}")
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
+    if band_limit is not None and band_limit < 0:
+        raise ValueError(f"band limit must be >= 0, got {band_limit}")
 
     if body.is_grid:
         grid = body.repr_.grid
@@ -260,10 +265,16 @@ def _signed_verdict(body: StarBody, alpha: float, sign: float, t_smooth: float,
     else:
         L = band_limit if band_limit is not None else DEFAULT_CLASSIFY_L
         rule = zn.gauss_jacobi_rule(n, max(2 * L, L + 1))
-        profile = zn.zonal_synth(body.repr_, rule.nodes) ** alpha
-        coeffs = zn.zonal_analyze(n, profile, L, rule)
-        smoothed = zn.ZonalFunction(n, _class_factors(n, L, alpha, t_smooth) * coeffs.coeffs)
-        density = zn.zonal_synth(smoothed, np.linspace(-1, 1, 201))
+        rho = body.repr_
+        # one basis evaluation serves the profile at the rule nodes, the
+        # analysis there and the density on its sampling grid
+        nodes = len(rule)
+        basis = zn.zonal_basis(n, max(rho.degree, L),
+                               np.concatenate((rule.nodes, _DENSITY_T)))
+        profile = (rho.coeffs @ basis[:rho.degree + 1, :nodes]) ** alpha
+        coeffs = zn.ZonalFunction(n, basis[:L + 1, :nodes] @ (rule.weights * profile))
+        smoothed = _class_factors(n, L, alpha, t_smooth) * coeffs.coeffs
+        density = smoothed @ basis[:L + 1, nodes:]
         tail = _tail_energy(coeffs.coeffs ** 2)
     if coeffs.odd_energy_fraction() > ODD_ENERGY_LIMIT:
         raise OddInputError("rho^alpha has odd energy above the limit")
@@ -292,6 +303,8 @@ def embeds_in_Lp(body: StarBody, p: float) -> ClassVerdict:
     degenerates, is the class lattice {0, -2, ...} at -p and is rejected.
     Smoothing, margin and band limit are ``classify_K_alpha``'s defaults.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"embedding exponent must be finite, got {p}")
     if p <= 0:
         raise ExcludedParameterError(f"embedding exponent must be positive, got {p}")
     return _signed_verdict(body, -p, float(gammasgn(-p / 2.0)), 0.98, 1e-7, None)

@@ -402,6 +402,24 @@ class TestBody:
         assert err.startswith(f"error: {flag} must be finite") and err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "nan"],
+        ["--alpha=-inf"],
+        ["--alpha-min", "nan", "--steps", "3"],
+        ["--alpha-max", "inf"],
+        ["--alpha-min=-inf", "--alpha-max", "nan"],
+    ])
+    def test_classify_non_finite_orders_exit_2(self, capsys, tmp_path, argv):
+        body_file = tmp_path / "ball.json"
+        run(capsys, "body", "make", "--shape", "ball", "--out", str(body_file))
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, "body", "classify", "--input", str(body_file), *argv,
+                             "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: --alpha") and "must be finite" in err
+        assert err.count("\n") == 1
+        assert out == "" and not out_file.exists()
+
     def test_classify_zero_steps_exits_2(self, capsys, tmp_path):
         body_file = tmp_path / "ball.json"
         run(capsys, "body", "make", "--shape", "ball", "--r", "1", "--n", "3",

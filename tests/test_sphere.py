@@ -91,6 +91,10 @@ class TestAnalyzeSynthesize:
         quad_energy = float(grid.wt @ (f.values ** 2).mean(axis=1))
         assert quad_energy == pytest.approx(c0.energy(), rel=1e-13)
 
+    def test_negative_band_limit(self, grid, even_f):
+        with pytest.raises(ValueError, match="band limit"):
+            sp.analyze(even_f, -1)
+
     def test_grid_too_coarse(self, grid):
         with pytest.raises(GridTooCoarseError):
             sp.analyze(sp.GridFunction(grid, np.ones((24, 48))), 24)
@@ -255,7 +259,8 @@ def _random_coeffs(L, seed):
 
 class TestEngineAgainstReference:
     # (grid shape, band limit): square grids at L in {0, 1, 2, 7, 16, 33},
-    # wide grids (n_phi > 2 n_theta) and analysis below the grid's band limit
+    # wide grids (n_phi > 2 n_theta) and analysis below the grid's band limit;
+    # odd L and even L, whose middle order fills a folded table block alone
     CASES = [((1, 2), 0), ((2, 4), 1), ((3, 6), 2), ((8, 16), 7), ((17, 34), 16),
              ((34, 68), 33), ((6, 40), 5), ((9, 64), 8), ((20, 40), 7), ((12, 50), 3)]
 
@@ -430,14 +435,27 @@ class TestEngineAgainstReference:
         assert calls == [6, 4, 6]
 
     def test_legendre_blocks_layout(self):
-        grid = sp.S2Grid(9, 18)
-        blocks = grid.legendre_table(8)
-        ref = _ref_legendre(8, grid.t)
-        assert len(blocks) == 9
-        for m, blk in enumerate(blocks):
-            assert blk.shape == (9 - m, 9)
-            want = ref[[_ref_pair(j, m) for j in range(m, 9)]] * (math.sqrt(2) if m else 1)
-            assert np.abs(blk - want).max() <= 1e-14
+        # orders m and L-m share block min(m, L-m): the smaller fills rows
+        # 0..L-m, the larger the rows after it; the middle order of even L
+        # is held once, over zero rows
+        for L in (0, 1, 7, 8):
+            grid = sp.S2Grid(L + 1, 2 * L + 2)
+            fold = grid.legendre_table(L)
+            ref = _ref_legendre(L, grid.t)
+            assert fold.shape == (L // 2 + 1, L + 2, L + 1)
+            assert fold.nbytes <= (L // 2 + 1) * (L + 2) * grid.n_theta * 8   # no padded copy
+            assert not fold.flags.writeable
+            filled = np.zeros(fold.shape[:2], dtype=bool)
+            for m in range(L + 1):
+                p = min(m, L - m)
+                first = L - p + 1 if 2 * m > L else 0
+                rows = slice(first, first + L + 1 - m)
+                want = ref[[_ref_pair(j, m) for j in range(m, L + 1)]]
+                want *= math.sqrt(2) if m else 1
+                assert np.abs(fold[p, rows] - want).max() <= 1e-14
+                filled[p, rows] = True
+            assert not np.any(fold[~filled])
+            assert filled.sum() == (L + 1) * (L + 2) // 2
 
 
 class TestDegreeBlocks:

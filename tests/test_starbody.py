@@ -215,6 +215,35 @@ class TestClassify:
         with pytest.raises(ValueError):
             sb.classify_K_alpha(ball, 1.0, t_smooth=1.0)
 
+    @pytest.mark.parametrize("kind", ["grid", "zonal"])
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -1.0])
+    def test_margin_must_be_finite_and_nonnegative(self, kind, margin):
+        body = sb.make_body(3 if kind == "grid" else 5, "ball", resolution=24)
+        with pytest.raises(ValueError, match="margin"):
+            sb.classify_K_alpha(body, 1.0, margin=margin)
+
+    @pytest.mark.parametrize("kind", ["grid", "zonal"])
+    def test_negative_band_limit(self, kind):
+        body = sb.make_body(3 if kind == "grid" else 5, "ball", resolution=24)
+        with pytest.raises(ValueError, match="band limit"):
+            sb.classify_K_alpha(body, 1.0, band_limit=-1)
+
+    def test_zonal_basis_built_once_per_call(self, monkeypatch):
+        # one basis evaluation serves the profile, the analysis and the density
+        body = sb.make_body(5, "ellipsoid", axes=[1, 1, 1, 1, 1.3], resolution=30)
+        want = sb.classify_K_alpha(body, 1.5)           # builds the cached rule too
+        calls = []
+        basis = zn.zonal_basis
+
+        def counting(n, J, t):
+            calls.append((n, J, len(t)))
+            return basis(n, J, t)
+
+        monkeypatch.setattr(zn, "zonal_basis", counting)
+        got = sb.classify_K_alpha(body, 1.5)
+        assert calls == [(5, 30, 48 + 201)]
+        assert got == want
+
     @pytest.mark.parametrize("n,resolution", [(3, 48), (5, 24)])
     def test_sweep_matches_closed_form(self, n, resolution):
         body = sb.make_body(n, "ball", r=1.0, resolution=resolution)
@@ -263,6 +292,11 @@ class TestEmbedding:
         # problem on positive definite functions, 1991)
         v = sb.embeds_in_Lp(sb.make_body(3, "lp_ball", p=q, resolution=48), p)
         assert v.member == "no" and v.min_value < 0.0
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_p_rejected(self, ball, p):
+        with pytest.raises(ValueError, match="finite"):
+            sb.embeds_in_Lp(ball, p)
 
     def test_even_p_rejected(self, ball):
         with pytest.raises(ExcludedParameterError):
