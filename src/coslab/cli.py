@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 
@@ -30,7 +31,6 @@ from .errors import (
     ExcludedParameterError,
     GammaPoleError,
     NonPositiveBodyError,
-    NumeratorPoleError,
     OddInputError,
     QuadratureWindowError,
     RepresentationError,
@@ -48,7 +48,7 @@ EXIT_REPR = 4
 EXIT_BODY = 5
 
 _PARAM_ERRORS = (ExcludedParameterError, QuadratureWindowError, GammaPoleError,
-                 NumeratorPoleError, UnknownConstantError)
+                 UnknownConstantError)
 _BODY_ERRORS = (NonPositiveBodyError, OddInputError, BadShapeParamsError)
 # error kinds -> exit code; any other argument, file or coslab error exits EXIT_USAGE
 _EXIT_CODES = ((_PARAM_ERRORS, EXIT_PARAM), (RepresentationError, EXIT_REPR),
@@ -350,9 +350,19 @@ def _cmd_body(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes -1e-1 and -inf for negative numbers, not options, as argparse's own
+    pattern takes only -1 and -1.5; subparsers inherit the parser class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="coslab", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="coslab", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pm = sub.add_parser("multiplier", help="tabulate family multipliers")

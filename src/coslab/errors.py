@@ -10,7 +10,7 @@ class ExcludedParameterError(CoslabError):
 
 
 class NumeratorPoleError(CoslabError):
-    """A degree-specific gamma pole in a multiplier numerator under continuation."""
+    """A multiplier numerator gamma pole; no coslab function raises it any more."""
 
 
 class GammaPoleError(CoslabError):

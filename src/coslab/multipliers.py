@@ -26,15 +26,9 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
-from ._gamma import gamma_ratio, is_gamma_pole
-from .errors import (
-    ExcludedParameterError,
-    GammaPoleError,
-    NumeratorPoleError,
-    UnknownConstantError,
-)
+from ._gamma import gamma_ratio, gamma_ratio_array
+from .errors import ExcludedParameterError, GammaPoleError, UnknownConstantError
 from .reports import IdentityReport, make_report
 
 __all__ = [
@@ -148,18 +142,7 @@ def m_mult(n: int, j: int, alpha: float) -> float:
     Zero for odd j; for even j equal to
     (-1)^(j/2) Gamma((j+1-alpha)/2) / Gamma((j+n-1+alpha)/2).
     """
-    _check_dim(n)
-    _check_degree(j)
-    check_order(n, alpha, Family.M)
-    if j % 2 == 1:
-        return 0.0
-    num = (j + 1.0 - alpha) / 2.0
-    if is_gamma_pole(num):
-        raise NumeratorPoleError(
-            f"degree-specific numerator pole: (j+1-alpha)/2 = {num} for j={j}, alpha={alpha}"
-        )
-    sign = -1.0 if (j // 2) % 2 else 1.0
-    return sign * gamma_ratio([num], [(j + n - 1.0 + alpha) / 2.0])
+    return _multiplier(n, j, "M", {"alpha": alpha})
 
 
 def q_mult(n: int, j: int, alpha: float) -> float:
@@ -169,17 +152,7 @@ def q_mult(n: int, j: int, alpha: float) -> float:
     Gamma((j+n-1-alpha)/2) Gamma((j+1)/2) / [Gamma((j+alpha+1)/2) Gamma((j+n-1)/2)].
     Identically 1 at alpha = 0.
     """
-    _check_dim(n)
-    _check_degree(j)
-    check_order(n, alpha, Family.Q)
-    if j % 2 == 1:
-        return 0.0
-    if alpha == 0.0:
-        return 1.0
-    return gamma_ratio(
-        [(j + n - 1.0 - alpha) / 2.0, (j + 1.0) / 2.0],
-        [(j + alpha + 1.0) / 2.0, (j + n - 1.0) / 2.0],
-    )
+    return _multiplier(n, j, "Q", {"alpha": alpha})
 
 
 def qpm_mult(n: int, j: int, mu: float, nu: float, sign: str) -> float:
@@ -191,13 +164,9 @@ def qpm_mult(n: int, j: int, mu: float, nu: float, sign: str) -> float:
     Both come from Beta-weighted averages of the Poisson semigroup and act
     on every degree.  Gamma poles raise GammaPoleError.
     """
-    _check_dim(n)
-    _check_degree(j)
-    if sign == "plus":
-        return gamma_ratio([(j + n - nu + 1.0) / 2.0], [(j + n - nu + 1.0 + mu) / 2.0])
-    if sign == "minus":
-        return gamma_ratio([(j + nu - mu) / 2.0], [(j + nu) / 2.0])
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    if sign not in ("plus", "minus"):
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    return _multiplier(n, j, "Qplus" if sign == "plus" else "Qminus", {"mu": mu, "nu": nu})
 
 
 def a_mult(n: int, j: int, alpha: float, beta: float) -> float:
@@ -210,12 +179,7 @@ def a_mult(n: int, j: int, alpha: float, beta: float) -> float:
     a_mult factorizes as qpm_mult(plus; mu=alpha-beta, nu=2-beta)
     * qpm_mult(minus; mu=alpha-beta, nu=1-beta).
     """
-    _check_dim(n)
-    _check_degree(j)
-    return gamma_ratio(
-        [(j + 1.0 - alpha) / 2.0, (j + n - 1.0 + beta) / 2.0],
-        [(j + n - 1.0 + alpha) / 2.0, (j + 1.0 - beta) / 2.0],
-    )
+    return _multiplier(n, j, "A", {"alpha": alpha, "beta": beta})
 
 
 def funk_mult(n: int, j: int) -> float:
@@ -225,11 +189,7 @@ def funk_mult(n: int, j: int) -> float:
     c_(n-1) = sigma(n-1) / (2 pi^((n-2)/2)); for n = 3 this is the Legendre
     value P_j(0) for even j and 0 for odd j.
     """
-    _check_dim(n)
-    _check_degree(j)
-    if j % 2 == 1:
-        return 0.0
-    return m_mult(n, j, 0.0) / constant("c_limit", n, i=n - 1)
+    return _multiplier(n, j, "Funk", {})
 
 
 def poisson_mult(j: int, t: float) -> float:
@@ -240,11 +200,10 @@ def poisson_mult(j: int, t: float) -> float:
     return t ** j
 
 
-# --- array tables -----------------------------------------------------------
+# --- gamma arguments ----------------------------------------------------------
 #
-# The scalars above evaluate one degree at a time through math.lgamma and are
-# the reference the tests hold ``table`` to.  Every caller that needs many
-# degrees or orders goes through ``table``.
+# Each family's gamma ratio is written once, in ``_gamma_args``; the scalars
+# evaluate it per degree, ``table`` over arrays, both through ``_gamma``.
 
 # family -> the keyword parameters ``table`` takes for it
 FAMILY_PARAMS = {
@@ -258,28 +217,41 @@ FAMILY_PARAMS = {
 }
 
 
-def _is_pole(x: np.ndarray) -> np.ndarray:
-    return (x <= 0.0) & (x == np.floor(x))
+def _gamma_args(n: int, j, family: str, params: dict) -> list:
+    """(numerator, denominator) gamma-argument pairs of a family, for floats or arrays.
 
-
-def _ratio(numerators, denominators):
-    """``gamma_ratio`` over broadcast argument arrays, without raising.
-
-    Returns (values, numerator_pole).  A denominator pole gives 0; where a
-    numerator argument is a pole the value is NaN and the mask is set.  The
-    log-gamma terms are summed in the scalar's order.
+    M and Q orders on their lattice raise ExcludedParameterError, a non-finite
+    Qplus, Qminus or A parameter ValueError.  The callers apply the rest: the
+    sign (-1)^(j/2) of M and Funk, Funk's 1/c_(n-1), zeros at odd M, Q, Funk degrees.
     """
-    num_pole = functools.reduce(np.logical_or, map(_is_pole, numerators))
-    den_pole = functools.reduce(np.logical_or, map(_is_pole, denominators))
-    sign, log = 1.0, 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        for a in numerators:
-            sign, log = sign * gammasgn(a), log + gammaln(a)
-        for b in denominators:
-            sign, log = sign * gammasgn(b), log - gammaln(b)
-        values = sign * np.exp(log)
-    values = np.where(den_pole, 0.0, values)
-    return np.where(num_pole, np.nan, values), num_pole
+    if family in ("M", "Funk"):
+        alpha = 0.0 if family == "Funk" else check_order(n, params["alpha"], Family.M)
+        return [((j + 1.0 - alpha) / 2.0, (j + n - 1.0 + alpha) / 2.0)]
+    if family == "Q":
+        alpha = check_order(n, params["alpha"], Family.Q)
+        return [((j + n - 1.0 - alpha) / 2.0, (j + n - 1.0) / 2.0),
+                ((j + 1.0) / 2.0, (j + alpha + 1.0) / 2.0)]
+    for name in FAMILY_PARAMS[family]:
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"{name} must be finite, got {params[name]}")
+    mu, nu, alpha, beta = map(params.get, ("mu", "nu", "alpha", "beta"))
+    if family == "Qplus":
+        return [((j + n - nu + 1.0) / 2.0, (j + n - nu + 1.0 + mu) / 2.0)]
+    if family == "Qminus":
+        return [((j + nu - mu) / 2.0, (j + nu) / 2.0)]
+    return [((j + 1.0 - alpha) / 2.0, (j + 1.0 - beta) / 2.0),
+            ((j + n - 1.0 + beta) / 2.0, (j + n - 1.0 + alpha) / 2.0)]
+
+
+def _multiplier(n: int, j: int, family: str, params: dict) -> float:
+    """One degree of a gamma family: the body of the per-degree scalars."""
+    _check_dim(n)
+    _check_degree(j)
+    pairs = _gamma_args(n, j, family, params)
+    if family in ("M", "Q", "Funk") and j % 2 == 1:
+        return 0.0
+    value = (-1.0 if family in ("M", "Funk") and (j // 2) % 2 else 1.0) * gamma_ratio(pairs)
+    return value / constant("c_limit", n, i=n - 1) if family == "Funk" else value
 
 
 def _table(n: int, j: np.ndarray, family: str, params: dict):
@@ -288,35 +260,16 @@ def _table(n: int, j: np.ndarray, family: str, params: dict):
     Excluded orders raise ExcludedParameterError; numerator poles do not
     raise, they are NaN in the values and set in the mask.
     """
-    if family in ("M", "Funk"):
-        alpha = 0.0 if family == "Funk" else check_order(n, params["alpha"], Family.M)
-        values, pole = _ratio([(j + 1.0 - alpha) / 2.0], [(j + n - 1.0 + alpha) / 2.0])
-        values = np.where((j // 2) % 2 == 1, -values, values)
-        if family == "Funk":
-            values = values / constant("c_limit", n, i=n - 1)
-    elif family == "Q":
-        alpha = check_order(n, params["alpha"], Family.Q)
-        values, pole = _ratio(
-            [(j + n - 1.0 - alpha) / 2.0, (j + 1.0) / 2.0],
-            [(j + alpha + 1.0) / 2.0, (j + n - 1.0) / 2.0])
-        identity = np.asarray(alpha) == 0.0
-        values, pole = np.where(identity, 1.0, values), pole & ~identity
-    elif family == "Qplus":
-        mu, nu = params["mu"], params["nu"]
-        values, pole = _ratio([(j + n - nu + 1.0) / 2.0], [(j + n - nu + 1.0 + mu) / 2.0])
-    elif family == "Qminus":
-        mu, nu = params["mu"], params["nu"]
-        values, pole = _ratio([(j + nu - mu) / 2.0], [(j + nu) / 2.0])
-    elif family == "A":
-        alpha, beta = params["alpha"], params["beta"]
-        values, pole = _ratio(
-            [(j + 1.0 - alpha) / 2.0, (j + n - 1.0 + beta) / 2.0],
-            [(j + n - 1.0 + alpha) / 2.0, (j + 1.0 - beta) / 2.0])
-    else:   # Poisson
+    if family == "Poisson":
         t = np.asarray(params["t"], dtype=float)
         if not np.all((0.0 <= t) & (t < 1.0)):
             raise ValueError(f"Poisson parameter must satisfy 0 <= t < 1, got {t}")
         return t ** j, np.zeros(np.broadcast(t, j).shape, dtype=bool)
+    values, pole = gamma_ratio_array(_gamma_args(n, j, family, params))
+    if family in ("M", "Funk"):
+        values = np.where((j // 2) % 2 == 1, -values, values)
+    if family == "Funk":
+        values = values / constant("c_limit", n, i=n - 1)
     if family in ("M", "Q", "Funk"):
         odd = j % 2 == 1
         values, pole = np.where(odd, 0.0, values), pole & ~odd
@@ -331,9 +284,8 @@ def table(n: int, degrees, family: str, **params) -> np.ndarray:
     broadcast against array-valued parameters.  The pole rules of the
     scalars hold: a denominator pole gives 0, a numerator pole raises
     GammaPoleError, an order on the M or Q lattice or in its guard band
-    raises ExcludedParameterError, and M, Q and Funk vanish on odd degrees.
-    (An admissible M order has no numerator pole, so the scalar's
-    NumeratorPoleError cannot arise here.)
+    raises ExcludedParameterError, a non-finite Qplus, Qminus or A parameter
+    raises ValueError, and M, Q and Funk vanish on odd degrees.
     """
     _check_dim(n)
     j = np.asarray(degrees)
@@ -389,33 +341,28 @@ def constant(name: str, n: int, i: int | None = None, alpha: float | None = None
             raise ValueError(f"constant {name!r} needs alpha")
         return alpha
 
+    def kernel_constant(num: float) -> float:
+        """sigma(n) / (2 pi^((n-1)/2)) * Gamma(num) / Gamma(alpha/2)."""
+        return sigma(n) / (2.0 * math.pi ** ((n - 1) / 2.0)) * gamma_ratio([(num, alpha / 2.0)])
+
     if name == "gamma_alpha":
-        a = need_alpha()
-        return sigma(n) / (2.0 * math.pi ** ((n - 1) / 2.0)) * gamma_ratio(
-            [(1.0 - a) / 2.0], [a / 2.0]
-        )
+        return kernel_constant((1.0 - need_alpha()) / 2.0)
     if name == "gamma_alpha_i":
-        a, ii = need_alpha(), need_i()
-        return sigma(n) / (2.0 * math.pi ** ((n - 1) / 2.0)) * gamma_ratio(
-            [(n - a - ii) / 2.0], [a / 2.0]
-        )
+        return kernel_constant((n - need_alpha() - need_i()) / 2.0)
     if name == "gamma_sine":
-        a = need_alpha()
-        return sigma(n) / (2.0 * math.pi ** ((n - 1) / 2.0)) * gamma_ratio(
-            [(n - 1.0 - a) / 2.0], [a / 2.0]
-        )
+        return kernel_constant((n - 1.0 - need_alpha()) / 2.0)
     if name in ("c_limit", "c_range_f1"):
         ii = need_i()
         return sigma(ii) / (2.0 * math.pi ** ((ii - 1) / 2.0))
     if name in ("lambda1", "lambda2"):
         ii = need_i()
-        return gamma_ratio([(n - 1.0) / 2.0], [(n - ii) / 2.0])
+        return gamma_ratio([((n - 1.0) / 2.0, (n - ii) / 2.0)])
     if name == "c_radon_composite":
         ii = need_i()
         return (
             2.0
             * math.pi ** ((ii - 1) / 2.0)
-            * gamma_ratio([(n - 1.0) / 2.0], [(n - ii) / 2.0])
+            * gamma_ratio([((n - 1.0) / 2.0, (n - ii) / 2.0)])
             / sigma(ii)
         )
     if name in ("c_cosine_radon", "c_range_f"):

@@ -878,23 +878,21 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
         pairs.append(_sup_err(sqrt_pi * spec_path.coeffs, cf.coeffs))
     report("funk_inversion_spectral", {"L": L}, pairs, tol_spec)
 
-    # cosine transform tends to sqrt(pi) * Funk as alpha -> 0+; the limit is
-    # taken by polynomial extrapolation in alpha (five nodes: three-node
-    # Richardson stalls near 4e-2 because the multipliers' third alpha-
-    # derivative is large)
-    limit_alphas = [0.4, 0.2, 0.1, 0.05, 0.025]
-    lw = [math.prod(b / (b - a) for b in limit_alphas if b != a) for a in limit_alphas]
+    # the cosine family's alpha -> 0 member is sqrt(pi) Funk, and by Gamma(x+1) =
+    # x Gamma(x) it is M^0 = (1/4)(-Laplacian - 2) M^2 at n = 3: no gamma closed
+    # form on either side, cosine_direct at alpha = 2 times (j(j+1) - 2)/4 per degree
+    j = np.arange(L + 1)
+    step = (j * (j + 1.0) - 2.0) / 4.0
     pairs = []
     for f in fs[:2]:
         target = sqrt_pi * funk_direct(f, L=L).values
-        extrap = sum(w * cosine_direct(f, a, L=L).values
-                     for w, a in zip(lw, limit_alphas))
-        pairs.append(_sup_err(extrap, target))
-    report("cosine_funk_limit", {"L": L, "alphas": limit_alphas}, pairs, 1e-3)
+        limit = synthesize(analyze(cosine_direct(f, 2.0, L=L), L).scale_degrees(step), grid)
+        pairs.append(_sup_err(limit.values, target))
+    report("cosine_funk_limit", {"L": L, "alpha": 2.0}, pairs, tol_spec)
 
     # cross-engine: the cosine kernel at points vs gamma multipliers on the grid,
     # one function per order
-    alphas = [0.5, 1.5, 2.0, 2.5]
+    alphas = [0.5, 1.5, 2.0, 2.5, 0.1]
     pairs = []
     for k, alpha in enumerate(alphas):
         idx = nodes()

@@ -22,11 +22,10 @@ from scipy.special import gammasgn
 from . import multipliers as mult
 from . import sphere
 from . import zonal as zn
-from ._gamma import gamma_ratio, is_gamma_pole
+from ._gamma import gamma_ratio
 from .errors import (
     BadShapeParamsError,
     ExcludedParameterError,
-    GammaPoleError,
     NonPositiveBodyError,
     OddInputError,
     RepresentationError,
@@ -127,6 +126,8 @@ def make_body(n: int, shape: str, *, r: float = 1.0, axes=None, p: float = 2.0,
     dimensions use the zonal representation, which restricts shapes to the
     axially symmetric ones (ball; ellipsoid with equal first n-1 semi-axes).
     """
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
     if n == 3:
         grid = sphere.S2Grid(resolution)
         pts = grid.points
@@ -206,11 +207,11 @@ def intersection_body(body: StarBody) -> StarBody:
 
 
 def ball_class_sign(n: int, alpha: float) -> float:
-    """Closed-form smoothed density of the unit ball: Gamma((n-alpha)/2)/Gamma(alpha/2)."""
-    num, den = (n - alpha) / 2.0, alpha / 2.0
-    if is_gamma_pole(num) or is_gamma_pole(den):
-        raise GammaPoleError(f"gamma argument at a pole for n={n}, alpha={alpha}")
-    return gamma_ratio([num], [den])
+    """Closed-form smoothed density of the unit ball: Gamma((n-alpha)/2)/Gamma(alpha/2).
+
+    GammaPoleError at alpha = n, n+2, ...; 0 at alpha = 0, -2, ...
+    """
+    return gamma_ratio([((n - alpha) / 2.0, alpha / 2.0)])
 
 
 def _verdict(min_value: float, margin: float) -> str:

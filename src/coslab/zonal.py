@@ -262,13 +262,13 @@ def _check_direct_order(n: int, alpha: float, family: mult.Family,
 def _slice_rule(n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for the distribution of one coordinate on S^(n-2).
 
-    Density ~ (1-sigma^2)^((n-4)/2) for n >= 3; the two-point atom for n = 2.
+    Density ~ (1-sigma^2)^((n-4)/2) for n >= 3, the weight of the polished
+    Gauss rule of dimension n-1; the two-point atom for n = 2.
     """
     if n == 2:
         return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    a = (n - 4) / 2.0
-    nodes, weights = roots_jacobi(M, a, a)
-    return nodes, weights / weights.sum()
+    rule = gauss_jacobi_rule(n - 1, M)
+    return rule.nodes, rule.weights
 
 
 def _output_points(t0) -> np.ndarray:

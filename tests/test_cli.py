@@ -60,6 +60,18 @@ class TestMultiplier:
         assert err.startswith("error:") and needs in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "qminus", "--mu", "1", "--nu", "nan"],
+        ["--family", "a", "--alpha", "nan", "--beta", "0.5"],
+        ["--family", "qplus", "--mu", "-inf", "--nu", "1"],
+        ["--family", "a", "--alpha", "0.5", "--beta", "inf"],
+    ])
+    def test_non_finite_family_parameter_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "multiplier", *argv)
+        assert code == 2
+        assert err.startswith("error:") and "must be finite" in err
+        assert err.count("\n") == 1 and out == ""
+
     def test_negative_jmax_exits_2(self, capsys):
         code, out, err = run(capsys, "multiplier", "--family", "m", "--jmax", "-1")
         assert code == 2
@@ -386,6 +398,18 @@ class TestBody:
         assert out == "" and not body_file.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["--shape", "ball", "--n", "1"],
+        ["--shape", "ball", "--n", "0"],
+        ["--shape", "ellipsoid", "--axes", "1", "--n", "1"],
+    ])
+    def test_make_below_dimension_2_exits_2(self, capsys, tmp_path, argv):
+        body_file = tmp_path / "body.json"
+        code, out, err = run(capsys, "body", "make", *argv, "--out", str(body_file))
+        assert code == 2
+        assert err.startswith("error: dimension must be >= 2") and err.count("\n") == 1
+        assert out == "" and not body_file.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["classify", "--input", "{ball}", "--alpha", "1.5", "--margin", "nan"],
         ["classify", "--input", "{ball}", "--alpha", "1.5", "--margin=-1e-7"],
         ["classify", "--input", "{ball}", "--margin", "inf"],
@@ -405,6 +429,8 @@ class TestBody:
     @pytest.mark.parametrize("argv", [
         ["--alpha", "nan"],
         ["--alpha=-inf"],
+        ["--alpha", "-inf"],
+        ["--alpha-min", "-Infinity"],
         ["--alpha-min", "nan", "--steps", "3"],
         ["--alpha-max", "inf"],
         ["--alpha-min=-inf", "--alpha-max", "nan"],
@@ -419,6 +445,19 @@ class TestBody:
         assert err.startswith("error: --alpha") and "must be finite" in err
         assert err.count("\n") == 1
         assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("argv,alphas", [
+        (["--alpha", "-1e-1"], [-0.1]),
+        (["--alpha", "-.5"], [-0.5]),
+        (["--alpha-min", "-1e-3", "--alpha-max", "2.5E-1", "--steps", "2"], [-1e-3, 0.25]),
+    ])
+    def test_classify_negative_orders_in_exponent_notation(self, capsys, tmp_path, argv,
+                                                           alphas):
+        body_file = tmp_path / "ball.json"
+        run(capsys, "body", "make", "--shape", "ball", "--out", str(body_file))
+        code, out, err = run(capsys, "body", "classify", "--input", str(body_file), *argv)
+        assert code == 0 and err == ""
+        assert [v["alpha"] for v in json.loads(out)["results"]] == alphas
 
     def test_classify_zero_steps_exits_2(self, capsys, tmp_path):
         body_file = tmp_path / "ball.json"

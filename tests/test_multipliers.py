@@ -1,5 +1,6 @@
 """Multiplier formulas against independent oracles (mpmath, direct quadrature)."""
 
+import functools
 import math
 
 import mpmath
@@ -267,6 +268,12 @@ class TestConstants:
         with pytest.raises(UnknownConstantError):
             m.constant("nope", 3)
 
+    @pytest.mark.parametrize("name", ["gamma_alpha", "gamma_alpha_i", "gamma_sine"])
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf])
+    def test_non_finite_alpha_raises(self, name, alpha):
+        with pytest.raises(ValueError, match="must be finite"):
+            m.constant(name, 3, i=1, alpha=alpha)
+
     @pytest.mark.parametrize("n", range(2, 12))
     def test_equal_constants_share_one_formula(self, n):
         # each value has one formula, so the names that carry it agree bitwise
@@ -325,44 +332,103 @@ class TestIdentitySuite:
                               "pass"}
 
 
-# --- array tables against the scalar reference ------------------------------
+# --- tables and scalars against the 50-digit closed forms --------------------
+
+
+def mp_multiplier(n, j, family, params):
+    """A family's multiplier from its gamma closed form at 50 digits.
+
+    Written out here independently of the package; a denominator pole gives 0.
+    """
+    if family in ("M", "Q", "Funk") and j % 2:
+        return 0.0
+    with mpmath.workdps(50):
+        g, rg = mpmath.gamma, mpmath.rgamma
+        n, j = mpmath.mpf(n), mpmath.mpf(j)
+        p = {k: mpmath.mpf(v) for k, v in params.items()}
+        sign = -1 if int(j) // 2 % 2 else 1
+        if family == "M":
+            a = p["alpha"]
+            value = sign * g((j + 1 - a) / 2) * rg((j + n - 1 + a) / 2)
+        elif family == "Funk":
+            c_limit = mpmath.sqrt(mpmath.pi) * rg((n - 1) / 2)
+            value = sign * g((j + 1) / 2) * rg((j + n - 1) / 2) / c_limit
+        elif family == "Q":
+            a = p["alpha"]
+            value = (g((j + n - 1 - a) / 2) * g((j + 1) / 2)
+                     * rg((j + a + 1) / 2) * rg((j + n - 1) / 2))
+        elif family == "Qplus":
+            value = g((j + n - p["nu"] + 1) / 2) * rg((j + n - p["nu"] + 1 + p["mu"]) / 2)
+        elif family == "Qminus":
+            value = g((j + p["nu"] - p["mu"]) / 2) * rg((j + p["nu"]) / 2)
+        elif family == "A":
+            a, b = p["alpha"], p["beta"]
+            value = (g((j + 1 - a) / 2) * g((j + n - 1 + b) / 2)
+                     * rg((j + n - 1 + a) / 2) * rg((j + 1 - b) / 2))
+        else:
+            value = p["t"] ** j
+        return float(value)
+
 
 DEGREES = np.arange(201)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_table(n, family, params):
+    return np.array([mp_multiplier(n, int(j), family, dict(params)) for j in DEGREES])
+
+
+def mp_table(n, family, params):
+    """``mp_multiplier`` over DEGREES, computed once per case."""
+    return _mp_table(n, family, tuple(sorted(params.items())))
+
+
 # orders include negative values, denominator poles (M at -3 and -4) and
 # points just outside the guard band of a lattice
 TABLE_CASES = {
-    "M": ([{"alpha": a} for a in (-5.85, -4.0, -3.0, -1.0, 0.0, 0.5, 1.0 + 1e-6,
-                                  3.0 - 1e-6, 5.7)],
-          lambda n, j, p: m.m_mult(n, j, p["alpha"])),
-    "Q": ([{"alpha": a} for a in (-2.3, 0.0, 0.6, 1.7, -4.5, 1e-7)],
-          lambda n, j, p: m.q_mult(n, j, p["alpha"])),
-    "Qplus": ([{"mu": 0.9, "nu": 1.7}, {"mu": -1.3, "nu": 4.2}, {"mu": 2.5, "nu": -0.4}],
-              lambda n, j, p: m.qpm_mult(n, j, p["mu"], p["nu"], "plus")),
-    "Qminus": ([{"mu": 0.9, "nu": 1.7}, {"mu": -1.3, "nu": 4.2}, {"mu": 2.5, "nu": -0.4}],
-               lambda n, j, p: m.qpm_mult(n, j, p["mu"], p["nu"], "minus")),
-    "A": ([{"alpha": 1.2, "beta": 0.3}, {"alpha": 0.5, "beta": -0.5},
-           {"alpha": -2.6, "beta": 2.3}, {"alpha": 1.0 + 1e-6, "beta": -5.85}],
-          lambda n, j, p: m.a_mult(n, j, p["alpha"], p["beta"])),
-    "Funk": ([{}], lambda n, j, p: m.funk_mult(n, j)),
-    "Poisson": ([{"t": t} for t in (0.0, 0.5, 0.98)],
-                lambda n, j, p: m.poisson_mult(j, p["t"])),
+    "M": [{"alpha": a} for a in (-5.85, -4.0, -3.0, -1.0, 0.0, 0.5, 1.0 + 1e-6,
+                                 3.0 - 1e-6, 5.7)],
+    "Q": [{"alpha": a} for a in (-2.3, 0.0, 0.6, 1.7, -4.5, 1e-7)],
+    "Qplus": [{"mu": 0.9, "nu": 1.7}, {"mu": -1.3, "nu": 4.2}, {"mu": 2.5, "nu": -0.4}],
+    "Qminus": [{"mu": 0.9, "nu": 1.7}, {"mu": -1.3, "nu": 4.2}, {"mu": 2.5, "nu": -0.4}],
+    "A": [{"alpha": 1.2, "beta": 0.3}, {"alpha": 0.5, "beta": -0.5},
+          {"alpha": -2.6, "beta": 2.3}, {"alpha": 1.0 + 1e-6, "beta": -5.85}],
+    "Funk": [{}],
+    "Poisson": [{"t": t} for t in (0.0, 0.5, 0.98)],
+}
+# family -> its per-degree scalar
+SCALARS = {
+    "M": lambda n, j, p: m.m_mult(n, j, p["alpha"]),
+    "Q": lambda n, j, p: m.q_mult(n, j, p["alpha"]),
+    "Qplus": lambda n, j, p: m.qpm_mult(n, j, p["mu"], p["nu"], "plus"),
+    "Qminus": lambda n, j, p: m.qpm_mult(n, j, p["mu"], p["nu"], "minus"),
+    "A": lambda n, j, p: m.a_mult(n, j, p["alpha"], p["beta"]),
+    "Funk": lambda n, j, p: m.funk_mult(n, j),
+    "Poisson": lambda n, j, p: m.poisson_mult(j, p["t"]),
 }
 
 
 class TestTable:
     def test_families_listed(self):
-        assert set(TABLE_CASES) == set(m.FAMILY_PARAMS)
+        assert set(TABLE_CASES) == set(SCALARS) == set(m.FAMILY_PARAMS)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("family", sorted(TABLE_CASES))
+    def test_matches_mpmath(self, family, n):
+        for params in TABLE_CASES[family]:
+            got = m.table(n, DEGREES, family, **params)
+            # exact zeros (odd degrees, denominator poles) must stay exact
+            np.testing.assert_allclose(got, mp_table(n, family, params), rtol=1e-12,
+                                       atol=0.0, err_msg=f"{family} {params}")
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("family", sorted(TABLE_CASES))
     def test_matches_scalars(self, family, n):
-        cases, scalar = TABLE_CASES[family]
-        for params in cases:
-            want = np.array([scalar(n, int(j), params) for j in DEGREES])
-            got = m.table(n, DEGREES, family, **params)
-            # exact zeros (odd degrees, denominator poles) must stay exact
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
-                                       err_msg=f"{family} {params}")
+        # the per-degree scalars against the same 50-digit reference as ``table``
+        for params in TABLE_CASES[family]:
+            got = np.array([SCALARS[family](n, int(j), params) for j in DEGREES])
+            np.testing.assert_allclose(got, mp_table(n, family, params), rtol=1e-12,
+                                       atol=0.0, err_msg=f"{family} {params}")
 
     def test_broadcasts_over_orders(self):
         alphas = np.array([-2.3, 0.4, 2.6])
@@ -384,9 +450,8 @@ class TestTable:
         ("Qminus", {"mu": 3.0, "nu": 1.0}),          # Gamma(-1) at degree 0
     ])
     def test_numerator_pole_raises_like_scalar(self, family, params):
-        scalar = TABLE_CASES[family][1]
         with pytest.raises(GammaPoleError):
-            scalar(3, 0, params)
+            SCALARS[family](3, 0, params)
         with pytest.raises(GammaPoleError):
             m.table(3, DEGREES, family, **params)
 
@@ -407,8 +472,31 @@ class TestTable:
         assert np.all(got[0::2] != 0.0)
 
     def test_sine_identity_at_zero_is_exact(self):
-        got = m.table(4, DEGREES, "Q", alpha=0.0)
-        assert np.all(got[0::2] == 1.0)
+        for n in (2, 3, 4, 5, 8):
+            got = m.table(n, DEGREES, "Q", alpha=0.0)
+            assert np.all(got[0::2] == 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_bridge_at_equal_orders_is_exactly_one(self, n):
+        # each gamma pair of A(alpha, alpha) has equal arguments
+        alphas = np.array([-5.85 + 0.3 * k for k in range(40)])[:, None]
+        got = m.table(n, DEGREES, "A", alpha=alphas, beta=alphas)
+        assert np.all(got == 1.0)
+
+    @pytest.mark.parametrize("family,params,name", [
+        ("Qplus", {"mu": math.nan, "nu": 1.0}, "mu"),
+        ("Qminus", {"mu": 1.0, "nu": math.nan}, "nu"),
+        ("Qminus", {"mu": 1.0, "nu": np.array([0.5, -math.inf])}, "nu"),
+        ("A", {"alpha": math.nan, "beta": 0.5}, "alpha"),
+        ("A", {"alpha": 0.5, "beta": math.inf}, "beta"),
+    ])
+    def test_non_finite_parameter_raises(self, family, params, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            m.table(3, DEGREES, family, **params)
+        if np.ndim(params[name]) == 0:
+            for j in (0, 1):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SCALARS[family](3, j, params)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -764,14 +764,13 @@ def _degree2_analysis(analyze):
 
 # name -> (module, attribute perturbed, wrapper, the reports it must fail).  Each
 # perturbation sits above the tolerance it targets: 1e-6 relative in the
-# degree-2 Funk moment against the 1e-8 of the spectral checks, 1e-2 in one
-# cosine weight against cosine_funk_limit's 1e-3, and 1e-4 elsewhere
-# against 1e-6.
+# degree-2 Funk moment against the 1e-8 of the spectral checks, and 1e-4
+# elsewhere against 1e-6.
 PERTURBATIONS = {
     "funk_moment": (sp, "zonal_basis", _funk_moment,
-                    ["funk_factorization", "istar_chain", "istar_chain",
+                    ["cosine_funk_limit", "funk_factorization", "istar_chain", "istar_chain",
                      "right_inverse_forms"]),
-    "cosine_weights": (sp, "_cosine_rule", _first_weight(1e-2),
+    "cosine_weights": (sp, "_cosine_rule", _first_weight(1e-4),
                        ["cosine_funk_limit", "cosine_radon_chain", "cross_engine_cosine",
                         "range_swap", "sine_composites"]),
     "sine_weights": (sp, "_sine_rule", _first_weight(1e-4),
@@ -783,10 +782,10 @@ PERTURBATIONS = {
                 ["right_inverse_forms", "right_inverse_reconstruction"]),
     "table_Funk": (sp.mult, "table", _degree2_table("Funk"), ["funk_inversion_spectral"]),
     "analyze_degree2": (sp, "analyze", _degree2_analysis,
-                        ["cosine_radon_chain", "cross_engine_cosine", "funk_factorization",
-                         "istar_chain", "istar_chain", "radon_inversion", "range_swap",
-                         "right_inverse_forms", "right_inverse_reconstruction",
-                         "sine_composites"]),
+                        ["cosine_funk_limit", "cosine_radon_chain", "cross_engine_cosine",
+                         "funk_factorization", "istar_chain", "istar_chain",
+                         "radon_inversion", "range_swap", "right_inverse_forms",
+                         "right_inverse_reconstruction", "sine_composites"]),
 }
 
 

@@ -150,6 +150,11 @@ class TestBallClassSign:
         with pytest.raises(GammaPoleError):
             sb.ball_class_sign(3, 3.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_raises(self, alpha):
+        with pytest.raises(ValueError, match="must be finite"):
+            sb.ball_class_sign(3, alpha)
+
 
 class TestClassify:
     def test_unit_ball_member_at_one(self, ball):

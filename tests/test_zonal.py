@@ -53,6 +53,14 @@ class TestRule:
             G = (Z * rule.weights) @ Z.T
             assert np.abs(G - np.eye(14)).max() < 1e-12
 
+    def test_slice_rule_orthogonality(self):
+        # the slice variable of n = 5 has the zonal weight of dimension 4; the
+        # library's raw Gauss-Jacobi weights miss orthonormality by 2.5e-13 here
+        nodes, weights = zn._slice_rule(5, 128)
+        Z = zn.zonal_basis(4, 127, nodes)
+        G = (Z * weights) @ Z.T
+        assert np.abs(G - np.eye(128)).max() <= 3e-14
+
     def test_rule_is_shared_and_read_only(self):
         rule = zn.gauss_jacobi_rule(5, 6)
         assert zn.gauss_jacobi_rule(5, 6) is rule
