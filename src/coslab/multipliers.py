@@ -115,12 +115,16 @@ _LATTICES = {
 
 
 def check_order(n: int, alpha, family: Family | str, i: int | None = None):
-    """Return alpha (a float or an array) if none of its orders is ``excluded``.
+    """Return alpha (a float or an array) if its orders are finite and none is ``excluded``.
 
-    Otherwise raise ExcludedParameterError naming the family's lattice.
+    A non-finite order raises ValueError; one on the family's lattice
+    raises ExcludedParameterError naming that lattice.
     """
     bad = _excluded_mask(n, alpha, family, i)
-    if np.any(bad):
+    if np.any(bad):                         # the mask holds non-finite orders too
+        finite = np.isfinite(alpha)
+        if not np.all(finite):
+            raise ValueError(f"alpha must be finite, got {np.asarray(alpha)[~finite].flat[0]}")
         lattice = _LATTICES[Family(family)].format(n=n, i=i)
         raise ExcludedParameterError(f"alpha={np.asarray(alpha)[bad].flat[0]} is on {lattice}")
     return alpha

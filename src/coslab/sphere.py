@@ -8,12 +8,14 @@ one real FFT per latitude ring and one batched matrix product over all
 longitudinal orders: each grid's Legendre table is stored folded, orders
 m and L-m sharing one (L+2)-row block (see :func:`_fold_layout`), so the
 triangle of per-order blocks fills a rectangle and every order goes
-through the same product.  Evaluation at
-arbitrary points shares none of those tables: its own float recurrence,
-run along the diagonals j = m + k for all orders at once and folded into
-each order's amplitudes step by step, samples the series at L+2
-colatitudes; one real FFT turns that into a Fourier series in colatitude
-for each order, which two matrix products per chunk of points then sum.
+through the same product.  One recurrence, :func:`_diagonal_rows`, runs
+along the diagonals j = m + k for all orders at once: in long double at
+the Gauss nodes for the tables, and in float at L+2 colatitudes for
+evaluation at arbitrary points, which reads its coefficients from the
+same folded layout but no table.  One real FFT turns those samples into a
+Fourier series in colatitude for each order, which two matrix products
+per chunk of points then sum.  Table-vs-point agreement thus compares two
+routes: different nodes, different precision, no shared table.
 
 Subspace-valued functions (lines through the origin, planes through the
 origin) are carried as even functions on the sphere: a line is keyed by
@@ -147,36 +149,52 @@ class S2Grid:
         return it, ip
 
 
+def _diagonal_rows(L: int, t: np.ndarray, s: np.ndarray):
+    """Yield P-bar_{m+k,m}(t), orders m = 0..L-k, for each diagonal k = 0..L in turn.
+
+    Normalized by (1/2) int P-bar^2 dt = 1, no Condon-Shortley phase; s is
+    sqrt(1 - t^2).  Diagonal 0 is P-bar_{m,m} = prod_{i<=m} sqrt((2i+1)/(2i)) s;
+    the three-term recurrence in j gives each later one from the two before.
+    All runs in the dtype of t, constants too (from exact integers).  Each
+    yielded (L+1-k, len(t)) array feeds the next step: callers only read it.
+    """
+    dt = t.dtype
+    m = np.arange(L + 1)
+    step = np.sqrt(np.asarray(2 * m + 1, dt) / np.asarray(np.maximum(2 * m, 1), dt))
+    step = step[:, None] * s
+    step[0] = 1.0
+    prev = np.cumprod(step, axis=0)
+    yield prev
+    j = m + np.arange(1, L + 1)[:, None]
+    a_diag = np.sqrt(np.asarray(4 * j * j - 1, dt) / np.asarray(j * j - m * m, dt))  # row k-1
+    prev2, a_prev = np.zeros_like(prev), np.ones((L + 1, 1), dtype=dt)
+    for k in range(1, L + 1):
+        n = L + 1 - k                       # orders m with a degree j = m + k <= L
+        a = a_diag[k - 1, :n, None]
+        cur = t * prev[:n]
+        cur -= prev2[:n] / a_prev[:n]
+        cur *= a
+        yield cur
+        prev2, prev, a_prev = prev, cur, a
+
+
 def _legendre_blocks(L: int, t: np.ndarray) -> np.ndarray:
     """P-bar_{j,m}(t), folded as in :meth:`S2Grid.legendre_table`.
 
-    Normalized by (1/2) int P-bar^2 dt = 1, no Condon-Shortley phase.  The
-    three-term recurrence in j runs along the diagonals j = m + k, all
-    orders at once, in long double with long-double constants.  Rows land
-    in the folded float table (sqrt(2) applied for m >= 1 before rounding)
-    from the row :func:`_fold_layout` gives each order's P-bar_{m,m} on.
+    The rows of :func:`_diagonal_rows`, run in long double, land in the
+    folded float table (sqrt(2) applied for m >= 1 before rounding) from
+    the row :func:`_fold_layout` gives each order's P-bar_{m,m} on.
     """
     ld = np.longdouble
     t = np.asarray(t, dtype=ld)
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    m = np.arange(L + 1)
     start = _fold_layout(L).start
-    # sectoral values: P-bar_{m,m} = prod_{i<=m} sqrt((2i+1)/(2i)) s
-    step = np.sqrt(ld(2 * m + 1) / ld(np.maximum(2 * m, 1)))[:, None] * s
-    step[0] = 1.0
-    prev = np.cumprod(step, axis=0)
-    scale = np.where(m > 0, np.sqrt(ld(2)), ld(1))[:, None]
+    scale = np.where(np.arange(L + 1) > 0, np.sqrt(ld(2)), ld(1))[:, None]
     table = np.zeros((L // 2 + 1, L + 2, t.shape[0]))
     flat = table.reshape(-1, t.shape[0])
-    flat[start] = scale * prev
-    prev2, a_prev = np.zeros_like(prev), np.ones((L + 1, 1), dtype=ld)
-    for k in range(1, L + 1):
-        n = L + 1 - k                       # orders m with a degree j = m + k <= L
-        j = m[:n] + k
-        a = np.sqrt(ld(4 * j * j - 1) / ld(j * j - m[:n] ** 2))[:, None]
-        cur = a * (t * prev[:n] - prev2[:n] / a_prev[:n])
-        flat[start[:n] + k] = scale[:n] * cur
-        prev2, prev, a_prev = prev, cur, a
+    for k, rows in enumerate(_diagonal_rows(L, t, s)):
+        n = rows.shape[0]
+        flat[start[:n] + k] = scale[:n] * rows
     table.flags.writeable = False           # shared by every caller on the grid
     return table
 
@@ -337,23 +355,6 @@ def _check_resolution(grid: S2Grid, L: int) -> None:
             f"grid {grid.n_theta}x{grid.n_phi} cannot resolve band limit {L}")
 
 
-@functools.lru_cache(maxsize=32)
-def _order_layout(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Order-major positions of the coefficients c_{j,m} and c_{j,-m}.
-
-    Column r of ``idx`` holds the flat indices of the pair (c_{j,m},
-    c_{j,-m}), m = 0..L, j = m..L; order m fills columns
-    offsets[m]:offsets[m+1].  The sine index of m = 0 is (L+1)^2, one past
-    the end, where callers keep a zero.
-    """
-    m, j = np.triu_indices(L + 1)
-    centre = j * (j + 1)
-    idx = np.stack((centre + m, np.where(m > 0, centre - m, (L + 1) ** 2)))
-    offsets = np.concatenate(([0], np.cumsum(np.arange(L + 1, 0, -1))))
-    idx.flags.writeable = offsets.flags.writeable = False    # shared by every caller
-    return idx, offsets
-
-
 class _Fold(NamedTuple):
     """Index maps of the folded layout at one band limit; see :func:`_fold_layout`."""
 
@@ -392,10 +393,12 @@ def _fold_layout(L: int) -> _Fold:
     return fold
 
 
-def _order_pairs(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
-    """[c_{j,m}; c_{j,-m}] in order-major layout (sine row 0 at m = 0), and the offsets."""
-    idx, offsets = _order_layout(c.L)
-    return np.append(c.coeffs, 0.0)[idx], offsets
+def _packed(c: HarmonicCoeffs, scale) -> np.ndarray:
+    """c.coeffs * scale in the folded (L//2+1, L+2, 4) layout of :func:`_fold_layout`."""
+    L = c.L
+    packed = np.zeros((L // 2 + 1, L + 2, 4))
+    packed.reshape(-1)[_fold_layout(L).slots] = c.coeffs * scale
+    return packed
 
 
 def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
@@ -431,9 +434,7 @@ def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
     L = c.L
     _check_resolution(grid, L)
     fold = grid.legendre_table(L)
-    layout = _fold_layout(L)
-    packed = np.zeros((L // 2 + 1, L + 2, 4))
-    packed.reshape(-1)[layout.slots] = c.coeffs * layout.to_spectrum
+    packed = _packed(c, _fold_layout(L).to_spectrum)
     amp = (fold.transpose(0, 2, 1) @ packed).view(complex)   # (block, ring, order)
     spec = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
     spec[:, :L // 2 + 1] = amp[:, :, 0].T   # orders p
@@ -445,39 +446,27 @@ def _colatitude_samples(c: HarmonicCoeffs) -> np.ndarray:
     """Each order's amplitudes g_m, h_m at the L+2 colatitudes pi q/(L+1).
 
     Shape (order, cos/sin amplitude, q); see :func:`_colatitude_series`.
-    The three-term recurrence in j runs in float along the diagonals
-    j = m + k, all orders at once, from the sectoral rows
-    P-bar_{m,m} (one cumulative product over orders).  Step k adds each
-    order's new row, times its pair of coefficients, to that order's
+    Step k of :func:`_diagonal_rows`, run in float, adds each order's row
+    P-bar_{m+k,m}, times its pair of coefficients, to that order's
     amplitudes for the parity of k, so no table of rows is kept and the
-    working memory is O(L^2).  The recurrence runs on the northern
+    working memory is O(L^2).  In the folded layout of :func:`_packed`,
+    seen as (cos/sin, 2 x row + [2m > L]), that pair is column
+    2 start[m] + [2m > L] + 2k.  The recurrence runs on the northern
     colatitudes q <= (L+1)/2 only: P-bar_{j,m}(-t) = (-1)^(j-m) P-bar_{j,m}(t)
     gives the southern ones from the two parity sums.
     """
     L = c.L
     h = (L + 3) // 2                        # q <= (L+1)/2: the equator too when L is odd
     theta = np.pi * np.arange(h) / (L + 1)
-    t, s = np.cos(theta), np.sin(theta)
-    pairs, offsets = _order_pairs(c)
-    pairs[:, offsets[1]:] *= math.sqrt(2.0)
     m = np.arange(L + 1)
-    step = np.sqrt((2.0 * m + 1.0) / np.maximum(2.0 * m, 1.0))[:, None] * s
-    step[0] = 1.0
-    prev = np.cumprod(step, axis=0)         # P-bar_{m,m}, row m
-    diag = np.arange(1, L + 1)[:, None]
-    j = m + diag
-    a_diag = np.sqrt((4.0 * j * j - 1.0) / (diag * (j + m)))     # row k-1: degree j = m + k
+    real = np.full((L + 1) ** 2, math.sqrt(2.0))
+    real[m * (m + 1)] = 1.0                 # c_{j,0}; the real basis has sqrt(2) for m >= 1
+    pairs = _packed(c, real).reshape(-1, 2).T
+    first = 2 * _fold_layout(L).start + (2 * m > L)
     acc = np.zeros((2, 2, L + 1, h))        # (parity of k, cos/sin, order, colatitude)
-    acc[0] = pairs[:, offsets[:-1], None] * prev
-    prev2, a_prev = np.zeros_like(prev), np.ones((L + 1, 1))
-    for k in range(1, L + 1):
-        n = L + 1 - k                       # orders m with a degree j = m + k <= L
-        a = a_diag[k - 1, :n, None]
-        cur = t * prev[:n]
-        cur -= prev2[:n] / a_prev[:n]
-        cur *= a
-        acc[k % 2, :, :n] += pairs[:, offsets[:n] + k, None] * cur
-        prev2, prev, a_prev = prev, cur, a
+    for k, rows in enumerate(_diagonal_rows(L, np.cos(theta), np.sin(theta))):
+        n = rows.shape[0]
+        acc[k % 2, :, :n] += pairs[:, first[:n] + 2 * k, None] * rows
     g = np.empty((L + 1, 2, L + 2))
     g[..., :h] = (acc[0] + acc[1]).transpose(1, 0, 2)
     g[..., h:] = (acc[0] - acc[1]).transpose(1, 0, 2)[..., L + 1 - h::-1]
@@ -544,15 +533,14 @@ def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
 
     A non-finite point or one of zero length raises ValueError.  Independent
     of the grid tables: the series is first written as a Fourier series in
-    colatitude for each order (:func:`_colatitude_series`, which runs its
-    own float recurrence along the diagonals j = m + k at L+2
-    colatitudes).  At each point, cos(k theta), sin(k theta), cos(m phi)
-    and sin(m phi) then come from the point's own coordinates by angle
-    addition; two matrix products give every order's cos(m phi) and
-    sin(m phi) amplitude, and one sum over m adds them up.
-    Points go through in chunks of _POINT_CHUNK / (L+1), so each of the
-    chunk's (L+1)-row blocks holds about _POINT_CHUNK numbers however many
-    points there are.
+    colatitude for each order (:func:`_colatitude_series`, which runs
+    :func:`_diagonal_rows` in float at L+2 colatitudes).  At each point,
+    cos(k theta), sin(k theta), cos(m phi) and sin(m phi) come from the
+    point's own coordinates by angle addition; two matrix products give
+    every order's cos(m phi) and sin(m phi) amplitude, and one sum over m
+    adds them up.  Points go through in chunks of _POINT_CHUNK / (L+1), so
+    each of the chunk's (L+1)-row blocks holds about _POINT_CHUNK numbers
+    however many points there are.
     """
     L = c.L
     pts = np.asarray(points, dtype=float)
@@ -684,10 +672,12 @@ def radon_r1(f: GridFunction, line: np.ndarray, L: int | None = None) -> float |
 
     The unit 0-sphere along the line carries the two antipodal points with
     equal mass 1/2, so the transform is (f(u) + f(-u)) / 2 evaluated by
-    synthesis at the line's direction u (or an array of directions).
+    synthesis at the line's direction u (or an array of directions).  A
+    non-finite line or one of zero length raises ValueError.
     """
-    c = analyze(f, f.grid.band_limit if L is None else L)
     u = np.asarray(line, dtype=float)
+    _lengths(u.reshape(-1, 3), "line")
+    c = analyze(f, f.grid.band_limit if L is None else L)
     ends = synthesize_at(c, np.stack((u, -u)))
     return 0.5 * (ends[0] + ends[1])
 

@@ -246,13 +246,16 @@ def zonal_apply(f: ZonalFunction, family: str, **params) -> ZonalFunction:
 
 def _check_direct_order(n: int, alpha: float, family: mult.Family,
                         i: int | None = None) -> None:
-    """Guard of every direct engine: the quadrature window, then the lattice.
+    """Guard of every direct engine: finiteness, the quadrature window, then the lattice.
 
-    Raises QuadratureWindowError unless alpha lies in ALPHA_WINDOW, then
-    ExcludedParameterError if it is on the family's lattice.
+    Raises ValueError for a non-finite alpha, QuadratureWindowError unless
+    alpha lies in ALPHA_WINDOW, then ExcludedParameterError if it is on the
+    family's lattice.
     """
     lo, hi = ALPHA_WINDOW
     if not (lo < alpha <= hi):
+        if not np.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha}")
         raise QuadratureWindowError(
             f"direct quadrature validated for {lo} < alpha <= {hi}, got {alpha}"
         )

@@ -65,6 +65,8 @@ class TestMultiplier:
         ["--family", "a", "--alpha", "nan", "--beta", "0.5"],
         ["--family", "qplus", "--mu", "-inf", "--nu", "1"],
         ["--family", "a", "--alpha", "0.5", "--beta", "inf"],
+        ["--family", "m", "--alpha", "nan"],
+        ["--family", "q", "--alpha", "inf"],
     ])
     def test_non_finite_family_parameter_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "multiplier", *argv)
@@ -231,6 +233,15 @@ class TestApply:
                          "--alpha", "3.5", "--input", str(ones_grid_file),
                          "--output", str(tmp_path / "x.json"))
         assert code == 3
+
+    @pytest.mark.parametrize("method", ["direct", "spectral"])
+    def test_non_finite_order_exits_2(self, capsys, tmp_path, ones_grid_file, method):
+        code, out, err = run(capsys, "apply", "--op", "cosine", "--method", method,
+                             "--alpha", "nan", "--input", str(ones_grid_file),
+                             "--output", str(tmp_path / "x.json"))
+        assert code == 2
+        assert err.startswith("error:") and "alpha must be finite" in err
+        assert err.count("\n") == 1 and out == ""
 
     def test_representation_mismatch_exits_4(self, capsys, tmp_path, ones_grid_file):
         code, _, _ = run(capsys, "apply", "--op", "dualradon", "--input",

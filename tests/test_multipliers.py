@@ -63,6 +63,10 @@ class TestExcluded:
         (5, 5.0, "K_class", True),
         (3, -4.0 + 5e-9, "K_class", True),
         (3, 0.5, "K_class", False),
+        # check_order rejects these as argument errors; sweeps still skip them
+        (3, math.nan, "M", True),
+        (3, math.inf, "Q", True),
+        (3, -math.inf, "K_class", True),
     ])
     def test_lattices(self, n, alpha, family, expected):
         assert m.excluded(n, alpha, family) is expected
@@ -456,7 +460,7 @@ class TestTable:
             m.table(3, DEGREES, family, **params)
 
     @pytest.mark.parametrize("family,alpha", [
-        ("M", 1.0), ("M", 3.0 + 5e-9), ("Q", 3.0), ("Q", 5.0 - 5e-9), ("M", math.nan),
+        ("M", 1.0), ("M", 3.0 + 5e-9), ("Q", 3.0), ("Q", 5.0 - 5e-9),
     ])
     def test_excluded_order_raises(self, family, alpha):
         with pytest.raises(ExcludedParameterError, match="lattice"):
@@ -489,6 +493,9 @@ class TestTable:
         ("Qminus", {"mu": 1.0, "nu": np.array([0.5, -math.inf])}, "nu"),
         ("A", {"alpha": math.nan, "beta": 0.5}, "alpha"),
         ("A", {"alpha": 0.5, "beta": math.inf}, "beta"),
+        ("M", {"alpha": math.nan}, "alpha"),
+        ("Q", {"alpha": math.inf}, "alpha"),
+        ("M", {"alpha": np.array([0.5, math.nan, 1.0])}, "alpha"),    # not the lattice at 1
     ])
     def test_non_finite_parameter_raises(self, family, params, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -617,3 +624,44 @@ class TestIdentitySuiteArrays:
         for name in ("cosine_bridge", "bridge_factors"):
             assert reports[name].params["skipped"] == 1
             assert reports[name].passed
+
+
+# --- perturbation table: every identity report can fail -----------------------
+
+# (family, relative size epsilon of the perturbation, reports that must fail)
+PERTURBATIONS = [
+    ("M", 1e-6, {"inversion", "semigroup"}),
+    ("Q", 1e-6, {"semigroup", "composite_const"}),
+    ("A", 1e-6, {"cosine_bridge", "bridge_factors"}),
+    ("Qplus", 1e-6, {"bridge_factors"}),
+    ("Qminus", 1e-6, {"bridge_factors"}),
+    ("M", 0.05, {"asymptotics", "inversion", "semigroup"}),   # asymptotics has a 2 % band
+]
+VERIFY_GRID = [-6.0 + (k + 0.5) * 0.3 for k in range(40)]    # the CLI's alpha grid
+
+
+def failing_reports():
+    return {r.identity for r in m.check_identities(3, 200, VERIFY_GRID) if not r.passed}
+
+
+class TestPerturbations:
+    def test_unperturbed_suite_passes(self):
+        assert failing_reports() == set()
+
+    @pytest.mark.parametrize("family,eps,fails", PERTURBATIONS)
+    def test_perturbed_family_fails_its_reports(self, monkeypatch, family, eps, fails):
+        # Gamma(2 + delta) / Gamma(2) = 1 + eps to first order, delta = eps / psi(2),
+        # in the scalar and the array evaluator alike
+        pair = (2.0 + eps / (1.0 - np.euler_gamma), 2.0)
+        args = m._gamma_args
+
+        def perturbed(n, j, fam, params):
+            pairs = args(n, j, fam, params)
+            return pairs + [pair] if fam == family else pairs
+
+        monkeypatch.setattr(m, "_gamma_args", perturbed)
+        assert failing_reports() == fails
+
+    def test_every_report_is_covered(self):
+        names = {r.identity for r in m.check_identities(3, 20, VERIFY_GRID)}
+        assert set().union(*(fails for _, _, fails in PERTURBATIONS)) == names

@@ -563,6 +563,13 @@ class TestFunkDirect:
         with pytest.raises(ValueError, match="normals must have finite nonzero length"):
             sp.kernel_at(c, normals[1], *sp._cosine_rule(3, 1.5, 4))
 
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [0.0, np.inf, 1.0]])
+    def test_lines_without_direction_raise(self, grid, bad):
+        f = sp.GridFunction(grid, np.ones((24, 48)))
+        for line in (bad, [[0.0, 0.0, 1.0], bad]):
+            with pytest.raises(ValueError, match="line must have finite nonzero length"):
+                sp.radon_r1(f, line, L=4)
+
     def test_constant(self, grid):
         out = sp.funk_direct(sp.GridFunction(grid, np.full((24, 48), 2.5)), L=2)
         assert np.abs(out.values - 2.5).max() < 1e-13

@@ -227,6 +227,9 @@ class TestCosineDirect:
             zn.zonal_cosine_direct(3, f, 3.5, 0.0)
         with pytest.raises(QuadratureWindowError):
             zn.zonal_cosine_direct(3, f, 0.0, 0.0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                zn.zonal_cosine_direct(3, f, alpha, 0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.5, 2.9])
