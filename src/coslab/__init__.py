@@ -25,7 +25,6 @@ from .errors import (
     GridTooCoarseError,
     InsufficientRuleError,
     NonPositiveBodyError,
-    NumeratorPoleError,
     OddInputError,
     QuadratureWindowError,
     RepresentationError,

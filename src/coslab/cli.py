@@ -55,6 +55,11 @@ _EXIT_CODES = ((_PARAM_ERRORS, EXIT_PARAM), (RepresentationError, EXIT_REPR),
                (_BODY_ERRORS, EXIT_BODY))
 # --family choice -> multiplier family of multipliers.table
 _FAMILIES = {family.lower(): family for family in mult.FAMILY_PARAMS}
+# every family parameter, each a flag of `multiplier` and some of `apply`
+_PARAM_NAMES = tuple(dict.fromkeys(name for names in mult.FAMILY_PARAMS.values()
+                                   for name in names))
+# apply --op choice -> the multiplier family it applies, for the ops that have one
+_OP_FAMILIES = {"cosine": "M", "funk": "Funk", "qalpha": "Q", "poisson": "Poisson"}
 
 
 def _read_config(path: str | None) -> dict:
@@ -104,18 +109,31 @@ def _setting(args, cfg: dict, name: str, default, cast):
 # --- multiplier ----------------------------------------------------------------
 
 
+def _family_params(args, what: str, reads, defaults: dict) -> dict:
+    """The parameter flags that ``what`` reads, by name; exit 2 if a flag it does
+    not read is given, or if one it reads is missing and has no default."""
+    unread = [f"--{name}" for name in _PARAM_NAMES
+              if name not in reads and getattr(args, name, None) is not None]
+    if unread:
+        raise argparse.ArgumentTypeError(f"{what} does not read {' or '.join(unread)}")
+    params = {name: getattr(args, name) for name in reads}
+    missing = [f"--{name}" for name, value in params.items()
+               if value is None and name not in defaults]
+    if missing:
+        raise argparse.ArgumentTypeError(f"{what} needs {' and '.join(missing)}")
+    return {name: defaults[name] if value is None else value
+            for name, value in params.items()}
+
+
 def _cmd_multiplier(args) -> int:
     family = _FAMILIES[args.family]
-    names = mult.FAMILY_PARAMS[family]
-    missing = [f"--{name}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise argparse.ArgumentTypeError(
-            f"family {args.family!r} needs {' and '.join(missing)}")
+    # an absent --alpha is order 0
+    params = _family_params(args, f"family {args.family!r}", mult.FAMILY_PARAMS[family],
+                            {"alpha": 0.0})
     if args.jmax < 0:
         raise argparse.ArgumentTypeError(f"--jmax must be at least 0, got {args.jmax}")
     degrees = np.arange(args.jmax + 1)
-    values = mult.table(args.n, degrees, family,
-                        **{name: getattr(args, name) for name in names})
+    values = mult.table(args.n, degrees, family, **params)
     rows = list(zip(degrees.tolist(), values.tolist()))
     if args.format == "json":
         print(json.dumps([{"j": j, "value": v} for j, v in rows], indent=1))
@@ -208,32 +226,13 @@ def _apply_zonal_direct(f: ZonalFunction, direct, param: float) -> ZonalFunction
 
 
 def _cmd_apply(args) -> int:
-    obj = load_object(args.input)
     op, method = args.op, args.method
-    meta = {"op": op, "method": method}
-    if args.alpha is not None:
-        meta["alpha"] = args.alpha
-    if args.t is not None:
-        meta["t"] = args.t
+    family = _OP_FAMILIES.get(op)
+    params = _family_params(args, f"op {op!r}", mult.FAMILY_PARAMS.get(family, ()), {})
+    obj = load_object(args.input)
+    meta = {"op": op, "method": method, **params}
 
-    def need_alpha() -> float:
-        if args.alpha is None:
-            raise argparse.ArgumentTypeError(f"op {op!r} needs --alpha")
-        return args.alpha
-
-    def need_t() -> float:
-        if args.t is None:
-            raise argparse.ArgumentTypeError(f"op {op!r} needs --t")
-        return args.t
-
-    if op in ("cosine", "funk", "qalpha", "poisson"):
-        family, params = {
-            "cosine": ("M", lambda: {"alpha": need_alpha()}),
-            "funk": ("Funk", lambda: {}),
-            "qalpha": ("Q", lambda: {"alpha": need_alpha()}),
-            "poisson": ("Poisson", lambda: {"t": need_t()}),
-        }[op]
-        params = params()
+    if family is not None:
         if isinstance(obj, GridFunction):
             if method == "spectral":
                 out = _spectral_grid(obj, family, **params)
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("multiplier", help="tabulate family multipliers")
     pm.add_argument("--family", required=True, choices=list(_FAMILIES))
     pm.add_argument("--n", type=int, default=3)
-    pm.add_argument("--alpha", type=float, default=0.0)
+    pm.add_argument("--alpha", type=float)
     pm.add_argument("--beta", type=float)
     pm.add_argument("--mu", type=float)
     pm.add_argument("--nu", type=float)

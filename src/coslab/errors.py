@@ -9,10 +9,6 @@ class ExcludedParameterError(CoslabError):
     """Order parameter lies on (or within the pole guard of) an excluded lattice."""
 
 
-class NumeratorPoleError(CoslabError):
-    """A multiplier numerator gamma pole; no coslab function raises it any more."""
-
-
 class GammaPoleError(CoslabError):
     """A gamma factor was requested exactly at a nonpositive-integer argument."""
 

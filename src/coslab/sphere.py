@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import multipliers as mult
-from .zonal import (_POINT_CHUNK, _check_direct_order, _cosine_rule, _jacobi_rule,
+from .zonal import (_POINT_CHUNK, _check_direct_order, _cosine_rule, _gauss_rule,
                     gauss_jacobi_rule, zonal_basis)
 from .errors import (
     GridTooCoarseError,
@@ -630,8 +630,9 @@ def _funk_hecke(f: GridFunction, L: int, s: np.ndarray, w: np.ndarray) -> GridFu
 
 def _sine_rule(alpha: float, L: int, const: float) -> tuple[np.ndarray, np.ndarray]:
     """Rule for const (1 - s^2)^((alpha-2)/2): a symmetric Jacobi rule, exact to degree L."""
-    x, w = _jacobi_rule(L // 2 + 2, (alpha - 2.0) / 2.0, (alpha - 2.0) / 2.0)
-    return x, w * (0.5 * const)
+    x, w = _gauss_rule(L // 2 + 2, (alpha - 2.0) / 2.0, (alpha - 2.0) / 2.0)
+    mass = math.sqrt(math.pi) * math.gamma(alpha / 2.0) / math.gamma((alpha + 1.0) / 2.0)
+    return x, w * (0.5 * mass * const)
 
 
 def cosine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFunction:

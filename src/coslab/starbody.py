@@ -17,12 +17,11 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammasgn
 
 from . import multipliers as mult
 from . import sphere
 from . import zonal as zn
-from ._gamma import gamma_ratio
+from ._gamma import _sign, gamma_ratio
 from .errors import (
     BadShapeParamsError,
     ExcludedParameterError,
@@ -308,7 +307,7 @@ def embeds_in_Lp(body: StarBody, p: float) -> ClassVerdict:
         raise ValueError(f"embedding exponent must be finite, got {p}")
     if p <= 0:
         raise ExcludedParameterError(f"embedding exponent must be positive, got {p}")
-    return _signed_verdict(body, -p, float(gammasgn(-p / 2.0)), 0.98, 1e-7, None)
+    return _signed_verdict(body, -p, _sign(-p / 2.0), 0.98, 1e-7, None)
 
 
 # --- identity checks ----------------------------------------------------------

@@ -18,7 +18,9 @@ part of the integrand drops, and the substitution v = s^2 turns the
 cosine kernel of :mod:`coslab.sphere`), so the rule is exact for
 band-limited profiles; the azimuthal average is likewise exact.  No gamma
 identities enter this path beyond the normalization constant in the
-operator's definition.
+operator's definition.  Every Gauss rule of the package, zonal, grid,
+slice, cosine and sine, comes from ``_gauss_rule`` on the orthonormal
+Jacobi recurrence that ``zonal_basis`` also runs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_jacobi, roots_jacobi
 
 from . import multipliers as mult
 from .errors import (
@@ -110,81 +111,85 @@ class ZonalFunction:
         return cls(n=int(d["n"]), coeffs=coeffs)
 
 
-def _recurrence_sqrt_b(n: int, k_max: int, dtype=np.dtype(float)) -> np.ndarray:
-    """sqrt(b_k), k = 1..k_max, for the orthonormal three-term recurrence.
+def _jacobi_coefficients(K: int, a: float, b: float, dtype) -> tuple:
+    """Monic recurrence coefficients of the weight (1-x)^a (1+x)^b, in ``dtype``:
+    alpha_k, k < K (None when a = b), and sqrt(beta_k), k <= K (sqrt(beta_0) = 0).
+    beta_1 is in the cancelled form that a + b = -1 needs; at a = b = (n-3)/2
+    every factor is exact, so each beta_k is rounded once."""
+    a, b = dtype.type(a), dtype.type(b)
+    beta = np.zeros(K + 1, dtype=dtype)
+    c = 2 + a + b
+    beta[1:2] = 4 * (1 + a) * (1 + b) / (c * c * (c + 1))      # no beta_1 when K = 0
+    k = np.arange(2, K + 1, dtype=dtype)
+    s = 2 * k + a + b
+    beta[2:] = 4 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1))
+    if a == b:
+        return None, np.sqrt(beta)
+    s = 2 * np.arange(1, K, dtype=dtype) + a + b
+    alpha = np.concatenate(([(b - a) / c], (b * b - a * a) / (s * (s + 2))))
+    return alpha, np.sqrt(beta)
 
-    b_1 = 1/n and b_k = k (k+n-3) / ((2k+n-2)(2k+n-4)) for k >= 2; these are
-    the monic recurrence coefficients of the weight (1-t^2)^((n-3)/2).
-    Computed in ``dtype`` from exact integers.
-    """
-    b = np.empty(k_max + 1, dtype=dtype)
-    b[0] = np.nan  # unused
-    if k_max >= 1:
-        b[1] = dtype.type(1) / n
-    k = np.arange(2, k_max + 1).astype(dtype)
-    b[2:] = k * (k + n - 3) / ((2 * k + n - 2) * (2 * k + n - 4))
-    return np.sqrt(b)
+
+def _jacobi_rows(x: np.ndarray, alpha, sb: np.ndarray) -> np.ndarray:
+    """Rows p_0 = 1, ..., p_K at x of the polynomials orthonormal for the probability
+    weight, by sb_k p_k = (x - alpha_(k-1)) p_(k-1) - sb_(k-1) p_(k-2) in the dtype
+    of x, where (alpha, sb) is :func:`_jacobi_coefficients`; shape (K+1, len(x))."""
+    X = [x] * len(sb) if alpha is None else x - alpha[:, None]     # X[k] = x - alpha_k
+    P = np.empty((len(sb), x.shape[0]), dtype=x.dtype)
+    P[0] = 1.0
+    for k in range(1, len(sb)):
+        P[k] = X[0] / sb[1] if k == 1 else (X[k - 1] * P[k - 1] - sb[k - 1] * P[k - 2]) / sb[k]
+    return P
 
 
 def zonal_basis(n: int, J: int, t) -> np.ndarray:
     """Evaluate the orthonormal zonal polynomials Z_0..Z_J at points t.
 
     Returns an array of shape (J+1, len(t)), long double for long-double t
-    and float otherwise.  For n = 3 these are sqrt(2j+1) P_j(t).
+    and float otherwise: the Jacobi rows at a = b = (n-3)/2, for n = 3 sqrt(2j+1) P_j(t).
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     t = np.atleast_1d(np.asarray(t))
     t = t.astype(np.result_type(t, float), copy=False)
-    Z = np.empty((J + 1, t.shape[0]), dtype=t.dtype)
-    Z[0] = 1.0
-    if J == 0:
-        return Z
-    sb = _recurrence_sqrt_b(n, J, t.dtype)
-    Z[1] = t / sb[1]
-    for k in range(2, J + 1):
-        Z[k] = (t * Z[k - 1] - sb[k - 1] * Z[k - 2]) / sb[k]
-    return Z
+    return _jacobi_rows(t, *_jacobi_coefficients(J, (n - 3) / 2.0, (n - 3) / 2.0, t.dtype))
 
 
-def _basis_derivative(n: int, t: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """t-derivatives of the rows Z = zonal_basis(n, J, t), in the dtype of t."""
-    J = Z.shape[0] - 1
-    dZ = np.zeros_like(Z)
-    if J == 0:
-        return dZ
-    sb = _recurrence_sqrt_b(n, J, t.dtype)
-    dZ[1] = 1 / sb[1]
-    for k in range(2, J + 1):
-        dZ[k] = (Z[k - 1] + t * dZ[k - 1] - sb[k - 1] * dZ[k - 2]) / sb[k]
-    return dZ
+def _gauss_rule(N: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """N-point Gauss rule (float nodes ascending, weights) for the probability weight
+    ~ (1-x)^a (1+x)^b.  The eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp.
+    23, 1969) start three long-double Newton steps on the recurrence, with p_N' from
+    (1-x^2) p_N' = N ((a-b)/(2N+a+b) - x) p_N + (2N+a+b+1) sqrt(beta_N) p_(N-1); for a = b
+    the nodes are made antisymmetric.  Weights: Christoffel numbers 1/sum_(k<N) p_k^2."""
+    alpha, sb = _jacobi_coefficients(N, a, b, np.dtype(np.longdouble))
+    jacobi = np.diag(sb[1:N].astype(float), -1)
+    if alpha is not None:
+        jacobi += np.diag(alpha.astype(float))
+    x = np.linalg.eigvalsh(jacobi).astype(np.longdouble)
+    shift, scale = (a - b) / (2 * N + a + b), (2 * N + a + b + 1) * sb[N]
+    for _ in range(3):
+        P = _jacobi_rows(x, alpha, sb)
+        x = x - (1 - x * x) * P[N] / (N * (shift - x) * P[N] + scale * P[N - 1])
+    if a == b:
+        x = 0.5 * (x - x[::-1])       # enforce exact antisymmetry
+    P = _jacobi_rows(x, alpha, sb)[:N]
+    w = 1.0 / np.sum(P * P, axis=0)
+    return x.astype(float), (w / w.sum()).astype(float)
 
 
 @functools.lru_cache(maxsize=32)
 def gauss_jacobi_rule(n: int, N: int) -> JacobiRule:
     """N-point Gauss rule, probability-normalized, exact to degree 2N-1.
 
-    Library nodes/weights carry an orthogonality defect around 1e-14, which
-    downstream order-negative multipliers amplify; the nodes are therefore
-    polished by Newton iteration on the orthonormal polynomial in extended
-    precision, with the weights recomputed as Christoffel numbers.  Each
-    (n, N) rule is built once per process and returned read-only.
+    :func:`_gauss_rule` for the weight (1-t^2)^((n-3)/2).  Unpolished nodes carry
+    an orthogonality defect around 1e-14, which order-negative multipliers amplify;
+    its long-double polish removes it.  Built once per (n, N), returned read-only.
     """
     if N < 1:
         raise ValueError(f"need at least one node, got N={N}")
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    mu = (n - 3) / 2.0
-    nodes, _ = roots_jacobi(N, mu, mu)
-    x = nodes.astype(np.longdouble)
-    for _ in range(3):
-        Z = zonal_basis(n, N, x)
-        x = x - Z[N] / _basis_derivative(n, x, Z)[N]
-    x = 0.5 * (x - x[::-1])       # enforce exact antisymmetry
-    Z = zonal_basis(n, N - 1, x)
-    w = 1.0 / np.sum(Z * Z, axis=0)
-    w = w / w.sum()
-    nodes, weights = x.astype(float), w.astype(float)
+    nodes, weights = _gauss_rule(N, (n - 3) / 2.0, (n - 3) / 2.0)
     nodes.flags.writeable = weights.flags.writeable = False    # shared by every caller
     return JacobiRule(n=n, nodes=nodes, weights=weights)
 
@@ -283,32 +288,19 @@ def _output_points(t0) -> np.ndarray:
     return t0
 
 
-def _jacobi_rule(N: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """N-point Gauss-Jacobi rule for the weight (1-x)^a (1+x)^b on [-1, 1].
-
-    The library's nodes x, with weights 1 / ((1-x^2) P_N'(x)^2) recomputed
-    from them (P_N' is a multiple of P_(N-1)^(a+1,b+1)) and scaled to the
-    weight's mass: the library's own weights are off by up to ~1e-12 near
-    the ends of the interval when a or b is negative.
-    """
-    x, _, mass = roots_jacobi(N, a, b, mu=True)
-    w = 1.0 / ((1.0 - x * x) * eval_jacobi(N - 1, a + 1.0, b + 1.0, x) ** 2)
-    return x, w * (mass / w.sum())
-
-
 def _cosine_rule(n: int, alpha: float, J: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule for gamma_n(alpha) |s|^(alpha-1) against the law of s = theta.u on S^(n-1).
 
-    Nodes +-s, exact to degree J in s: Gauss-Jacobi in v = s^2 for the weight
-    v^(alpha/2-1) (1-v)^((n-3)/2) (:func:`_jacobi_rule`).  Folded in: the
-    weight's mass E|s|^(alpha-1), gamma_n(alpha), and 1/2 for each of the
-    nodes +-s.
+    Nodes +-s, exact to degree J in s: the Gauss rule in v = s^2 for the
+    weight v^(alpha/2-1) (1-v)^((n-3)/2) (:func:`_gauss_rule`).  Folded in:
+    the weight's mass E|s|^(alpha-1), gamma_n(alpha), and 1/2 for each of
+    the nodes +-s.
     """
-    x, w = _jacobi_rule(J // 4 + 3, (n - 3) / 2.0, alpha / 2.0 - 1.0)
+    x, w = _gauss_rule(J // 4 + 3, (n - 3) / 2.0, alpha / 2.0 - 1.0)
     s = np.sqrt((1.0 + x) / 2.0)
     mass = math.gamma(n / 2.0) * math.gamma(alpha / 2.0) / (
         math.sqrt(math.pi) * math.gamma((n - 1.0 + alpha) / 2.0))
-    w *= mass * mult.constant("gamma_alpha", n, alpha=alpha) / (2.0 * w.sum())
+    w *= mass * mult.constant("gamma_alpha", n, alpha=alpha) / 2.0
     return np.concatenate((s, -s)), np.concatenate((w, w))
 
 

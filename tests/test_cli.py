@@ -74,6 +74,25 @@ class TestMultiplier:
         assert err.startswith("error:") and "must be finite" in err
         assert err.count("\n") == 1 and out == ""
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--family", "funk", "--alpha", "nan"], "--alpha"),
+        (["--family", "funk", "--alpha", "0.5"], "--alpha"),
+        (["--family", "m", "--alpha", "0.5", "--t", "nan"], "--t"),
+        (["--family", "poisson", "--t", "0.5", "--beta", "1"], "--beta"),
+    ])
+    def test_unread_family_parameter_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, "multiplier", *argv)
+        assert code == 2
+        assert err.startswith("error:") and f"does not read {flag}" in err
+        assert err.count("\n") == 1 and out == ""
+
+    @pytest.mark.parametrize("family", ["m", "q"])
+    def test_absent_alpha_is_order_0(self, capsys, family):
+        code, absent, _ = run(capsys, "multiplier", "--family", family, "--jmax", "4")
+        assert code == 0
+        assert absent == run(capsys, "multiplier", "--family", family, "--alpha", "0",
+                             "--jmax", "4")[1]
+
     def test_negative_jmax_exits_2(self, capsys):
         code, out, err = run(capsys, "multiplier", "--family", "m", "--jmax", "-1")
         assert code == 2
@@ -242,6 +261,25 @@ class TestApply:
         assert code == 2
         assert err.startswith("error:") and "alpha must be finite" in err
         assert err.count("\n") == 1 and out == ""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--op", "funk", "--alpha", "nan"], "--alpha"),
+        (["--op", "poisson", "--t", "0.5", "--alpha", "nan"], "--alpha"),
+        (["--op", "radon", "--alpha", "nan"], "--alpha"),
+        (["--op", "cosine", "--alpha", "0.5", "--t", "nan"], "--t"),
+    ])
+    def test_unread_parameter_exits_2_before_the_input_is_read(self, capsys, tmp_path,
+                                                               ones_grid_file, argv, flag):
+        d = json.loads(ones_grid_file.read_text())
+        del d["grid"]["n_phi"]                  # read, this file exits 4
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "apply", *argv, "--input", str(bad),
+                                "--output", str(out))
+        assert code == 2
+        assert err.startswith("error:") and f"does not read {flag}" in err
+        assert err.count("\n") == 1 and stdout == "" and not out.exists()
 
     def test_representation_mismatch_exits_4(self, capsys, tmp_path, ones_grid_file):
         code, _, _ = run(capsys, "apply", "--op", "dualradon", "--input",

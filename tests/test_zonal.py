@@ -1,8 +1,15 @@
 """Zonal expansions, operator application, and the direct-quadrature oracle."""
 
+import ast
+import functools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +90,57 @@ class TestRule:
         a, b = S2Grid(48), S2Grid(48)
         assert a.t is b.t and a.wt is b.wt
         assert not (a.t.flags.writeable or a.wt.flags.writeable)
+
+
+@functools.lru_cache(maxsize=None)
+def _beta_law_moments(a: float, b: float, K: int) -> tuple:
+    """E[x^k], k <= K, for x = 2u - 1 and u ~ Beta(b+1, a+1), at 150 digits."""
+    with mpmath.workdps(150):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        mu = [mpmath.mpf(1)]                        # E[u^j]
+        for i in range(K):
+            mu.append(mu[-1] * (b + 1 + i) / (a + b + 2 + i))
+        return tuple(float(mpmath.fsum(math.comb(k, j) * (-1) ** (k - j) * 2 ** j * mu[j]
+                                       for j in range(k + 1)))
+                     for k in range(K + 1))
+
+
+class TestGaussRule:
+    # (0, -0.95) has nodes crowding x = -1; a + b = -1 needs beta_1 in its cancelled form
+    @pytest.mark.parametrize("a,b", [(0, -0.95), (-0.25, -0.75), (-0.5, -0.5), (1, 0.25),
+                                     (0, 0.45), (2.5, 2.5)])
+    @pytest.mark.parametrize("N", [1, 2, 6, 35, 66])
+    def test_moments_match_the_beta_law(self, a, b, N):
+        x, w = zn._gauss_rule(N, a, b)
+        got = np.array([w @ x ** k for k in range(2 * N)])
+        want = np.array(_beta_law_moments(a, b, 2 * 66 - 1)[:2 * N])
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_scipy_is_imported_only_by_gamma(self):
+        importers = set()
+        for path in pathlib.Path(zn.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    importers.add(path.name)
+        assert importers == {"_gamma.py"}
+
+    def test_rules_load_no_scipy_linalg(self):
+        code = ("import sys\n"
+                "from coslab import sphere, zonal\n"
+                "zonal.gauss_jacobi_rule(3, 48)\n"
+                "zonal._cosine_rule(3, 0.5, 12)\n"
+                "sphere._sine_rule(1.5, 12, 1.0)\n"
+                "assert 'scipy.linalg' not in sys.modules\n")
+        src = str(pathlib.Path(zn.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestBasis:
@@ -328,8 +386,8 @@ def _odd_funk_leak(table):
 
 
 def _basis_row2(basis):
-    # float rows only: the long-double rows build the cached Gauss rules,
-    # and a rule built from a perturbed basis would outlive the test
+    # float rows only, the rows the suite analyzes and synthesizes with; the
+    # cached Gauss rules run the Jacobi recurrence without zonal_basis
     def perturbed(n, J, t):
         Z = basis(n, J, t)
         if Z.dtype == np.float64 and J >= 2:
