@@ -55,11 +55,17 @@ _EXIT_CODES = ((_PARAM_ERRORS, EXIT_PARAM), (RepresentationError, EXIT_REPR),
                (_BODY_ERRORS, EXIT_BODY))
 # --family choice -> multiplier family of multipliers.table
 _FAMILIES = {family.lower(): family for family in mult.FAMILY_PARAMS}
-# every family parameter, each a flag of `multiplier` and some of `apply`
-_PARAM_NAMES = tuple(dict.fromkeys(name for names in mult.FAMILY_PARAMS.values()
-                                   for name in names))
-# apply --op choice -> the multiplier family it applies, for the ops that have one
-_OP_FAMILIES = {"cosine": "M", "funk": "Funk", "qalpha": "Q", "poisson": "Poisson"}
+
+
+def _param_names(families) -> tuple:
+    """The parameters that the given multiplier families read, each once, sorted;
+    each is a float flag of the subcommand that applies those families."""
+    return tuple(sorted({name for family in families
+                         for name in mult.FAMILY_PARAMS.get(family, ())}))
+
+
+# every family parameter, each a flag of `multiplier`
+_PARAM_NAMES = _param_names(mult.FAMILY_PARAMS)
 
 
 def _read_config(path: str | None) -> dict:
@@ -110,9 +116,10 @@ def _setting(args, cfg: dict, name: str, default, cast):
 
 
 def _family_params(args, what: str, reads, defaults: dict) -> dict:
-    """The parameter flags that ``what`` reads, by name; exit 2 if a flag it does
-    not read is given, or if one it reads is missing and has no default."""
-    unread = [f"--{name}" for name in _PARAM_NAMES
+    """The parameter flags, and apply's --method and --i, that ``what`` reads, by
+    name; exit 2 if a flag it does not read is given, or if one it reads is
+    missing and has no default."""
+    unread = [f"--{name}" for name in (*_PARAM_NAMES, "method", "i")
               if name not in reads and getattr(args, name, None) is not None]
     if unread:
         raise argparse.ArgumentTypeError(f"{what} does not read {' or '.join(unread)}")
@@ -187,8 +194,6 @@ def _cmd_verify(args) -> int:
                                                    n_theta=n_theta))
     if args.suite in ("starbody", "all"):
         jobs.append(lambda: starbody.verify_starbody_suite(seed=seed, tol=tol))
-    if not jobs:
-        raise argparse.ArgumentTypeError(f"unknown suite {args.suite!r}")
 
     start = time.perf_counter()
     results = [r for job in jobs for r in job()]
@@ -212,65 +217,54 @@ def _cmd_verify(args) -> int:
 # --- apply ----------------------------------------------------------------------
 
 
-def _spectral_grid(f: GridFunction, family: str, **params) -> GridFunction:
-    c = sphere.analyze(f, f.grid.band_limit)
-    return sphere.synthesize(sphere.apply_spectral(c, family, **params), f.grid)
+def _zonal_direct(engine):
+    """The direct zonal route of ``engine``: sample it (its order or t is the one
+    parameter) at the Gauss nodes and analyze the samples."""
+    def route(f: ZonalFunction, **params) -> ZonalFunction:
+        (param,) = params.values()
+        rule = zn.gauss_jacobi_rule(f.n, f.degree + 1)
+        vals = engine(f.n, f, param, rule.nodes, degree_hint=f.degree)
+        return zn.zonal_analyze(f.n, vals, f.degree, rule)
+    return route
 
 
-def _apply_zonal_direct(f: ZonalFunction, direct, param: float) -> ZonalFunction:
-    """Sample a direct zonal engine (its order or t is ``param``) at the Gauss
-    nodes and analyze the samples."""
-    rule = zn.gauss_jacobi_rule(f.n, f.degree + 1)
-    vals = direct(f.n, f, param, rule.nodes, degree_hint=f.degree)
-    return zn.zonal_analyze(f.n, vals, f.degree, rule)
+# input type -> spectral route of every family op, called as (input, family, **params)
+_SPECTRAL = {
+    GridFunction: lambda f, family, **params: sphere.synthesize(
+        sphere.apply_spectral(sphere.analyze(f, f.grid.band_limit), family, **params),
+        f.grid),
+    ZonalFunction: zn.zonal_apply,
+    HarmonicCoeffs: sphere.apply_spectral,
+}
+# apply --op -> (the multiplier family it applies, the flags it reads besides the
+# family's parameters, input type -> its direct route, called as (input, **params));
+# an op without a family has no spectral route and reads no --method
+_OPS = {
+    "cosine": ("M", ("method",), {GridFunction: sphere.cosine_direct,
+                                  ZonalFunction: _zonal_direct(zn.zonal_cosine_direct)}),
+    "funk": ("Funk", ("method",), {GridFunction: sphere.funk_direct}),
+    "qalpha": ("Q", ("method",), {GridFunction: sphere.sine_direct}),
+    "poisson": ("Poisson", ("method",),
+                {ZonalFunction: _zonal_direct(zn.zonal_poisson_direct)}),
+    "radon": (None, ("i",), {GridFunction: sphere.radon_transform}),
+    "dualradon": (None, (), {GrassmannFunctionS2: sphere.dual_radon}),
+}
 
 
 def _cmd_apply(args) -> int:
-    op, method = args.op, args.method
-    family = _OP_FAMILIES.get(op)
-    params = _family_params(args, f"op {op!r}", mult.FAMILY_PARAMS.get(family, ()), {})
+    op = args.op
+    family, flags, direct = _OPS[op]
+    params = _family_params(args, f"op {op!r}", (*flags, *_param_names((family,))),
+                            {"method": "spectral", "i": 2})
     obj = load_object(args.input)
-    meta = {"op": op, "method": method, **params}
-
-    if family is not None:
-        if isinstance(obj, GridFunction):
-            if method == "spectral":
-                out = _spectral_grid(obj, family, **params)
-            elif op == "cosine":
-                out = sphere.cosine_direct(obj, params["alpha"])
-            elif op == "qalpha":
-                out = sphere.sine_direct(obj, params["alpha"])
-            elif op == "funk":
-                out = sphere.funk_direct(obj)
-            else:
-                raise RepresentationError("poisson on grids is spectral-only")
-        elif isinstance(obj, ZonalFunction):
-            if method == "spectral":
-                out = zn.zonal_apply(obj, family, **params)
-            elif op == "cosine":
-                out = _apply_zonal_direct(obj, zn.zonal_cosine_direct, params["alpha"])
-            elif op == "poisson":
-                out = _apply_zonal_direct(obj, zn.zonal_poisson_direct, params["t"])
-            else:
-                raise RepresentationError(f"{op} on zonal input is spectral-only")
-        elif isinstance(obj, HarmonicCoeffs):
-            if method != "spectral":
-                raise RepresentationError(
-                    "coefficient files support the spectral method only")
-            out = sphere.apply_spectral(obj, family, **params)
-        else:
-            raise RepresentationError(f"op {op!r} does not accept this input")
-    elif op == "radon":
-        if not isinstance(obj, GridFunction):
-            raise RepresentationError("radon needs a grid function input")
-        out = sphere.radon_transform(obj, args.i)
-    elif op == "dualradon":
-        if not isinstance(obj, GrassmannFunctionS2):
-            raise RepresentationError("dualradon needs a subspace-function input")
-        out = sphere.dual_radon(obj)
-    else:
-        raise argparse.ArgumentTypeError(f"unknown op {op!r}")
-
+    meta = {"op": op, **params}
+    method = params.pop("method", None)
+    route = (_SPECTRAL if method == "spectral" else direct).get(type(obj))
+    if route is None:
+        raise RepresentationError(
+            f"op {op!r}{f' --method {method}' if method else ''} does not take "
+            f"a {type(obj).__name__} file")
+    out = route(obj, family, **params) if method == "spectral" else route(obj, **params)
     save_object(out, args.output, meta=meta)
     return 0
 
@@ -343,8 +337,6 @@ def _cmd_body(args) -> int:
         print(json.dumps(rep.to_dict(), indent=1))
         return 0 if rep.passed else EXIT_FAIL
 
-    raise argparse.ArgumentTypeError(f"unknown body subcommand {args.body_cmd!r}")
-
 
 # --- parser ---------------------------------------------------------------------
 
@@ -367,11 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("multiplier", help="tabulate family multipliers")
     pm.add_argument("--family", required=True, choices=list(_FAMILIES))
     pm.add_argument("--n", type=int, default=3)
-    pm.add_argument("--alpha", type=float)
-    pm.add_argument("--beta", type=float)
-    pm.add_argument("--mu", type=float)
-    pm.add_argument("--nu", type=float)
-    pm.add_argument("--t", type=float)
+    for name in _PARAM_NAMES:
+        pm.add_argument(f"--{name}", type=float)
     pm.add_argument("--jmax", type=int, default=8)
     pm.add_argument("--format", choices=["csv", "json"], default="csv")
     pm.set_defaults(func=_cmd_multiplier)
@@ -390,12 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=_cmd_verify)
 
     pa = sub.add_parser("apply", help="apply a transform to a function file")
-    pa.add_argument("--op", required=True,
-                    choices=["cosine", "funk", "qalpha", "poisson", "radon", "dualradon"])
-    pa.add_argument("--method", choices=["spectral", "direct"], default="spectral")
-    pa.add_argument("--alpha", type=float)
-    pa.add_argument("--t", type=float)
-    pa.add_argument("--i", type=int, choices=[1, 2], default=2)
+    pa.add_argument("--op", required=True, choices=list(_OPS))
+    pa.add_argument("--method", choices=["spectral", "direct"])
+    for name in _param_names(family for family, _, _ in _OPS.values()):
+        pa.add_argument(f"--{name}", type=float)
+    pa.add_argument("--i", type=int, choices=[1, 2])
     pa.add_argument("--input", required=True)
     pa.add_argument("--output", required=True)
     pa.set_defaults(func=_cmd_apply)

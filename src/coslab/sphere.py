@@ -754,19 +754,22 @@ def _sup_err(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return abs_err, rel
 
 
+_S2_SUITE_FUNCTIONS = 5
+
+
 def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
-                    n_theta: int | None = None, n_functions: int = 5) -> list[IdentityReport]:
+                    n_theta: int | None = None) -> list[IdentityReport]:
     """Numerically verify the operator identities on S^2.
 
     Quadrature-limited identities pass at ``tol``; purely spectral chains
-    at ``tol * 1e-2``.  Random even band-limited test functions are fixed
-    by ``seed``.  Pointwise sides (:func:`kernel_at`) start from the test
-    functions' generating coefficients at seeded grid nodes, so they share
-    neither analysis nor Funk-Hecke moments with the grid side.
+    at ``tol * 1e-2``.  _S2_SUITE_FUNCTIONS random even band-limited test
+    functions are fixed by ``seed``.  Pointwise sides (:func:`kernel_at`) start
+    from the test functions' generating coefficients at seeded grid nodes, so
+    they share neither analysis nor Funk-Hecke moments with the grid side.
     """
     grid = S2Grid(max(4 * L, 48) if n_theta is None else n_theta)
     rng = np.random.default_rng(seed)
-    cs = [_random_even_coeffs(L, rng) for _ in range(n_functions)]
+    cs = [_random_even_coeffs(L, rng) for _ in range(_S2_SUITE_FUNCTIONS)]
     fs = [synthesize(c, grid) for c in cs]
     points = grid.points.reshape(-1, 3)
     tol_spec = tol * 1e-2

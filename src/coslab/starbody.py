@@ -341,13 +341,9 @@ def i_intersection_pair_check(K: StarBody, L_body: StarBody, i: int,
     rho_k_i = K.radial_power(float(i))
     rho_l_co = L_body.radial_power(float(3 - i))
 
-    # section-volume identity
-    if i == 2:
-        lhs = mult.sigma(2) / 2.0 * sphere.funk_direct(rho_k_i, L=Lband).values
-        rhs = mult.sigma(1) / 1.0 * rho_l_co.even_part().values
-    else:
-        lhs = mult.sigma(1) / 1.0 * rho_k_i.even_part().values
-        rhs = mult.sigma(2) / 2.0 * sphere.funk_direct(rho_l_co, L=Lband).values
+    # section-volume identity: (sigma(k)/k) R_k rho^k on both sides, k = i and 3-i
+    lhs, rhs = (mult.sigma(k) / k * sphere.radon_transform(rho, k, L=Lband).repr_.values
+                for k, rho in ((i, rho_k_i), (3 - i, rho_l_co)))
     abs1, rel1 = _rel_sup(lhs, rhs)
 
     # spectral partner identity

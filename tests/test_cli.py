@@ -12,7 +12,7 @@ from coslab import cli
 from coslab import starbody as sb
 from coslab import zonal as zn
 from coslab.io import load_object, save_object
-from coslab.sphere import GridFunction, S2Grid
+from coslab.sphere import GrassmannFunctionS2, GridFunction, HarmonicCoeffs, S2Grid
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -201,6 +201,32 @@ def ones_grid_file(tmp_path):
     return path
 
 
+def _ones_grid():
+    return GridFunction(S2Grid(12, 24), np.ones((12, 24)))
+
+
+# apply input kind -> an object of that kind
+APPLY_INPUTS = {
+    "grid": _ones_grid,
+    "zonal": lambda: zn.zonal_analyze(3, lambda t: t ** 2, 4),
+    "coefficients": lambda: HarmonicCoeffs(2, np.arange(9.0)),
+    "subspace": lambda: GrassmannFunctionS2("planes", _ones_grid()),
+    "star body": lambda: sb.make_body(3, "ball", resolution=12),
+}
+SPECTRAL_INPUTS = {"grid", "zonal", "coefficients"}
+# apply --op -> (its parameter flags, route -> the input kinds it takes); the first
+# route is the one an absent --method runs, None for an op that has only one route
+APPLY_TAKES = {
+    "cosine": (["--alpha", "1.5"],
+               {"spectral": SPECTRAL_INPUTS, "direct": {"grid", "zonal"}}),
+    "funk": ([], {"spectral": SPECTRAL_INPUTS, "direct": {"grid"}}),
+    "qalpha": (["--alpha", "0.5"], {"spectral": SPECTRAL_INPUTS, "direct": {"grid"}}),
+    "poisson": (["--t", "0.5"], {"spectral": SPECTRAL_INPUTS, "direct": {"zonal"}}),
+    "radon": ([], {None: {"grid"}}),
+    "dualradon": ([], {None: {"subspace"}}),
+}
+
+
 class TestApply:
     def test_funk_of_zonal_t2(self, capsys, tmp_path, zonal_t2_file):
         out = tmp_path / "out.json"
@@ -267,6 +293,9 @@ class TestApply:
         (["--op", "poisson", "--t", "0.5", "--alpha", "nan"], "--alpha"),
         (["--op", "radon", "--alpha", "nan"], "--alpha"),
         (["--op", "cosine", "--alpha", "0.5", "--t", "nan"], "--t"),
+        (["--op", "radon", "--method", "direct"], "--method"),
+        (["--op", "dualradon", "--method", "spectral"], "--method"),
+        (["--op", "cosine", "--alpha", "0.5", "--i", "1"], "--i"),
     ])
     def test_unread_parameter_exits_2_before_the_input_is_read(self, capsys, tmp_path,
                                                                ones_grid_file, argv, flag):
@@ -280,6 +309,44 @@ class TestApply:
         assert code == 2
         assert err.startswith("error:") and f"does not read {flag}" in err
         assert err.count("\n") == 1 and stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("kind", list(APPLY_INPUTS))
+    @pytest.mark.parametrize("method", [None, "spectral", "direct"])
+    @pytest.mark.parametrize("op", list(APPLY_TAKES))
+    def test_every_op_method_and_input(self, capsys, tmp_path, op, method, kind):
+        params, takes = APPLY_TAKES[op]
+        if method is not None and method not in takes:
+            expected = 2                        # an op without a family reads no --method
+        else:
+            route = method or next(iter(takes))
+            expected = 0 if kind in takes[route] else 4
+        path = tmp_path / f"{kind}.json"
+        save_object(APPLY_INPUTS[kind](), path)
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "apply", "--op", op, *params,
+                                *(["--method", method] if method else []),
+                                "--input", str(path), "--output", str(out))
+        assert code == expected
+        assert stdout == "" and "Traceback" not in err
+        if expected == 0:
+            assert err == "" and out.exists()
+        else:
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert f"op {op!r}" in err and not out.exists()
+
+    @pytest.mark.parametrize("argv,meta", [
+        (["--op", "radon"], {"op": "radon", "i": 2}),
+        (["--op", "radon", "--i", "1"], {"op": "radon", "i": 1}),
+        (["--op", "cosine", "--alpha", "1.5"],
+         {"op": "cosine", "method": "spectral", "alpha": 1.5}),
+        (["--op", "funk", "--method", "direct"], {"op": "funk", "method": "direct"}),
+    ])
+    def test_meta_records_what_ran(self, capsys, tmp_path, ones_grid_file, argv, meta):
+        out = tmp_path / "x.json"
+        code, _, _ = run(capsys, "apply", *argv, "--input", str(ones_grid_file),
+                         "--output", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["meta"] == meta
 
     def test_representation_mismatch_exits_4(self, capsys, tmp_path, ones_grid_file):
         code, _, _ = run(capsys, "apply", "--op", "dualradon", "--input",
@@ -312,7 +379,6 @@ class TestApply:
                                       "coeffs_nan", "zonal_nan", "coeffs_negative_L",
                                       "zonal_empty", "zonal_n1"])
     def test_malformed_file_exits_4(self, capsys, tmp_path, ones_grid_file, case):
-        from coslab.sphere import HarmonicCoeffs
         coeffs = HarmonicCoeffs(2, np.arange(9.0)).to_dict()
         zonal = zn.zonal_analyze(3, lambda t: t ** 2, 4).to_dict()
         grid = json.loads(ones_grid_file.read_text())
@@ -362,7 +428,6 @@ class TestApply:
         assert np.abs(load_object(out).values - 1.0).max() < 1e-12
 
     def test_poisson_spectral_on_coeffs(self, capsys, tmp_path):
-        from coslab.sphere import HarmonicCoeffs
         c = HarmonicCoeffs(2, np.arange(9.0))
         path = tmp_path / "c.json"
         save_object(c, path)

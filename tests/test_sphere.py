@@ -807,17 +807,17 @@ class TestSuite:
     def test_perturbation_fails_its_identities(self, monkeypatch, target, attr, perturb,
                                                must_fail):
         monkeypatch.setattr(target, attr, perturb(getattr(target, attr)))
-        reports = sp.verify_s2_suite(L=8, tol=1e-6, seed=3, n_functions=2)
+        reports = sp.verify_s2_suite(L=8, tol=1e-6, seed=3)
         assert sorted(r.identity for r in reports if not r.passed) == must_fail
 
     def test_perturbations_cover_every_identity(self):
         # a check that no perturbation fails cannot fail at all
-        reports = sp.verify_s2_suite(L=8, tol=1e-6, seed=3, n_functions=2)
+        reports = sp.verify_s2_suite(L=8, tol=1e-6, seed=3)
         covered = {name for row in PERTURBATIONS.values() for name in row[-1]}
         assert {r.identity for r in reports} == covered
 
     def test_deterministic_under_seed(self):
-        a = sp.verify_s2_suite(L=8, tol=1e-6, seed=3, n_functions=2)
-        b = sp.verify_s2_suite(L=8, tol=1e-6, seed=3, n_functions=2)
+        a = sp.verify_s2_suite(L=8, tol=1e-6, seed=3)
+        b = sp.verify_s2_suite(L=8, tol=1e-6, seed=3)
         assert [(r.identity, r.max_abs_err) for r in a] == \
                [(r.identity, r.max_abs_err) for r in b]
