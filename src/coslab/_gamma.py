@@ -1,30 +1,33 @@
-"""Signed log-gamma ratios.
+"""Signed gamma ratios, for one degree or chained along the degrees.
 
 Every multiplier in this package is a ratio of gamma functions whose
 arguments may be large (degree ~ 200) or negative (analytic continuation).
-Raw gamma values overflow long before degree 200, so products are always
+Raw gamma values overflow long before degree 200, so a single ratio is
 assembled as exp(sum of log|Gamma| differences) with the sign tracked
 separately.
 
 A ratio is a list of (numerator, denominator) argument pairs, summed pair by
 pair, so a pair with equal arguments adds exactly 0.  A denominator pole gives
-0, the continuation value; a numerator pole raises GammaPoleError (or is flagged).
+0, the continuation value; a numerator pole raises GammaPoleError (or is NaN
+in a chain).
+
+Along a chain of arguments a + i, b + i (i = 0, 1, ...) no general log-gamma is
+needed: Gamma(x + 1) = x Gamma(x), so each step multiplies by the rational
+factor prod (a + i) / (b + i).
 """
 
-import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .errors import GammaPoleError
 
-__all__ = ["gamma_ratio", "gamma_ratio_array"]
+__all__ = ["gamma_ratio", "gamma_ratio_chain"]
 
 
-def _is_pole(x, floor=math.floor):
-    """Whether x sits on a nonpositive-integer gamma pole (an array with floor=np.floor)."""
-    return (x <= 0.0) & (x == floor(x))
+def _is_pole(x: float) -> bool:
+    """Whether x sits on a nonpositive-integer gamma pole."""
+    return x <= 0.0 and x == math.floor(x)
 
 
 def _sign(x: float) -> float:
@@ -49,15 +52,93 @@ def gamma_ratio(pairs) -> float:
     return sign * math.exp(log)
 
 
-def gamma_ratio_array(pairs):
-    """``gamma_ratio`` over broadcast argument arrays, as (values, numerator_pole):
-    where a numerator argument is a pole the value is NaN and the mask is set."""
-    num_pole = functools.reduce(np.logical_or, (_is_pole(a, np.floor) for a, _ in pairs))
-    den_pole = functools.reduce(np.logical_or, (_is_pole(b, np.floor) for _, b in pairs))
-    sign, log = 1.0, 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        for a, b in pairs:
-            sign, log = sign * (gammasgn(a) * gammasgn(b)), log + (gammaln(a) - gammaln(b))
-        values = sign * np.exp(log)
-    values = np.where(den_pole, 0.0, values)
-    return np.where(num_pole, np.nan, values), num_pole
+def _start(alternate: bool, last: int, *offsets) -> tuple:
+    """Where a chain starts, and its value there, for offsets a_1, b_1, a_2, b_2, ...
+
+    The start is the first step i0 >= 0 where every argument a + i0 is
+    positive, or ``last`` if that comes first; the value is
+    prod Gamma(a_k + i0) / Gamma(b_k + i0), times (-1)**i0 if alternate:
+    +-inf where it overflows, NaN where an argument is a pole.
+    """
+    i0, sign = max(math.floor(-min(offsets)) + 1, 0), 1.0
+    if i0 > last:                               # some arguments are negative at the start
+        i0 = last
+        sign = math.prod(_sign(x + i0) for x in offsets)
+    if alternate and i0 % 2:
+        sign = -sign
+    log = 0.0
+    try:
+        for k in range(0, len(offsets), 2):
+            log += math.lgamma(offsets[k] + i0) - math.lgamma(offsets[k + 1] + i0)
+        return i0, sign * math.exp(log)
+    except OverflowError:
+        return i0, sign * math.inf
+    except ValueError:                          # a pole, which the caller overwrites
+        return i0, math.nan
+
+
+def gamma_ratio_chain(offsets: np.ndarray, count: int, alternate: bool = False) -> np.ndarray:
+    """prod_k Gamma(a_k + i) / Gamma(b_k + i) at i = 0, 1, ..., count - 1, times (-1)**i if alternate.
+
+    ``offsets`` is a finite float array of shape (K, 2, R): K pairs of
+    (numerator, denominator) offsets a_k, b_k for each of R rows.  The
+    result has shape (R, count), one chain per row.
+
+    A row starts at its first step i0 where all of its arguments are
+    positive, or at its last step if that comes first, with the value from
+    ``math.lgamma``.  Up, each step multiplies by the factor
+    prod (a_k + i) / (b_k + i); down, it divides by it, which gives the sign
+    of every negative argument.  Below the steps where an integer offset
+    a_k <= 0 puts a numerator argument on a pole the chain is NaN; below
+    those of a denominator argument it is exactly 0.  A value that
+    overflows is +-inf.  Whatever the other rows are, a row's values are
+    the ones it has alone.
+    """
+    pairs, _, rows = offsets.shape
+    with np.errstate(all="ignore"):
+        if rows == 1:                           # the same function, without a ufunc's cost
+            i0, start = _start(alternate, count - 1, *offsets.ravel().tolist())
+            top = bottom = i0
+        else:
+            i0, start = np.frompyfunc(_start, 2 + 2 * pairs, 2)(
+                alternate, count - 1, *offsets.reshape(2 * pairs, rows))
+            top, bottom = (max(i0), min(i0)) if rows else (0, 0)
+        args = offsets[..., None] + np.arange(count - 1.0)
+        num, den = args[0]
+        for x, y in args[1:]:
+            num, den = num * x, den * y
+        if alternate:
+            np.negative(num, out=num)
+        out = np.empty((rows, count))
+        if top == bottom:
+            # every row starts at column top: up over start, factor(top), ...,
+            # and down over start, 1 / factor(top - 1), ..., 1 / factor(0)
+            out[:, top] = start
+            np.divide(num[:, top:], den[:, top:], out=out[:, top + 1:])
+            np.cumprod(out[:, top:], axis=1, out=out[:, top:])
+            if top:
+                np.divide(den[:, :top], num[:, :top], out=out[:, :top])
+                np.cumprod(out[:, top::-1], axis=1, out=out[:, top::-1])
+        else:
+            # the same two products from each row's own start, over 1 where a
+            # product has not reached that start yet
+            i0 = i0.astype(int)
+            at = (np.arange(rows), i0)
+            down = np.empty((rows, top + 1))
+            np.divide(num, den, out=out[:, 1:])
+            np.divide(den[:, top - 1::-1], num[:, top - 1::-1], out=down[:, 1:])
+            out[np.arange(count) < i0[:, None]] = 1.0
+            down[np.arange(top, -1, -1) > i0[:, None]] = 1.0
+            out[at] = down[at[0], top - at[1]] = start
+            np.cumprod(out, axis=1, out=out)
+            np.cumprod(down, axis=1, out=down)
+            np.copyto(out[:, :top], down[:, :0:-1], where=np.arange(top) < i0[:, None])
+    if top or count == 1:
+        # poles sit below the first step with every argument positive: at the
+        # steps i <= -a of an integer offset a <= 0
+        poles = (offsets <= 0.0) & (offsets == np.floor(offsets))
+        if poles.any():
+            below = np.where(poles, 1.0 - offsets, 0.0).max(axis=0)[..., None]
+            out[np.arange(count) < below[1]] = 0.0
+            out[np.arange(count) < below[0]] = np.nan
+    return out

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._gamma import gamma_ratio, gamma_ratio_array
+from ._gamma import gamma_ratio, gamma_ratio_chain
 from .errors import ExcludedParameterError, GammaPoleError, UnknownConstantError
 from .reports import IdentityReport, make_report
 
@@ -121,7 +121,7 @@ def check_order(n: int, alpha, family: Family | str, i: int | None = None):
     raises ExcludedParameterError naming that lattice.
     """
     bad = _excluded_mask(n, alpha, family, i)
-    if np.any(bad):                         # the mask holds non-finite orders too
+    if bad.any():                           # the mask holds non-finite orders too
         finite = np.isfinite(alpha)
         if not np.all(finite):
             raise ValueError(f"alpha must be finite, got {np.asarray(alpha)[~finite].flat[0]}")
@@ -207,7 +207,8 @@ def poisson_mult(j: int, t: float) -> float:
 # --- gamma arguments ----------------------------------------------------------
 #
 # Each family's gamma ratio is written once, in ``_gamma_args``; the scalars
-# evaluate it per degree, ``table`` over arrays, both through ``_gamma``.
+# evaluate it per degree, ``table`` takes its arguments at degree 0 as the
+# offsets of degree chains, both through ``_gamma``.
 
 # family -> the keyword parameters ``table`` takes for it
 FAMILY_PARAMS = {
@@ -258,26 +259,56 @@ def _multiplier(n: int, j: int, family: str, params: dict) -> float:
     return value / constant("c_limit", n, i=n - 1) if family == "Funk" else value
 
 
-def _table(n: int, j: np.ndarray, family: str, params: dict):
-    """Multipliers over broadcast degrees and orders, plus the numerator-pole mask.
+def _table(n: int, j: np.ndarray, family: str, params: dict) -> np.ndarray:
+    """Multipliers over broadcast degrees and orders, NaN where a numerator has a gamma pole.
 
-    Excluded orders raise ExcludedParameterError; numerator poles do not
-    raise, they are NaN in the values and set in the mask.
+    Excluded orders raise ExcludedParameterError.  Each degree parity that
+    is needed runs as one ``_gamma.gamma_ratio_chain`` per order, from
+    degree 0 or 1 up to the largest requested degree; M, Q and Funk run
+    only their even degrees, and vanish on odd ones.
     """
     if family == "Poisson":
         t = np.asarray(params["t"], dtype=float)
-        if not np.all((0.0 <= t) & (t < 1.0)):
+        if not ((0.0 <= t) & (t < 1.0)).all():
             raise ValueError(f"Poisson parameter must satisfy 0 <= t < 1, got {t}")
-        return t ** j, np.zeros(np.broadcast(t, j).shape, dtype=bool)
-    values, pole = gamma_ratio_array(_gamma_args(n, j, family, params))
-    if family in ("M", "Funk"):
-        values = np.where((j // 2) % 2 == 1, -values, values)
-    if family == "Funk":
-        values = values / constant("c_limit", n, i=n - 1)
-    if family in ("M", "Q", "Funk"):
-        odd = j % 2 == 1
-        values, pole = np.where(odd, 0.0, values), pole & ~odd
-    return values, pole
+        return t ** j
+    pairs = _gamma_args(n, 0.0, family, params)
+    shape = np.broadcast(*(x for pair in pairs for x in pair)).shape
+    rows = math.prod(shape)
+    top = int(j.max()) if j.size else 0
+    odd = np.count_nonzero(j & 1)
+    if odd in (0, j.size):                  # one parity: a grid of every other degree
+        parities, index = ((1,) if odd else (0,)), j // 2
+    else:                                   # both: a grid of every degree
+        parities, index = (0, 1), j
+    # the argument at degree j is offset + j/2, so degree j is step j // 2 of its
+    # parity's chain; M, Q and Funk vanish on odd degrees and run no odd chain,
+    # and two parities run as one chain over twice the rows
+    runs = tuple(p for p in parities if p == 0 or family not in ("M", "Q", "Funk"))
+    if runs:
+        offsets = np.empty((len(pairs), 2, len(runs)) + shape)
+        for k, pair in enumerate(pairs):
+            offsets[k, 0], offsets[k, 1] = pair
+        if runs[-1]:
+            offsets[:, :, -1] += 0.5
+        chain = gamma_ratio_chain(offsets.reshape(len(pairs), 2, -1), top // 2 + 1,
+                                  alternate=family in ("M", "Funk"))
+        if family == "Funk":
+            chain /= constant("c_limit", n, i=n - 1)
+    if len(parities) == 1:
+        grid = chain if runs else np.zeros((rows, top // 2 + 1))
+    else:
+        grid = np.zeros((rows, top + 1))
+        for k, p in enumerate(runs):
+            grid[:, p::2] = chain[k * rows:(k + 1) * rows, :(top - p) // 2 + 1]
+    if j.ndim == 0 or (j.ndim == 1 and shape[-1:] in ((), (1,))):
+        # degrees along the last axis, orders along the others
+        lead = shape if j.ndim == 0 else shape[:-1]
+        return grid.reshape(lead + grid.shape[-1:])[..., index]
+    ndim = max(len(shape), j.ndim)
+    grid = grid.reshape((1,) * (ndim - len(shape)) + shape + grid.shape[-1:])
+    index = index.reshape((1,) * (ndim - j.ndim) + j.shape + (1,))
+    return np.take_along_axis(grid, index, axis=-1)[..., 0]
 
 
 def table(n: int, degrees, family: str, **params) -> np.ndarray:
@@ -295,15 +326,16 @@ def table(n: int, degrees, family: str, **params) -> np.ndarray:
     j = np.asarray(degrees)
     if j.dtype.kind not in "iu":
         raise ValueError(f"degrees must be integers, got dtype {j.dtype}")
-    if np.any(j < 0):
+    if j.size and j.min() < 0:
         raise ValueError(f"degrees must be >= 0, got {j.min()}")
     if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown family {family!r}")
     if set(params) != set(FAMILY_PARAMS[family]):
         raise TypeError(f"family {family!r} takes parameters "
                         f"{FAMILY_PARAMS[family]}, got {tuple(params)}")
-    values, pole = _table(n, j, family, params)
-    if np.any(pole):
+    values = _table(n, j, family, params)
+    pole = np.isnan(values)
+    if pole.any():
         at = np.broadcast_to(j, pole.shape)[pole].flat[0]
         raise GammaPoleError(f"family {family} has a numerator gamma pole at degree {at}")
     return values
@@ -434,10 +466,10 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
     reports: list[IdentityReport] = []
 
     def rows(*terms):
-        """Keep the rows where no term has a numerator pole; count the others."""
-        pole = functools.reduce(np.logical_or, (p for _, p in terms))
-        keep = ~pole.any(axis=-1)
-        return ([np.broadcast_to(v, pole.shape)[keep] for v, _ in terms],
+        """Keep the rows where no term has a numerator pole (NaN); count the others."""
+        keep = ~functools.reduce(np.logical_or, (np.isnan(v).any(axis=-1) for v in terms))
+        shape = np.broadcast_shapes(*(v.shape for v in terms))
+        return ([np.broadcast_to(v, shape)[keep] for v in terms],
                 int(np.count_nonzero(~keep)))
 
     def m(alpha):

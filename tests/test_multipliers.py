@@ -522,6 +522,89 @@ class TestTable:
             m.table(3, DEGREES, "Funk", alpha=0.5)
 
 
+# the CLI's 59-order class sweep and 40-order verify grid
+CLASS_SWEEP = [float(a) for a in np.linspace(-3.0, 2.9, 59)]
+VERIFY_ORDERS = [-6.0 + (k + 0.5) * 0.3 for k in range(40)]
+
+
+def scalar_or_pole(n, j, family, params):
+    """The per-degree scalar, or None where it raises GammaPoleError."""
+    try:
+        return SCALARS[family](n, j, params)
+    except GammaPoleError:
+        return None
+
+
+class TestTableChain:
+    """``table`` runs each degree parity as one chain from its first positive step."""
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_orders_in_use_match_mpmath_to_5e_14(self, n):
+        # M at the classifier's orders 1 - n + alpha and at the verify grid's
+        orders = [1.0 - n + a for a in CLASS_SWEEP] + VERIFY_ORDERS
+        orders = [a for a in orders if not m.excluded(n, a, "M")]
+        got = m.table(n, DEGREES[None, :], "M", alpha=np.array(orders)[:, None])
+        for row, alpha in zip(got, orders):
+            want = np.array([mp_multiplier(n, int(j), "M", {"alpha": alpha})
+                             for j in DEGREES])
+            np.testing.assert_allclose(row, want, rtol=5e-14, atol=0.0,
+                                       err_msg=f"n={n} alpha={alpha}")
+
+    @pytest.mark.parametrize("family,params,degrees", [
+        # no requested degree has every gamma argument positive
+        ("M", {"alpha": -40.5}, np.arange(25)),
+        ("Qminus", {"mu": 31.5, "nu": 1.0}, np.arange(25)),
+        # a scalar degree
+        ("M", {"alpha": -2.3}, np.int64(6)),
+        ("A", {"alpha": 0.7, "beta": -3.3}, 7),
+        ("Funk", {}, 4),
+        # unsorted and repeated degrees
+        ("M", {"alpha": -4.5}, [12, 0, 3, 3, 8, 1, 0]),
+        ("Qplus", {"mu": 2.5, "nu": -0.4}, [9, 2, 2, 17, 0, 5]),
+        ("Poisson", {"t": 0.5}, [3, 1, 1, 0]),
+        # a 2-D degree array
+        ("Q", {"alpha": -2.3}, [[0, 1, 2], [7, 4, 4]]),
+        ("A", {"alpha": 1.2, "beta": -2.5}, [[5, 0], [2, 9], [1, 1]]),
+        # odd degrees only
+        ("A", {"alpha": -2.6, "beta": 2.3}, np.arange(1, 40, 2)),
+        ("Qplus", {"mu": -1.3, "nu": 4.2}, np.arange(1, 40, 2)),
+        ("Qminus", {"mu": 2.5, "nu": -0.4}, np.arange(1, 40, 2)),
+        ("M", {"alpha": -0.7}, np.arange(1, 40, 2)),
+        # numerator poles: Gamma(0) at degree 2 only, and at degrees 0 and 2
+        ("Qminus", {"mu": 3.0, "nu": 1.0}, [6, 4, 3]),
+        ("Qminus", {"mu": 3.0, "nu": 1.0}, [6, 2, 3]),
+        ("A", {"alpha": 0.35, "beta": -4.0}, [[1, 3], [0, 5]]),
+    ])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_degree_shapes_match_scalars(self, family, params, degrees, n):
+        flat = np.ravel(degrees)
+        want = [scalar_or_pole(n, int(j), family, params) for j in flat]
+        if None in want:
+            with pytest.raises(GammaPoleError):
+                m.table(n, degrees, family, **params)
+            return
+        got = m.table(n, degrees, family, **params)
+        assert got.shape == np.shape(degrees)
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=0.0)
+
+    def test_far_orders_start_at_the_last_degree(self):
+        # a chain up to the first positive step would run ~5e11 steps here; it
+        # starts at the last requested degree instead, with the continuation's
+        # zeros at denominator poles and +-inf where the ratio overflows
+        got = m.table(3, np.arange(6), "M", alpha=-1e12)
+        assert np.all(got == 0.0) and not np.any(np.signbit(got))
+        got = m.table(3, np.arange(6), "Q", alpha=-1e9)
+        np.testing.assert_array_equal(got, [np.inf, 0.0, -np.inf, 0.0, np.inf, 0.0])
+
+    def test_rows_starting_beyond_the_degrees(self):
+        # each row of a table is the table of its order alone, bitwise, also where
+        # the orders' first positive steps differ and lie beyond the last degree
+        alphas = np.array([-40.5, -12.3, -2.3, 0.4])
+        got = m.table(3, np.arange(25)[None, :], "M", alpha=alphas[:, None])
+        for row, alpha in zip(got, alphas):
+            np.testing.assert_array_equal(row, m.table(3, np.arange(25), "M", alpha=alpha))
+
+
 # --- identity suite against a scalar loop -------------------------------------
 
 

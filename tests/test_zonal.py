@@ -116,7 +116,7 @@ class TestGaussRule:
         want = np.array(_beta_law_moments(a, b, 2 * 66 - 1)[:2 * N])
         assert np.abs(got - want).max() <= 1e-14
 
-    def test_scipy_is_imported_only_by_gamma(self):
+    def test_no_package_module_imports_scipy(self):
         importers = set()
         for path in pathlib.Path(zn.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -128,7 +128,26 @@ class TestGaussRule:
                     continue
                 if any(name.split(".")[0] == "scipy" for name in names):
                     importers.add(path.name)
-        assert importers == {"_gamma.py"}
+        assert importers == set()
+
+    def test_import_and_tables_load_no_scipy(self):
+        # one table of every family, each over both degree parities
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import coslab, coslab.cli\n"
+                "from coslab import multipliers as m\n"
+                "params = {'M': {'alpha': -2.5}, 'Q': {'alpha': 0.5},\n"
+                "          'Qplus': {'mu': 0.5, 'nu': 1.5}, 'Qminus': {'mu': 0.5, 'nu': 1.5},\n"
+                "          'A': {'alpha': -2.5, 'beta': 0.5}, 'Funk': {}, 'Poisson': {'t': 0.5}}\n"
+                "assert set(params) == set(m.FAMILY_PARAMS)\n"
+                "for family, p in params.items():\n"
+                "    m.table(3, np.arange(9), family, **p)\n"
+                "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
+                "assert not loaded, loaded\n")
+        src = str(pathlib.Path(zn.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_rules_load_no_scipy_linalg(self):
         code = ("import sys\n"
