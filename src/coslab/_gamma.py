@@ -36,7 +36,8 @@ def _sign(x: float) -> float:
 
 
 def gamma_ratio(pairs) -> float:
-    """Signed value of prod Gamma(a_k) / Gamma(b_k) over finite float pairs (a_k, b_k)."""
+    """Signed value of prod Gamma(a_k) / Gamma(b_k) over finite float pairs (a_k, b_k),
+    +-inf where it overflows: a chain's start value, :func:`_start`."""
     zero = False
     for a, b in pairs:
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -44,12 +45,7 @@ def gamma_ratio(pairs) -> float:
         if _is_pole(a):
             raise GammaPoleError(f"gamma pole in a numerator argument of {pairs}")
         zero = zero or _is_pole(b)
-    if zero:
-        return 0.0
-    sign, log = 1.0, 0.0
-    for a, b in pairs:
-        sign, log = sign * (_sign(a) * _sign(b)), log + (math.lgamma(a) - math.lgamma(b))
-    return sign * math.exp(log)
+    return 0.0 if zero else _start(False, 0, *(x for pair in pairs for x in pair))[1]
 
 
 def _start(alternate: bool, last: int, *offsets) -> tuple:

@@ -272,70 +272,76 @@ def _cmd_apply(args) -> int:
 # --- body -----------------------------------------------------------------------
 
 
-def _cmd_body(args) -> int:
-    if args.body_cmd == "make":
-        axes = [float(x) for x in args.axes.split(",")] if args.axes else None
-        body = starbody.make_body(args.n, args.shape, r=args.r, axes=axes, p=args.p,
-                                  resolution=args.resolution)
-        save_object(body, args.out)
-        return 0
+def _bodies(command: str, *paths: str) -> list:
+    """The star bodies at ``paths``; all load before a non-body raises (exit 4)."""
+    objs = [load_object(path) for path in paths]
+    for path, obj in zip(paths, objs):
+        if not isinstance(obj, starbody.StarBody):
+            raise RepresentationError(f"{path}: {command} needs a star-body file")
+    return objs
 
-    if args.body_cmd == "intersect":
-        body = load_object(args.input)
-        if not isinstance(body, starbody.StarBody):
-            raise RepresentationError("intersect needs a star-body file")
-        save_object(starbody.intersection_body(body), args.out)
-        return 0
 
-    if args.body_cmd == "classify":
-        body = load_object(args.input)
-        if not isinstance(body, starbody.StarBody):
-            raise RepresentationError("classify needs a star-body file")
-        _check_bound("--margin", args.margin, positive=False)
-        for flag, value in (("--alpha", args.alpha), ("--alpha-min", args.alpha_min),
-                            ("--alpha-max", args.alpha_max)):
-            if value is not None and not np.isfinite(value):
-                raise argparse.ArgumentTypeError(f"{flag} must be finite, got {value}")
-        start = time.perf_counter()
-        if args.alpha is not None:
-            alphas = [mult.check_order(body.n, args.alpha, mult.Family.K_CLASS)]
-        elif args.steps < 1:
-            raise argparse.ArgumentTypeError(f"--steps must be at least 1, got {args.steps}")
-        else:
-            alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.steps))
-        verdicts, skipped = [], 0
-        for a in alphas:
-            if mult.excluded(body.n, float(a), mult.Family.K_CLASS):
-                skipped += 1
-                continue
-            verdicts.append(starbody.classify_K_alpha(
-                body, float(a), t_smooth=args.smooth, margin=args.margin))
-        report = RunReport(
-            command="body classify",
-            config={"alpha_min": alphas[0], "alpha_max": alphas[-1],
-                    "steps": len(alphas), "skipped_excluded": skipped,
-                    "smooth": args.smooth, "margin": args.margin},
-            results=[v.to_dict() for v in verdicts],
-            wall_time=time.perf_counter() - start,
-        )
-        _write_report(report, args.out)
-        if args.csv:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["alpha", "min_value", "verdict"])
-                for v in verdicts:
-                    writer.writerow([v.alpha, v.min_value, v.member])
-        return 0
+def _cmd_make(args) -> int:
+    axes = [float(x) for x in args.axes.split(",")] if args.axes else None
+    body = starbody.make_body(args.n, args.shape, r=args.r, axes=axes, p=args.p,
+                              resolution=args.resolution)
+    save_object(body, args.out)
+    return 0
 
-    if args.body_cmd == "pair-check":
-        _check_bound("--tol", args.tol)
-        K = load_object(args.k)
-        L = load_object(args.l)
-        if not (isinstance(K, starbody.StarBody) and isinstance(L, starbody.StarBody)):
-            raise RepresentationError("pair-check needs star-body files")
-        rep = starbody.i_intersection_pair_check(K, L, args.i, tol=args.tol)
-        print(json.dumps(rep.to_dict(), indent=1))
-        return 0 if rep.passed else EXIT_FAIL
+
+def _cmd_intersect(args) -> int:
+    (body,) = _bodies("intersect", args.input)
+    save_object(starbody.intersection_body(body), args.out)
+    return 0
+
+
+def _cmd_classify(args) -> int:
+    (body,) = _bodies("classify", args.input)
+    _check_bound("--margin", args.margin, positive=False)
+    if not 0.0 < args.smooth < 1.0:
+        raise argparse.ArgumentTypeError(f"--smooth must be in (0, 1), got {args.smooth}")
+    for flag, value in (("--alpha", args.alpha), ("--alpha-min", args.alpha_min),
+                        ("--alpha-max", args.alpha_max)):
+        if value is not None and not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{flag} must be finite, got {value}")
+    start = time.perf_counter()
+    if args.alpha is not None:
+        alphas = [mult.check_order(body.n, args.alpha, mult.Family.K_CLASS)]
+    elif args.steps < 1:
+        raise argparse.ArgumentTypeError(f"--steps must be at least 1, got {args.steps}")
+    else:
+        alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.steps))
+    verdicts, skipped = [], 0
+    for a in alphas:
+        if mult.excluded(body.n, float(a), mult.Family.K_CLASS):
+            skipped += 1
+            continue
+        verdicts.append(starbody.classify_K_alpha(
+            body, float(a), t_smooth=args.smooth, margin=args.margin))
+    report = RunReport(
+        command="body classify",
+        config={"alpha_min": alphas[0], "alpha_max": alphas[-1],
+                "steps": len(alphas), "skipped_excluded": skipped,
+                "smooth": args.smooth, "margin": args.margin},
+        results=[v.to_dict() for v in verdicts],
+        wall_time=time.perf_counter() - start,
+    )
+    _write_report(report, args.out)
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["alpha", "min_value", "verdict"])
+            for v in verdicts:
+                writer.writerow([v.alpha, v.min_value, v.member])
+    return 0
+
+
+def _cmd_pair_check(args) -> int:
+    _check_bound("--tol", args.tol)
+    K, L = _bodies("pair-check", args.k, args.l)
+    rep = starbody.i_intersection_pair_check(K, L, args.i, tol=args.tol)
+    print(json.dumps(rep.to_dict(), indent=1))
+    return 0 if rep.passed else EXIT_FAIL
 
 
 # --- parser ---------------------------------------------------------------------
@@ -397,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--axes", type=str)
     bm.add_argument("--p", type=float, default=2.0)
     bm.add_argument("--n", type=int, default=3)
-    bm.add_argument("--resolution", type=int, default=48)
+    bm.add_argument("--resolution", type=int, default=starbody.DEFAULT_RESOLUTION)
     bm.add_argument("--out", required=True)
-    bm.set_defaults(func=_cmd_body)
+    bm.set_defaults(func=_cmd_make)
 
     bi = bsub.add_parser("intersect")
     bi.add_argument("--input", required=True)
     bi.add_argument("--out", required=True)
-    bi.set_defaults(func=_cmd_body)
+    bi.set_defaults(func=_cmd_intersect)
 
     bc = bsub.add_parser("classify")
     bc.add_argument("--input", required=True)
@@ -412,18 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--alpha-min", type=float, default=-3.0)
     bc.add_argument("--alpha-max", type=float, default=2.9)
     bc.add_argument("--steps", type=int, default=59)
-    bc.add_argument("--smooth", type=float, default=0.98)
-    bc.add_argument("--margin", type=float, default=1e-7)
+    bc.add_argument("--smooth", type=float, default=starbody.DEFAULT_SMOOTHING)
+    bc.add_argument("--margin", type=float, default=starbody.DEFAULT_MARGIN)
     bc.add_argument("--out", type=str)
     bc.add_argument("--csv", type=str)
-    bc.set_defaults(func=_cmd_body)
+    bc.set_defaults(func=_cmd_classify)
 
     bp = bsub.add_parser("pair-check")
     bp.add_argument("--k", required=True)
     bp.add_argument("--l", required=True)
     bp.add_argument("--i", type=int, choices=[1, 2], default=2)
     bp.add_argument("--tol", type=float, default=1e-6)
-    bp.set_defaults(func=_cmd_body)
+    bp.set_defaults(func=_cmd_pair_check)
 
     return p
 

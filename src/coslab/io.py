@@ -38,10 +38,13 @@ _LOADERS = {
 
 
 def load_object(path: str | Path):
-    """Read a representation file; a missing key or a malformed field raises
-    RepresentationError."""
+    """Read a representation file; text that is not JSON, a missing key or a
+    malformed field raises RepresentationError."""
     with open(path) as fh:
-        d = json.load(fh)
+        try:
+            d = json.load(fh)
+        except ValueError as exc:           # JSONDecodeError or UnicodeDecodeError
+            raise RepresentationError(f"{path}: not a JSON file: {exc}") from exc
     if not isinstance(d, dict):
         raise RepresentationError(f"{path}: expected a JSON object")
     kind = detect_kind(d)

@@ -782,15 +782,22 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     def nodes():
         return rng.choice(len(points), 32, replace=False)
 
+    # read by several identities, each computed once: the analyses, R_2 f and
+    # R_2^alpha f (the cosine transform keyed by normals) at the chain's orders
+    cfs = [analyze(f, L) for f in fs]
+    r2s = [radon_transform(f, 2, L=L) for f in fs]
+    r2_alpha = {(alpha, k): ri_alpha_direct(fs[k], 2, alpha, L=L)
+                for alpha in (0.5, 1.5) for k in range(3)}
+
     # Funk factorization: M f = R_i^* R_(n-i),perp f, both i.  The right side
     # runs funk_direct (grid tables, Legendre moments); the left is circle
     # quadrature of synthesize_at at seeded grid nodes.
     pairs = []
-    for c, f in zip(cs, fs):
+    for c, f, r2 in zip(cs, fs, r2s):
         idx = nodes()
         mf = funk_at(c, points[idx])
-        for i in (1, 2):
-            rhs = dual_radon(radon_transform(f, 3 - i, L=L).perp(), L=L)
+        for r in (r2, radon_transform(f, 1, L=L)):      # R_(3-i) f at i = 1, 2
+            rhs = dual_radon(r.perp(), L=L)
             pairs.append(_sup_err(mf, rhs.values.reshape(-1)[idx]))
     report("funk_factorization", {"L": L, "i": [1, 2], "functions": len(fs), "nodes": 32},
            pairs, tol_spec)
@@ -799,25 +806,21 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     # (alpha = 1 is itself a cosine-family pole, so the probes sit beside it)
     c_chain = mult.constant("c_cosine_radon", 3, i=2)
     pairs = []
-    for alpha in (0.5, 1.5):
-        for f in fs[:3]:
-            lhs = radon_transform(cosine_direct(f, alpha, L=L), 2, L=L)
-            rhs = ri_alpha_direct(f, 1, alpha + 1.0, L=L).perp()
-            pairs.append(_sup_err(lhs.repr_.values, c_chain * rhs.repr_.values))
+    for (alpha, k), r2a in r2_alpha.items():
+        lhs = radon_transform(r2a.repr_, 2, L=L)
+        rhs = ri_alpha_direct(fs[k], 1, alpha + 1.0, L=L).perp()
+        pairs.append(_sup_err(lhs.repr_.values, c_chain * rhs.repr_.values))
     report("cosine_radon_chain", {"L": L, "alphas": [0.5, 1.5], "c": c_chain},
            pairs, tol)
 
     # range identity: R_2^alpha f = R_2 f1, f1 = c M^(1-i) M^(alpha+i+1-n) f
     c_f1 = mult.constant("c_range_f1", 3, i=2)
     pairs = []
-    for alpha in (0.5, 1.5):
-        for f in fs[:3]:
-            lhs = ri_alpha_direct(f, 2, alpha, L=L)
-            cf = analyze(f, L)
-            f1 = synthesize(apply_spectral(apply_spectral(cf, "M", alpha=alpha),
-                                           "M", alpha=-1.0), grid)
-            rhs = radon_transform(GridFunction(grid, c_f1 * f1.values), 2, L=L)
-            pairs.append(_sup_err(lhs.repr_.values, rhs.repr_.values))
+    for (alpha, k), lhs in r2_alpha.items():
+        f1 = synthesize(apply_spectral(apply_spectral(cfs[k], "M", alpha=alpha),
+                                       "M", alpha=-1.0), grid)
+        rhs = radon_transform(GridFunction(grid, c_f1 * f1.values), 2, L=L)
+        pairs.append(_sup_err(lhs.repr_.values, rhs.repr_.values))
     report("range_swap", {"L": L, "alphas": [0.5, 1.5], "c": c_f1}, pairs, tol)
 
     # right-inverse forms of the dual Radon transform (i = 2): the continued
@@ -827,8 +830,7 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     q = mult.table(3, np.arange(L + 1), "Q", alpha=1.0)
     q_inv = np.divide(1.0, q, out=np.zeros_like(q), where=q != 0.0)   # odd blocks stay 0
     pairs_forms, pairs_recon = [], []
-    for f in fs[:3]:
-        cf = analyze(f, L)
+    for f, cf in zip(fs[:3], cfs):
         a2 = k2 * synthesize(apply_spectral(cf, "M", alpha=-1.0), grid).values
         qinv = synthesize(cf.scale_degrees(q_inv), grid)
         a3 = GridFunction(grid, k3 * radon_transform(qinv, 2, L=L).repr_.values)
@@ -845,10 +847,8 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     lam = mult.constant("lambda1", 3, i=2)
     consts = [lam, mult.constant("c_perp_swap", 3, i=2), 1.0 / sqrt_pi]
     pairs = []
-    for f in fs:
-        r2 = radon_transform(f, 2, L=L)
-        inverted = synthesize(apply_spectral(analyze(r2.repr_, L), "M", alpha=-1.0),
-                              grid)
+    for f, r2 in zip(fs, r2s):
+        inverted = synthesize(apply_spectral(analyze(r2.repr_, L), "M", alpha=-1.0), grid)
         pairs.extend(_sup_err(inverted.values, k * f.values) for k in consts)
     report("radon_inversion", {"L": L, "constants": consts}, pairs, tol)
 
@@ -858,16 +858,15 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     idx = nodes()
     rule = _sine_rule(alpha + 1.0, L, mult.constant("gamma_sine", 3, alpha=alpha + 1.0))
     rhs = lam * kernel_at(cs[0], points[idx], *rule)
-    lhs = cosine_direct(radon_transform(fs[0], 2, L=L).repr_, alpha, L=L)
-    lhs2 = dual_radon(ri_alpha_direct(fs[0], 2, alpha, L=L), L=L)
+    lhs = cosine_direct(r2s[0].repr_, alpha, L=L)
+    lhs2 = dual_radon(r2_alpha[alpha, 0], L=L)
     pairs = [_sup_err(g.values.reshape(-1)[idx], rhs) for g in (lhs, lhs2)]
     report("sine_composites", {"L": L, "alpha": alpha, "lambda": lam, "nodes": 32},
            pairs, tol)
 
     # Funk inversion on coefficients: sqrt(pi) M^(-1) (Funk c) = c, all tables
     pairs = []
-    for f in fs:
-        cf = analyze(f, L)
+    for cf in cfs:
         spec_path = apply_spectral(apply_spectral(cf, "Funk"), "M", alpha=-1.0)
         pairs.append(_sup_err(sqrt_pi * spec_path.coeffs, cf.coeffs))
     report("funk_inversion_spectral", {"L": L}, pairs, tol_spec)
@@ -878,8 +877,8 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     j = np.arange(L + 1)
     step = (j * (j + 1.0) - 2.0) / 4.0
     pairs = []
-    for f in fs[:2]:
-        target = sqrt_pi * funk_direct(f, L=L).values
+    for f, r2 in zip(fs[:2], r2s):
+        target = sqrt_pi * r2.repr_.values
         limit = synthesize(analyze(cosine_direct(f, 2.0, L=L), L).scale_degrees(step), grid)
         pairs.append(_sup_err(limit.values, target))
     report("cosine_funk_limit", {"L": L, "alpha": 2.0}, pairs, tol_spec)
@@ -891,7 +890,7 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     for k, alpha in enumerate(alphas):
         idx = nodes()
         direct = kernel_at(cs[k % len(cs)], points[idx], *_cosine_rule(3, alpha, L))
-        spec = synthesize(apply_spectral(analyze(fs[k % len(fs)], L), "M", alpha=alpha), grid)
+        spec = synthesize(apply_spectral(cfs[k % len(cfs)], "M", alpha=alpha), grid)
         pairs.append(_sup_err(direct, spec.values.reshape(-1)[idx]))
     report("cross_engine_cosine", {"L": L, "alphas": alphas, "nodes": 32}, pairs, tol)
 

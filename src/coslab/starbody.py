@@ -46,6 +46,9 @@ __all__ = [
 
 ODD_ENERGY_LIMIT = 1e-8
 DEFAULT_CLASSIFY_L = 24
+DEFAULT_SMOOTHING = 0.98                    # Poisson smoothing t of the classifier
+DEFAULT_MARGIN = 1e-7                       # the classifier's verdict margin
+DEFAULT_RESOLUTION = 48                     # grid latitudes (n = 3) or zonal degree
 _DENSITY_T = np.linspace(-1.0, 1.0, 201)    # where zonal class densities are sampled
 
 
@@ -118,62 +121,55 @@ class ClassVerdict:
 
 
 def make_body(n: int, shape: str, *, r: float = 1.0, axes=None, p: float = 2.0,
-              resolution: int = 48) -> StarBody:
+              resolution: int = DEFAULT_RESOLUTION) -> StarBody:
     """Closed-form star bodies: ball(r), ellipsoid(axes), lp_ball(p).
 
     n = 3 bodies are sampled on a grid with ``resolution`` latitudes; other
-    dimensions use the zonal representation, which restricts shapes to the
-    axially symmetric ones (ball; ellipsoid with equal first n-1 semi-axes).
+    dimensions use the zonal representation of degree ``resolution``, which
+    restricts shapes to the axially symmetric ones (ball; ellipsoid with
+    equal first n-1 semi-axes).
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    if n == 3:
-        grid = sphere.S2Grid(resolution)
-        pts = grid.points
-        if shape == "ball":
-            if not (math.isfinite(r) and r > 0):
-                raise BadShapeParamsError(f"ball radius must be positive and finite, got {r}")
-            vals = np.full(pts.shape[:2], float(r))
-            meta = {"shape": "ball", "params": {"r": r}}
-        elif shape == "ellipsoid":
-            axes = _check_axes(axes, 3)
-            vals = 1.0 / np.sqrt(sum((pts[..., k] / axes[k]) ** 2 for k in range(3)))
-            meta = {"shape": "ellipsoid", "params": {"axes": list(axes)}}
-        elif shape == "lp_ball":
-            if not (math.isfinite(p) and p > 0):
-                raise BadShapeParamsError(f"lp exponent must be positive and finite, got {p}")
-            vals = (np.abs(pts[..., 0]) ** p + np.abs(pts[..., 1]) ** p
-                    + np.abs(pts[..., 2]) ** p) ** (-1.0 / p)
-            meta = {"shape": "lp_ball", "params": {"p": p}}
-        else:
-            raise BadShapeParamsError(f"unknown shape {shape!r}")
-        return StarBody(3, sphere.GridFunction(grid, vals), meta)
-
-    J = resolution
+    least = 1 if n == 3 else 0              # a grid needs a latitude; degree 0 is a body
+    if resolution < least:
+        raise ValueError(f"resolution must be >= {least} at n = {n}, got {resolution}")
+    # each shape's parameters, meta and radial function at unit vectors x (n = 3)
     if shape == "ball":
         if not (math.isfinite(r) and r > 0):
             raise BadShapeParamsError(f"ball radius must be positive and finite, got {r}")
-        coeffs = np.zeros(J + 1)
-        coeffs[0] = float(r)
-        return StarBody(n, zn.ZonalFunction(n, coeffs),
-                        {"shape": "ball", "params": {"r": r}})
-    if shape == "ellipsoid":
+        params, radial = {"r": r}, lambda x: np.full(x.shape[:-1], float(r))
+    elif shape == "ellipsoid":
         axes = _check_axes(axes, n)
+        params = {"axes": axes}
+        radial = lambda x: 1.0 / np.sqrt(sum((x[..., k] / a) ** 2 for k, a in enumerate(axes)))
+    elif shape == "lp_ball":
+        if not (math.isfinite(p) and p > 0):
+            raise BadShapeParamsError(f"lp exponent must be positive and finite, got {p}")
+        params = {"p": p}
+        radial = lambda x: sum(np.abs(x[..., k]) ** p for k in range(3)) ** (-1.0 / p)
+    else:
+        raise BadShapeParamsError(f"unknown shape {shape!r}")
+    meta = {"shape": shape, "params": params}
+    if n == 3:
+        grid = sphere.S2Grid(resolution)
+        return StarBody(3, sphere.GridFunction(grid, radial(grid.points)), meta)
+
+    if shape == "ellipsoid":
         if any(abs(a - axes[0]) > 1e-14 for a in axes[:-1]):
             raise BadShapeParamsError(
                 "outside R^3, ellipsoids must be axially symmetric "
                 "(equal first n-1 semi-axes) to have a zonal radial function")
         a, c = axes[0], axes[-1]
         profile = lambda t: 1.0 / np.sqrt((1.0 - t * t) / a ** 2 + t * t / c ** 2)
-        rule = zn.gauss_jacobi_rule(n, max(2 * J, J + 1))
-        f = zn.zonal_analyze(n, profile, J, rule)
-        return StarBody(n, f, {"shape": "ellipsoid", "params": {"axes": list(axes)}})
+        rule = zn.gauss_jacobi_rule(n, max(2 * resolution, resolution + 1))
+        return StarBody(n, zn.zonal_analyze(n, profile, resolution, rule), meta)
     if shape == "lp_ball":
-        if p == 2.0:
-            return make_body(n, "ball", r=1.0, resolution=resolution)
-        raise BadShapeParamsError(
-            "lp_ball with p != 2 is not axially symmetric; only n = 3 supported")
-    raise BadShapeParamsError(f"unknown shape {shape!r}")
+        if p != 2.0:
+            raise BadShapeParamsError(
+                "lp_ball with p != 2 is not axially symmetric; only n = 3 supported")
+        r, meta = 1.0, {"shape": "ball", "params": {"r": 1.0}}
+    return StarBody(n, zn.ZonalFunction(n, np.pad([float(r)], (0, resolution))), meta)
 
 
 def _check_axes(axes, n: int):
@@ -227,8 +223,8 @@ def _class_factors(n: int, L: int, alpha: float, t_smooth: float) -> np.ndarray:
     return mult.table(n, js, "M", alpha=1.0 - n + alpha) * t_smooth ** js
 
 
-def classify_K_alpha(body: StarBody, alpha: float, t_smooth: float = 0.98,
-                     margin: float = 1e-7,
+def classify_K_alpha(body: StarBody, alpha: float,
+                     t_smooth: float = DEFAULT_SMOOTHING, margin: float = DEFAULT_MARGIN,
                      band_limit: int | None = None) -> ClassVerdict:
     """Decide membership of the body in the order-alpha class.
 
@@ -307,7 +303,7 @@ def embeds_in_Lp(body: StarBody, p: float) -> ClassVerdict:
         raise ValueError(f"embedding exponent must be finite, got {p}")
     if p <= 0:
         raise ExcludedParameterError(f"embedding exponent must be positive, got {p}")
-    return _signed_verdict(body, -p, _sign(-p / 2.0), 0.98, 1e-7, None)
+    return _signed_verdict(body, -p, _sign(-p / 2.0), DEFAULT_SMOOTHING, DEFAULT_MARGIN, None)
 
 
 # --- identity checks ----------------------------------------------------------
@@ -392,11 +388,10 @@ def istar_chain_check(g: "sphere.GridFunction", tol: float = 1e-8) -> IdentityRe
 def verify_starbody_suite(seed: int = 11, tol: float = 1e-6) -> list[IdentityReport]:
     """Battery of construction/classification checks for the CLI verify command."""
     rng = np.random.default_rng(seed)
-    resolution = 48
     reports: list[IdentityReport] = []
 
     # intersection body of a ball is the ball of the section area
-    ball = make_body(3, "ball", r=2.0, resolution=resolution)
+    ball = make_body(3, "ball", r=2.0)
     ib = intersection_body(ball)
     err = float(np.max(np.abs(ib.repr_.values - math.pi * 4.0)))
     reports.append(make_report("ib_ball", {"r": 2.0}, [err], [err / (4 * math.pi)],
@@ -406,7 +401,7 @@ def verify_starbody_suite(seed: int = 11, tol: float = 1e-6) -> list[IdentityRep
     # keeps order-negative multipliers from amplifying node roundoff
     abs_errs, rel_errs = [], []
     sign_ok = True
-    b1grid = make_body(3, "ball", r=1.0, resolution=resolution)
+    b1grid = make_body(3, "ball", r=1.0)
     for alpha in np.linspace(-2.9, 2.8, 20):
         if mult.excluded(3, float(alpha), mult.Family.K_CLASS):
             continue
@@ -423,7 +418,7 @@ def verify_starbody_suite(seed: int = 11, tol: float = 1e-6) -> list[IdentityRep
 
     # seeded intersection-body pairs and the i <-> 3-i symmetry
     for k in range(2):
-        base = _random_body(rng, resolution)
+        base = _random_body(rng, DEFAULT_RESOLUTION)
         partner = _half_section_partner(base)
         reports.append(i_intersection_pair_check(base, partner, 2, tol=tol))
         sym = i_intersection_pair_check(partner, base, 1, tol=tol)
@@ -436,14 +431,14 @@ def verify_starbody_suite(seed: int = 11, tol: float = 1e-6) -> list[IdentityRep
                                [miss], [miss], tol))
 
     # intersection bodies classify as members at order 1
-    base = _random_body(rng, resolution)
+    base = _random_body(rng, DEFAULT_RESOLUTION)
     verdict = classify_K_alpha(intersection_body(base), 1.0)
     ok = 0.0 if verdict.member == "yes" else 1.0
     reports.append(make_report("ib_classifies_member", {"alpha": 1.0}, [ok], [ok],
                                0.5))
 
     # plane-measure chain
-    grid = sphere.S2Grid(resolution)
+    grid = sphere.S2Grid(DEFAULT_RESOLUTION)
     g = sphere.random_even_function(grid, 8, rng)
     g = sphere.GridFunction(grid, g.values - min(0.0, float(g.values.min())) + 0.5)
     reports.append(istar_chain_check(g, tol=1e-8))

@@ -279,13 +279,20 @@ def _slice_rule(n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, rule.weights
 
 
-def _output_points(t0) -> np.ndarray:
-    """The output points t0 = u.e of a direct oracle as an array, all in [-1, 1]."""
+def _adapted_dots(n: int, x: np.ndarray, t0, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta.e = x t0 + sqrt((1 - x^2)(1 - t0^2)) sigma in the direct oracles'
+    coordinates adapted to u, as the block (output point t0 = u.e in [-1, 1],
+    polar node x = theta.u, node sigma of the M-node :func:`_slice_rule`), and
+    the slice rule's weights."""
     t0 = np.asarray(t0, dtype=float)
     inside = (-1.0 <= t0) & (t0 <= 1.0)
     if not np.all(inside):
         raise ValueError(f"t0 must lie in [-1, 1], got {t0[~inside].flat[0]}")
-    return t0
+    t0 = t0[..., None, None]
+    x = x[:, None]
+    sigma_nodes, sigma_weights = _slice_rule(n, M)
+    c = np.sqrt(np.clip((1.0 - x * x) * (1.0 - t0 * t0), 0.0, None))
+    return x * t0 + c * sigma_nodes, sigma_weights
 
 
 def _cosine_rule(n: int, alpha: float, J: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,14 +322,10 @@ def zonal_cosine_direct(n: int, profile, alpha: float, t0, degree_hint: int = 32
     float or its shape.
     """
     _check_direct_order(n, alpha, mult.Family.M)
-    t0 = _output_points(t0)[..., None, None]
     J = max(int(degree_hint), 1)
     s, w = _cosine_rule(n, alpha, J)
-    sigma_nodes, sigma_weights = _slice_rule(n, J + 2)
-    # the block is (t0, polar node, slice node)
-    c = np.sqrt(np.clip((1.0 - s[:, None] ** 2) * (1.0 - t0 * t0), 0.0, None))
-    inner = np.asarray(profile(s[:, None] * t0 + c * sigma_nodes), dtype=float) @ sigma_weights
-    out = inner @ w
+    dot, sigma_weights = _adapted_dots(n, s, t0, J + 2)
+    out = (np.asarray(profile(dot), dtype=float) @ sigma_weights) @ w
     return float(out) if out.ndim == 0 else out
 
 
@@ -336,13 +339,9 @@ def zonal_poisson_direct(n: int, profile, t: float, t0, degree_hint: int = 32):
     """
     if not 0.0 <= t < 1.0:
         raise ValueError(f"Poisson parameter must satisfy 0 <= t < 1, got {t}")
-    t0 = _output_points(t0)[..., None, None]
     N = max(64, degree_hint + 2)
     rule = gauss_jacobi_rule(n, N)
-    tau = rule.nodes[:, None]
-    sigma_nodes, sigma_weights = _slice_rule(n, N)
-    c = np.sqrt(np.clip((1.0 - tau * tau) * (1.0 - t0 * t0), 0.0, None))
-    dot = tau * t0 + c * sigma_nodes
+    dot, sigma_weights = _adapted_dots(n, rule.nodes, t0, N)
     kernel = (1.0 + t * t - 2.0 * t * dot) ** (-n / 2.0)
     inner = kernel @ sigma_weights
     f_vals = np.asarray(profile(rule.nodes), dtype=float)

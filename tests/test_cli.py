@@ -604,3 +604,85 @@ class TestBody:
         report = json.loads(out)
         assert report["config"]["skipped_excluded"] == 1
         assert len(report["results"]) == 2
+
+    @pytest.mark.parametrize("smooth", ["5", "1", "0", "-0.5", "nan"])
+    def test_classify_bad_smooth_exits_2_when_no_order_runs(self, capsys, tmp_path, smooth):
+        # the sweep's one order is excluded, so the library check never runs
+        body_file = tmp_path / "ball.json"
+        run(capsys, "body", "make", "--shape", "ball", "--out", str(body_file))
+        code, out, err = run(capsys, "body", "classify", "--input", str(body_file),
+                             "--alpha-min", "0", "--alpha-max", "0", "--steps", "1",
+                             "--smooth", smooth)
+        assert code == 2
+        assert err.startswith("error: --smooth must be in (0, 1)") and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--shape", "ball", "--resolution", "0"],
+        ["--shape", "ellipsoid", "--axes", "1,1,2", "--resolution", "-3"],
+        ["--shape", "ball", "--n", "5", "--resolution", "-5"],
+        ["--shape", "lp_ball", "--n", "4", "--resolution", "-1"],
+    ])
+    def test_make_impossible_resolution_exits_2(self, capsys, tmp_path, argv):
+        body_file = tmp_path / "body.json"
+        code, out, err = run(capsys, "body", "make", *argv, "--out", str(body_file))
+        assert code == 2
+        assert err.startswith("error: resolution must be >=") and err.count("\n") == 1
+        assert out == "" and not body_file.exists()
+
+    def test_parser_defaults_are_the_library_constants(self):
+        parser = cli.build_parser()
+        classify = parser.parse_args(["body", "classify", "--input", "b.json"])
+        make = parser.parse_args(["body", "make", "--shape", "ball", "--out", "b.json"])
+        assert (classify.smooth, classify.margin) == (sb.DEFAULT_SMOOTHING,
+                                                      sb.DEFAULT_MARGIN)
+        assert make.resolution == sb.DEFAULT_RESOLUTION
+
+
+# --- failure contract of the body subcommands that read files ---------------------
+
+# bad input -> the exit code the README gives it: a file that cannot be opened is an
+# argument error, one that holds no star body a representation mismatch
+BAD_INPUTS = {"missing": 2, "not_json": 4, "not_utf8": 4, "json_list": 4,
+              "grid_function": 4, "body_without_payload": 4, "zonal_body": 4}
+# subcommand -> its argv, with the bad file and a good grid body
+BODY_READERS = {
+    "intersect": lambda bad, good, out: ["intersect", "--input", bad, "--out", out],
+    "classify": lambda bad, good, out: ["classify", "--input", bad, "--alpha", "0.5",
+                                        "--out", out],
+    "pair-check --k": lambda bad, good, out: ["pair-check", "--k", bad, "--l", good],
+    "pair-check --l": lambda bad, good, out: ["pair-check", "--k", good, "--l", bad],
+}
+
+
+def _bad_input(path, case):
+    """Write the bad input ``case`` to path (none for "missing")."""
+    if case == "zonal_body":
+        save_object(sb.make_body(5, "ball", resolution=4), path)
+    elif case != "missing":
+        payload = {
+            "not_json": b"notes, not JSON\n",
+            "not_utf8": b"\xff\xfe\x80{}",
+            "json_list": b"[1, 2, 3]",
+            "grid_function": json.dumps(_ones_grid().to_dict()).encode(),
+            "body_without_payload": b'{"n": 3, "repr_kind": "grid", "meta": {}}',
+        }[case]
+        path.write_bytes(payload)
+
+
+@pytest.mark.parametrize("reader,case", [
+    pytest.param(reader, case, id=f"{reader}-{case}")
+    for reader in BODY_READERS for case in BAD_INPUTS
+    # classify takes zonal bodies; intersect and pair-check need grid bodies
+    if not (reader == "classify" and case == "zonal_body")])
+def test_bad_body_input_exits_with_its_documented_code(capsys, tmp_path, reader, case):
+    good, bad, out = tmp_path / "ball.json", tmp_path / "bad.json", tmp_path / "out.json"
+    save_object(sb.make_body(3, "ball", resolution=8), good)
+    _bad_input(bad, case)
+    code, stdout, err = run(capsys, "body", *BODY_READERS[reader](str(bad), str(good),
+                                                                  str(out)))
+    assert code == BAD_INPUTS[case]
+    assert err.startswith("error:") and err.count("\n") == 1
+    if case != "zonal_body":
+        assert str(bad) in err              # the message names the file
+    assert stdout == "" and not out.exists()

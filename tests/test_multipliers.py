@@ -434,6 +434,15 @@ class TestTable:
             np.testing.assert_allclose(got, mp_table(n, family, params), rtol=1e-12,
                                        atol=0.0, err_msg=f"{family} {params}")
 
+    @pytest.mark.parametrize("family,n,alpha", [("M", 2, -401.5), ("M", 3, -401.5),
+                                                ("Q", 5, -600.25), ("Q", 8, -599.75)])
+    def test_scalars_overflow_to_inf_as_the_table(self, family, n, alpha):
+        # ratios beyond the float range are +-inf in both, with the same signs
+        want = m.table(n, DEGREES[:9], family, alpha=alpha)
+        assert np.isinf(want[::2]).all()
+        got = [SCALARS[family](n, int(j), {"alpha": alpha}) for j in DEGREES[:9]]
+        np.testing.assert_array_equal(got, want)
+
     def test_broadcasts_over_orders(self):
         alphas = np.array([-2.3, 0.4, 2.6])
         got = m.table(5, DEGREES[None, :], "M", alpha=alphas[:, None])

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -99,6 +100,18 @@ class TestMakeBody:
         with pytest.raises(NonPositiveBodyError):
             sb.StarBody(3, sp.GridFunction(grid, vals), {})
 
+    @pytest.mark.parametrize("shape,params", [("ball", {"r": 2.0}),
+                                              ("ellipsoid", {"axes": [1, 1, 1, 1.5]}),
+                                              ("lp_ball", {"p": 2.0})])
+    def test_resolution_0_is_a_degree_0_zonal_body(self, shape, params):
+        b = sb.make_body(4, shape, resolution=0, **params)
+        assert b.repr_.coeffs.shape == (1,) and b.repr_.coeffs[0] > 0
+
+    def test_zonal_l2_ball_is_the_unit_ball(self):
+        b = sb.make_body(5, "lp_ball", p=2.0, resolution=6)
+        assert b.meta == {"shape": "ball", "params": {"r": 1.0}}
+        assert b.repr_.coeffs.tolist() == [1.0] + [0.0] * 6
+
 
 class TestIntersectionBody:
     def test_ball_section_area(self):
@@ -154,6 +167,13 @@ class TestBallClassSign:
     def test_non_finite_order_raises(self, alpha):
         with pytest.raises(ValueError, match="must be finite"):
             sb.ball_class_sign(3, alpha)
+
+    @pytest.mark.parametrize("n,alpha", [(2, -401.0), (3, -401.5), (3, -403.5)])
+    def test_overflow_is_signed_inf(self, n, alpha):
+        # Gamma((n - alpha)/2) / Gamma(alpha/2) beyond the float range
+        want = float(mpmath.gamma((n - alpha) / 2) / mpmath.gamma(alpha / 2))
+        assert math.isinf(want) and sb.ball_class_sign(n, alpha) == want
+
 
 
 class TestClassify:
