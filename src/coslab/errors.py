@@ -43,3 +43,14 @@ class NonPositiveBodyError(CoslabError):
 
 class RepresentationError(CoslabError):
     """Operation is incompatible with the given function representation."""
+
+
+def integer_field(d: dict, key: str) -> int:
+    """The integer ``d[key]`` of a parsed file: 3 and 3.0 count, 3.7 and "3" raise
+    RepresentationError (a missing key raises KeyError)."""
+    value = d[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RepresentationError(f"{key} must be an integer, got {value!r}")
+    return value

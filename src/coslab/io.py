@@ -52,7 +52,7 @@ def load_object(path: str | Path):
         return _LOADERS[kind](d)
     except KeyError as exc:
         raise RepresentationError(f"{path}: {kind} file needs the key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RepresentationError) as exc:
         raise RepresentationError(f"{path}: malformed {kind} file: {exc}") from exc
 
 

@@ -425,15 +425,6 @@ def constant(name: str, n: int, i: int | None = None, alpha: float | None = None
 
 # --- identity suite ---------------------------------------------------------
 
-def _errs(value: np.ndarray, expected):
-    """Largest abs error and largest error relative to max(|expected|, 1), as lists."""
-    if value.size == 0:
-        return [], []
-    err = np.abs(value - expected)
-    rel = err / np.maximum(np.abs(expected), 1.0)
-    return [float(err.max())], [float(rel.max())]
-
-
 def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
                      beta_grid=None) -> list[IdentityReport]:
     """Run the multiplier-level identity suite for one dimension.
@@ -452,8 +443,8 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
     An order (or order pair) is skipped when it is excluded or when a gamma
     factor of the identity has a numerator pole at some degree.  The first
     four identities are evaluated as arrays over (order, degree) through
-    ``_table``; each row is one order or order pair.  The error metric is
-    relative where |expected| > 1, absolute otherwise.
+    ``_table``; each row is one order or order pair.  Each entry's error is
+    relative to max(|expected|, 1), as in :class:`reports.IdentityReport`.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
@@ -481,7 +472,7 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
     skipped = len(alphas) - len(a) + poles
     reports.append(make_report(
         "inversion", {"n": n, "j_max": j_max, "alphas": len(alpha_grid), "skipped": skipped},
-        *_errs(m_a * m_b, 1.0), tol))
+        [(m_a * m_b, 1.0)], tol))
 
     # semigroup
     a = alphas[ok_alpha & ~_excluded_mask(n, alphas + n - 2.0, Family.Q)][:, None]
@@ -489,7 +480,7 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
     skipped = len(alphas) - len(a) + poles
     reports.append(make_report(
         "semigroup", {"n": n, "j_max": j_max, "alphas": len(alpha_grid), "skipped": skipped},
-        *_errs(m_a * m_0, q), tol))
+        [(m_a * m_0, q)], tol))
 
     # cosine_bridge and bridge_factors on the (alpha, beta, degree) outer product:
     # alpha-only and beta-only gamma arguments are evaluated once per order
@@ -503,15 +494,15 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
         _table(n, j, "Qminus", {"mu": mu, "nu": 1.0 - b}))
     params = {"n": n, "j_max": j_max, "grid": f"{len(alpha_grid)}x{len(beta_grid)}",
               "skipped": len(alphas) * len(betas) - a.size * b.size + poles}
-    reports.append(make_report("cosine_bridge", params, *_errs(m_b * av, m_a), tol))
+    reports.append(make_report("cosine_bridge", params, [(m_b * av, m_a)], tol))
     reports.append(make_report("bridge_factors", dict(params),
-                               *_errs(q_plus * q_minus, av), tol))
+                               [(q_plus * q_minus, av)], tol))
 
     # composite constant: c * q(0, i-1) = 1
     values = np.array([constant("c_radon_composite", n, i=ii) * q_mult(n, 0, float(ii - 1))
                        for ii in range(1, n)])
     reports.append(make_report("composite_const", {"n": n, "i_range": [1, n - 1]},
-                               *_errs(values, 1.0), tol))
+                               [(values, 1.0)], tol))
 
     # asymptotics: probed at a degree where the 2% band applies; the
     # finite-degree correction scales like |alpha + n/2 - 1| (n/2 - 1) / j,
@@ -525,6 +516,6 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
     reports.append(make_report(
         "asymptotics", {"n": n, "j": j, "alphas": probe_alphas,
                         "skipped": len(probe_alphas) - len(admissible)},
-        *_errs(values, 1.0), 0.02))
+        [(values, 1.0)], 0.02))
 
     return reports

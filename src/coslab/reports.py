@@ -5,16 +5,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["IdentityReport", "RunReport", "make_report"]
+import numpy as np
+
+__all__ = ["IdentityReport", "RunReport", "make_report", "max_errors"]
 
 
 @dataclass
 class IdentityReport:
     """Outcome of one numerical identity check.
 
-    ``passed`` is defined by the error metric the check declared: relative
-    error where the expected magnitude exceeds 1, absolute error otherwise.
-    Both maxima are always recorded.
+    Each entry of a check compares a value with its expected value: its error
+    is |value - expected| and its relative error is that error divided by
+    max(|expected|, 1).  ``max_abs_err`` and ``max_rel_err`` are the largest
+    of each over all entries (NaN if any entry is NaN), and ``passed`` is
+    ``max_rel_err <= tolerance``.
     """
 
     identity: str
@@ -35,19 +39,30 @@ class IdentityReport:
         }
 
 
-def make_report(identity: str, params: dict, abs_errs, rel_errs, tolerance: float,
-                use_relative: bool = True) -> IdentityReport:
-    """Assemble an IdentityReport from per-sample error lists."""
-    max_abs = float(max(abs_errs, default=0.0))
-    max_rel = float(max(rel_errs, default=0.0))
-    governing = max_rel if use_relative else max_abs
+def max_errors(pairs) -> tuple[float, float]:
+    """Largest |value - expected| and largest relative error over (value,
+    expected) pairs of broadcastable scalars or arrays; NaN anywhere gives NaN."""
+    max_abs = max_rel = 0.0
+    with np.errstate(invalid="ignore"):     # inf - inf and inf / inf: a NaN that fails
+        for value, expected in pairs:
+            expected = np.asarray(expected, dtype=float)
+            err = np.abs(np.asarray(value, dtype=float) - expected)
+            max_abs = err.max(initial=max_abs)
+            max_rel = (err / np.maximum(np.abs(expected), 1.0)).max(initial=max_rel)
+    return float(max_abs), float(max_rel)
+
+
+def make_report(identity: str, params: dict, pairs, tolerance: float) -> IdentityReport:
+    """Report on (value, expected) pairs: passed iff the largest relative error
+    is within ``tolerance``."""
+    max_abs, max_rel = max_errors(pairs)
     return IdentityReport(
         identity=identity,
         params=params,
         max_abs_err=max_abs,
         max_rel_err=max_rel,
         tolerance=tolerance,
-        passed=bool(governing <= tolerance),
+        passed=bool(max_rel <= tolerance),
     )
 
 
@@ -62,7 +77,8 @@ class RunReport:
 
     @property
     def pass_count(self) -> int:
-        return sum(1 for r in self.results if _result_passed(r))
+        # class verdicts are dicts without a pass flag; they never fail a run
+        return sum(1 for r in self.results if getattr(r, "passed", True))
 
     @property
     def fail_count(self) -> int:
@@ -81,13 +97,3 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
-
-def _result_passed(r) -> bool:
-    if hasattr(r, "passed"):
-        return bool(r.passed)
-    if isinstance(r, dict):
-        if "pass" in r:
-            return bool(r["pass"])
-        # class verdicts have no pass flag; they never fail a run by themselves
-        return True
-    return True

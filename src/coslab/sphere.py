@@ -51,6 +51,7 @@ from .errors import (
     GridTooCoarseError,
     OddInputError,
     RepresentationError,
+    integer_field,
 )
 from .reports import IdentityReport, make_report
 
@@ -239,7 +240,7 @@ class GridFunction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridFunction":
-        g = S2Grid(int(d["grid"]["n_theta"]), int(d["grid"]["n_phi"]))
+        g = S2Grid(integer_field(d["grid"], "n_theta"), integer_field(d["grid"], "n_phi"))
         vals = np.asarray(d["values"], dtype=float)
         if vals.shape != (g.n_theta * g.n_phi,):
             raise RepresentationError(
@@ -315,7 +316,7 @@ class HarmonicCoeffs:
         coeffs = np.asarray(d["coeffs"], dtype=float)
         if not np.all(np.isfinite(coeffs)):
             raise RepresentationError("harmonic coefficients must be finite")
-        return cls(int(d["L"]), coeffs)
+        return cls(integer_field(d, "L"), coeffs)
 
 
 @dataclass
@@ -746,14 +747,6 @@ def random_even_function(grid: S2Grid, L: int, rng: np.random.Generator) -> Grid
     return synthesize(_random_even_coeffs(L, rng), grid)
 
 
-def _sup_err(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """(abs, rel) sup-norm deviation between two fields."""
-    abs_err = float(np.max(np.abs(a - b)))
-    scale = float(np.max(np.abs(b)))
-    rel = abs_err / scale if scale > 1.0 else abs_err
-    return abs_err, rel
-
-
 _S2_SUITE_FUNCTIONS = 5
 
 
@@ -776,9 +769,6 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     sqrt_pi = math.sqrt(math.pi)
     reports: list[IdentityReport] = []
 
-    def report(name, params, pairs, tolerance):
-        reports.append(make_report(name, params, *zip(*pairs), tolerance, use_relative=False))
-
     def nodes():
         return rng.choice(len(points), 32, replace=False)
 
@@ -798,9 +788,10 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
         mf = funk_at(c, points[idx])
         for r in (r2, radon_transform(f, 1, L=L)):      # R_(3-i) f at i = 1, 2
             rhs = dual_radon(r.perp(), L=L)
-            pairs.append(_sup_err(mf, rhs.values.reshape(-1)[idx]))
-    report("funk_factorization", {"L": L, "i": [1, 2], "functions": len(fs), "nodes": 32},
-           pairs, tol_spec)
+            pairs.append((mf, rhs.values.reshape(-1)[idx]))
+    reports.append(make_report("funk_factorization",
+                               {"L": L, "i": [1, 2], "functions": len(fs), "nodes": 32},
+                               pairs, tol_spec))
 
     # cosine/Radon chain: R_2 M^alpha f = c R^(alpha+1)_(1,perp) f, alpha in window
     # (alpha = 1 is itself a cosine-family pole, so the probes sit beside it)
@@ -809,9 +800,9 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     for (alpha, k), r2a in r2_alpha.items():
         lhs = radon_transform(r2a.repr_, 2, L=L)
         rhs = ri_alpha_direct(fs[k], 1, alpha + 1.0, L=L).perp()
-        pairs.append(_sup_err(lhs.repr_.values, c_chain * rhs.repr_.values))
-    report("cosine_radon_chain", {"L": L, "alphas": [0.5, 1.5], "c": c_chain},
-           pairs, tol)
+        pairs.append((lhs.repr_.values, c_chain * rhs.repr_.values))
+    reports.append(make_report("cosine_radon_chain",
+                               {"L": L, "alphas": [0.5, 1.5], "c": c_chain}, pairs, tol))
 
     # range identity: R_2^alpha f = R_2 f1, f1 = c M^(1-i) M^(alpha+i+1-n) f
     c_f1 = mult.constant("c_range_f1", 3, i=2)
@@ -820,8 +811,9 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
         f1 = synthesize(apply_spectral(apply_spectral(cfs[k], "M", alpha=alpha),
                                        "M", alpha=-1.0), grid)
         rhs = radon_transform(GridFunction(grid, c_f1 * f1.values), 2, L=L)
-        pairs.append(_sup_err(lhs.repr_.values, rhs.repr_.values))
-    report("range_swap", {"L": L, "alphas": [0.5, 1.5], "c": c_f1}, pairs, tol)
+        pairs.append((lhs.repr_.values, rhs.repr_.values))
+    reports.append(make_report("range_swap", {"L": L, "alphas": [0.5, 1.5], "c": c_f1},
+                               pairs, tol))
 
     # right-inverse forms of the dual Radon transform (i = 2): the continued
     # R_2^(-1) = table M^(-1) against the Funk transform of table Q^(-1)
@@ -834,11 +826,12 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
         a2 = k2 * synthesize(apply_spectral(cf, "M", alpha=-1.0), grid).values
         qinv = synthesize(cf.scale_degrees(q_inv), grid)
         a3 = GridFunction(grid, k3 * radon_transform(qinv, 2, L=L).repr_.values)
-        pairs_forms.append(_sup_err(a2, a3.values))
+        pairs_forms.append((a2, a3.values))
         recon = dual_radon(GrassmannFunctionS2("planes", a3), L=L)
-        pairs_recon.append(_sup_err(recon.values, f.values))
-    report("right_inverse_forms", {"L": L, "constants": [k2, k3]}, pairs_forms, tol_spec)
-    report("right_inverse_reconstruction", {"L": L}, pairs_recon, tol)
+        pairs_recon.append((recon.values, f.values))
+    reports.append(make_report("right_inverse_forms", {"L": L, "constants": [k2, k3]},
+                               pairs_forms, tol_spec))
+    reports.append(make_report("right_inverse_reconstruction", {"L": L}, pairs_recon, tol))
 
     # inversion of the plane Radon transform by the continued dual family,
     # M^(-1) R_2 f = lambda1 f.  At n = 3, i = 2 the perpendicular swaps
@@ -849,8 +842,8 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     pairs = []
     for f, r2 in zip(fs, r2s):
         inverted = synthesize(apply_spectral(analyze(r2.repr_, L), "M", alpha=-1.0), grid)
-        pairs.extend(_sup_err(inverted.values, k * f.values) for k in consts)
-    report("radon_inversion", {"L": L, "constants": consts}, pairs, tol)
+        pairs.extend((inverted.values, k * f.values) for k in consts)
+    reports.append(make_report("radon_inversion", {"L": L, "constants": consts}, pairs, tol))
 
     # sine-transform composition identities: both composites of the direct
     # engines against the sine kernel at points
@@ -860,16 +853,16 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     rhs = lam * kernel_at(cs[0], points[idx], *rule)
     lhs = cosine_direct(r2s[0].repr_, alpha, L=L)
     lhs2 = dual_radon(r2_alpha[alpha, 0], L=L)
-    pairs = [_sup_err(g.values.reshape(-1)[idx], rhs) for g in (lhs, lhs2)]
-    report("sine_composites", {"L": L, "alpha": alpha, "lambda": lam, "nodes": 32},
-           pairs, tol)
+    pairs = [(g.values.reshape(-1)[idx], rhs) for g in (lhs, lhs2)]
+    reports.append(make_report("sine_composites",
+                               {"L": L, "alpha": alpha, "lambda": lam, "nodes": 32}, pairs, tol))
 
     # Funk inversion on coefficients: sqrt(pi) M^(-1) (Funk c) = c, all tables
     pairs = []
     for cf in cfs:
         spec_path = apply_spectral(apply_spectral(cf, "Funk"), "M", alpha=-1.0)
-        pairs.append(_sup_err(sqrt_pi * spec_path.coeffs, cf.coeffs))
-    report("funk_inversion_spectral", {"L": L}, pairs, tol_spec)
+        pairs.append((sqrt_pi * spec_path.coeffs, cf.coeffs))
+    reports.append(make_report("funk_inversion_spectral", {"L": L}, pairs, tol_spec))
 
     # the cosine family's alpha -> 0 member is sqrt(pi) Funk, and by Gamma(x+1) =
     # x Gamma(x) it is M^0 = (1/4)(-Laplacian - 2) M^2 at n = 3: no gamma closed
@@ -880,8 +873,8 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     for f, r2 in zip(fs[:2], r2s):
         target = sqrt_pi * r2.repr_.values
         limit = synthesize(analyze(cosine_direct(f, 2.0, L=L), L).scale_degrees(step), grid)
-        pairs.append(_sup_err(limit.values, target))
-    report("cosine_funk_limit", {"L": L, "alpha": 2.0}, pairs, tol_spec)
+        pairs.append((limit.values, target))
+    reports.append(make_report("cosine_funk_limit", {"L": L, "alpha": 2.0}, pairs, tol_spec))
 
     # cross-engine: the cosine kernel at points vs gamma multipliers on the grid,
     # one function per order
@@ -891,8 +884,9 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
         idx = nodes()
         direct = kernel_at(cs[k % len(cs)], points[idx], *_cosine_rule(3, alpha, L))
         spec = synthesize(apply_spectral(cfs[k % len(cfs)], "M", alpha=alpha), grid)
-        pairs.append(_sup_err(direct, spec.values.reshape(-1)[idx]))
-    report("cross_engine_cosine", {"L": L, "alphas": alphas, "nodes": 32}, pairs, tol)
+        pairs.append((direct, spec.values.reshape(-1)[idx]))
+    reports.append(make_report("cross_engine_cosine", {"L": L, "alphas": alphas, "nodes": 32},
+                               pairs, tol))
 
     # chain linking planes-measure bodies to line sections (degree-2 probe + seeded)
     from .starbody import istar_chain_check  # local import; starbody builds on sphere

@@ -28,8 +28,9 @@ from .errors import (
     NonPositiveBodyError,
     OddInputError,
     RepresentationError,
+    integer_field,
 )
-from .reports import IdentityReport, make_report
+from .reports import IdentityReport, make_report, max_errors
 
 __all__ = [
     "StarBody",
@@ -66,6 +67,9 @@ class StarBody:
                 raise RepresentationError("grid-represented bodies live in R^3")
             values = self.repr_.values
         else:
+            if self.n != self.repr_.n:
+                raise RepresentationError(f"a body in R^{self.n} needs a zonal payload with "
+                                          f"n = {self.n}, got n = {self.repr_.n}")
             values = zn.zonal_synth(self.repr_, np.linspace(-1.0, 1.0, 401))
         if float(values.min()) <= 0.0:
             raise NonPositiveBodyError("radial function must be strictly positive")
@@ -99,7 +103,7 @@ class StarBody:
             rep = zn.ZonalFunction.from_dict(d["payload"])
         else:
             raise RepresentationError(f"unknown repr_kind {kind!r}")
-        return cls(int(d["n"]), rep, dict(d.get("meta", {})))
+        return cls(integer_field(d, "n"), rep, dict(d.get("meta", {})))
 
 
 @dataclass
@@ -309,12 +313,6 @@ def embeds_in_Lp(body: StarBody, p: float) -> ClassVerdict:
 # --- identity checks ----------------------------------------------------------
 
 
-def _rel_sup(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
-    abs_err = float(np.max(np.abs(lhs - rhs)))
-    scale = float(np.max(np.abs(rhs)))
-    return abs_err, abs_err / scale if scale > 0 else abs_err
-
-
 def i_intersection_pair_check(K: StarBody, L_body: StarBody, i: int,
                               tol: float = 1e-6) -> IdentityReport:
     """Check whether K is the i-intersection body of L_body (n = 3).
@@ -323,8 +321,8 @@ def i_intersection_pair_check(K: StarBody, L_body: StarBody, i: int,
     (sigma(i)/i) R_i rho_K^i = (sigma(3-i)/(3-i)) R_(3-i),perp rho_L^(3-i)
     and its spectral form
     rho_L^(3-i) = pi^(i-3/2) (3-i)/i * M^(i-2) rho_K^i,
-    each as a relative sup-norm residual; the check passes iff both are
-    within tol.
+    each as a relative residual (:class:`reports.IdentityReport`); the check
+    passes iff both are within tol.
     """
     if i not in (1, 2):
         raise ValueError(f"i must be 1 or 2 on S^2, got {i}")
@@ -338,21 +336,21 @@ def i_intersection_pair_check(K: StarBody, L_body: StarBody, i: int,
     rho_l_co = L_body.radial_power(float(3 - i))
 
     # section-volume identity: (sigma(k)/k) R_k rho^k on both sides, k = i and 3-i
-    lhs, rhs = (mult.sigma(k) / k * sphere.radon_transform(rho, k, L=Lband).repr_.values
-                for k, rho in ((i, rho_k_i), (3 - i, rho_l_co)))
-    abs1, rel1 = _rel_sup(lhs, rhs)
+    section = tuple(mult.sigma(k) / k * sphere.radon_transform(rho, k, L=Lband).repr_.values
+                    for k, rho in ((i, rho_k_i), (3 - i, rho_l_co)))
 
     # spectral partner identity
     factor = mult.constant("kl_factor", 3, i=i)
     coeffs = sphere.analyze(rho_k_i, Lband)
     partner = sphere.synthesize(
         sphere.apply_spectral(coeffs, "M", alpha=float(1 - 3 + i)), grid)
-    abs2, rel2 = _rel_sup(factor * partner.values, rho_l_co.values)
+    spectral = (factor * partner.values, rho_l_co.values)
 
     return make_report(
         "i_intersection_pair", {"i": i, "n": 3, "band_limit": Lband,
-                                "section_rel": rel1, "spectral_rel": rel2},
-        [abs1, abs2], [rel1, rel2], tol)
+                                "section_rel": max_errors([section])[1],
+                                "spectral_rel": max_errors([spectral])[1]},
+        [section, spectral], tol)
 
 
 def istar_chain_check(g: "sphere.GridFunction", tol: float = 1e-8) -> IdentityReport:
@@ -376,10 +374,8 @@ def istar_chain_check(g: "sphere.GridFunction", tol: float = 1e-8) -> IdentityRe
     nodes = pts[np.random.default_rng(0).choice(len(pts), min(64, len(pts)), replace=False)]
     lhs = sphere.radon_r1(rho_k, nodes, L=Lband)
     rhs = sphere.funk_at(sphere.analyze(g, Lband), nodes)
-    abs_err, rel_err = _rel_sup(np.asarray(lhs), rhs)
     return make_report("istar_chain", {"n": 3, "i": 1, "band_limit": Lband,
-                                       "nodes": len(nodes)},
-                       [abs_err], [rel_err], tol, use_relative=False)
+                                       "nodes": len(nodes)}, [(lhs, rhs)], tol)
 
 
 # --- suite --------------------------------------------------------------------
@@ -393,28 +389,23 @@ def verify_starbody_suite(seed: int = 11, tol: float = 1e-6) -> list[IdentityRep
     # intersection body of a ball is the ball of the section area
     ball = make_body(3, "ball", r=2.0)
     ib = intersection_body(ball)
-    err = float(np.max(np.abs(ib.repr_.values - math.pi * 4.0)))
-    reports.append(make_report("ib_ball", {"r": 2.0}, [err], [err / (4 * math.pi)],
+    reports.append(make_report("ib_ball", {"r": 2.0}, [(ib.repr_.values, math.pi * 4.0)],
                                1e-12))
 
     # classifier against the closed form on the unit ball; band limit 12
-    # keeps order-negative multipliers from amplifying node roundoff
-    abs_errs, rel_errs = [], []
-    sign_ok = True
+    # keeps order-negative multipliers from amplifying node roundoff; a
+    # verdict of the wrong sign counts as an error of 1
+    pairs, wrong_signs = [], 0
     b1grid = make_body(3, "ball", r=1.0)
     for alpha in np.linspace(-2.9, 2.8, 20):
         if mult.excluded(3, float(alpha), mult.Family.K_CLASS):
             continue
         v = classify_K_alpha(b1grid, float(alpha), band_limit=12)
         expected = ball_class_sign(3, float(alpha))
-        err = abs(v.min_value - expected)
-        abs_errs.append(err)
-        rel_errs.append(err / abs(expected) if abs(expected) > 1 else err)
-        sign_ok = sign_ok and v.member == ("yes" if expected > 0 else "no")
-    rep = make_report("ball_classifier", {"n": 3, "alphas": 20}, abs_errs, rel_errs,
-                      1e-10)
-    rep.passed = rep.passed and sign_ok
-    reports.append(rep)
+        pairs.append((v.min_value, expected))
+        wrong_signs += v.member != ("yes" if expected > 0 else "no")
+    pairs.append((wrong_signs, 0.0))
+    reports.append(make_report("ball_classifier", {"n": 3, "alphas": 20}, pairs, 1e-10))
 
     # seeded intersection-body pairs and the i <-> 3-i symmetry
     for k in range(2):
@@ -428,14 +419,13 @@ def verify_starbody_suite(seed: int = 11, tol: float = 1e-6) -> list[IdentityRep
     # the unit ball is not its own 2-intersection partner (pi != 2)
     miss = float(i_intersection_pair_check(b1grid, b1grid, 2, tol=tol).passed)
     reports.append(make_report("pair_check_rejects_ball", {"expected_fail": True},
-                               [miss], [miss], tol))
+                               [(miss, 0.0)], tol))
 
     # intersection bodies classify as members at order 1
     base = _random_body(rng, DEFAULT_RESOLUTION)
     verdict = classify_K_alpha(intersection_body(base), 1.0)
     ok = 0.0 if verdict.member == "yes" else 1.0
-    reports.append(make_report("ib_classifies_member", {"alpha": 1.0}, [ok], [ok],
-                               0.5))
+    reports.append(make_report("ib_classifies_member", {"alpha": 1.0}, [(ok, 0.0)], 0.5))
 
     # plane-measure chain
     grid = sphere.S2Grid(DEFAULT_RESOLUTION)

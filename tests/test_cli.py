@@ -116,6 +116,15 @@ class TestVerify:
         assert report["pass_count"] == len(report["results"]) > 0
         assert "PASS" in err
 
+    def test_every_headline_report_is_decided_by_its_relative_error(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        code, _, _ = run(capsys, "verify", "--suite", "all", "--n", "2,3,5,8",
+                         "--out", str(out_file))
+        results = json.loads(out_file.read_text())["results"]
+        assert code == 0 and len(results) == 62
+        for r in results:
+            assert r["pass"] == (r["max_rel_err"] <= r["tolerance"]), r["identity"]
+
     def test_report_matches_schema(self, capsys, tmp_path):
         import coslab
         from pathlib import Path
@@ -377,7 +386,9 @@ class TestApply:
     @pytest.mark.parametrize("case", ["coeffs_without_L", "zonal_without_n",
                                       "body_without_payload", "subspace_bad_kind",
                                       "coeffs_nan", "zonal_nan", "coeffs_negative_L",
-                                      "zonal_empty", "zonal_n1"])
+                                      "zonal_empty", "zonal_n1", "zonal_2d_coeffs",
+                                      "zonal_fractional_n", "coeffs_fractional_L",
+                                      "grid_fractional_n_theta"])
     def test_malformed_file_exits_4(self, capsys, tmp_path, ones_grid_file, case):
         coeffs = HarmonicCoeffs(2, np.arange(9.0)).to_dict()
         zonal = zn.zonal_analyze(3, lambda t: t ** 2, 4).to_dict()
@@ -406,8 +417,17 @@ class TestApply:
             d = {**coeffs, "L": -1, "coeffs": []}
         elif case == "zonal_empty":
             d = {**zonal, "coeffs": []}
-        else:
+        elif case == "zonal_n1":
             d = {**zonal, "n": 1}
+        elif case == "zonal_2d_coeffs":
+            d = {**zonal, "coeffs": [[1]]}
+            argv = ["apply", "--op", "cosine", "--alpha", "0.5", "--output", str(out)]
+        elif case == "zonal_fractional_n":
+            d = {**zonal, "n": 3.7}
+        elif case == "coeffs_fractional_L":
+            d = {**coeffs, "L": 2.5}
+        else:
+            d = {**grid, "grid": {**grid["grid"], "n_theta": grid["grid"]["n_theta"] + 0.5}}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(d))
         code, _, err = run(capsys, *argv, "--input", str(bad))
@@ -644,7 +664,8 @@ class TestBody:
 # bad input -> the exit code the README gives it: a file that cannot be opened is an
 # argument error, one that holds no star body a representation mismatch
 BAD_INPUTS = {"missing": 2, "not_json": 4, "not_utf8": 4, "json_list": 4,
-              "grid_function": 4, "body_without_payload": 4, "zonal_body": 4}
+              "grid_function": 4, "body_without_payload": 4, "zonal_body": 4,
+              "zonal_2d_coeffs": 4, "dimension_mismatch": 4, "fractional_n": 4}
 # subcommand -> its argv, with the bad file and a good grid body
 BODY_READERS = {
     "intersect": lambda bad, good, out: ["intersect", "--input", bad, "--out", out],
@@ -657,8 +678,18 @@ BODY_READERS = {
 
 def _bad_input(path, case):
     """Write the bad input ``case`` to path (none for "missing")."""
+    zonal = sb.make_body(5, "ball", resolution=4).to_dict()
     if case == "zonal_body":
-        save_object(sb.make_body(5, "ball", resolution=4), path)
+        path.write_text(json.dumps(zonal))
+    elif case == "zonal_2d_coeffs":
+        zonal["payload"]["coeffs"] = [[1]]
+        path.write_text(json.dumps(zonal))
+    elif case == "dimension_mismatch":             # a body in R^5 on R^3 coefficients
+        zonal["payload"]["n"] = 3
+        path.write_text(json.dumps(zonal))
+    elif case == "fractional_n":
+        path.write_text(json.dumps({**sb.make_body(3, "ball", resolution=8).to_dict(),
+                                    "n": 3.5}))
     elif case != "missing":
         payload = {
             "not_json": b"notes, not JSON\n",

@@ -620,11 +620,6 @@ class TestTableChain:
 def scalar_identities(n, j_max, alpha_grid, beta_grid, tol):
     """The identity suite's first four identities as per-degree scalar loops."""
 
-    def errs(pairs):
-        abs_e = [abs(v - e) for v, e in pairs]
-        return abs_e, [err / abs(e) if abs(e) > 1.0 else err
-                       for err, (_, e) in zip(abs_e, pairs)]
-
     def ok(a):
         return not m.excluded(n, a, "M")
 
@@ -638,7 +633,7 @@ def scalar_identities(n, j_max, alpha_grid, beta_grid, tol):
         pairs += [(m.m_mult(n, j, a) * m.m_mult(n, j, 2.0 - n - a), 1.0) for j in degrees]
     reports.append(make_report("inversion", {"n": n, "j_max": j_max,
                                              "alphas": len(alpha_grid), "skipped": skipped},
-                               *errs(pairs), tol))
+                               pairs, tol))
     pairs, skipped = [], 0
     for a in alpha_grid:
         if not ok(a) or m.excluded(n, a + n - 2.0, "Q"):
@@ -651,7 +646,7 @@ def scalar_identities(n, j_max, alpha_grid, beta_grid, tol):
             skipped += 1
     reports.append(make_report("semigroup", {"n": n, "j_max": j_max,
                                              "alphas": len(alpha_grid), "skipped": skipped},
-                               *errs(pairs), tol))
+                               pairs, tol))
     bridge, factors, skipped = [], [], 0
     for a in alpha_grid:
         for b in beta_grid:
@@ -668,8 +663,8 @@ def scalar_identities(n, j_max, alpha_grid, beta_grid, tol):
                 skipped += 1
     params = {"n": n, "j_max": j_max, "grid": f"{len(alpha_grid)}x{len(beta_grid)}",
               "skipped": skipped}
-    reports.append(make_report("cosine_bridge", params, *errs(bridge), tol))
-    reports.append(make_report("bridge_factors", params, *errs(factors), tol))
+    reports.append(make_report("cosine_bridge", params, bridge, tol))
+    reports.append(make_report("bridge_factors", params, factors, tol))
     return reports
 
 
