@@ -93,16 +93,17 @@ def gamma_ratio_chain(offsets: np.ndarray, count: int, alternate: bool = False) 
     pairs, _, rows = offsets.shape
     with np.errstate(all="ignore"):
         if rows == 1:                           # the same function, without a ufunc's cost
-            i0, start = _start(alternate, count - 1, *offsets.ravel().tolist())
+            flat = offsets.ravel().tolist()
+            i0, start = _start(alternate, count - 1, *flat)
             top = bottom = i0
         else:
             i0, start = np.frompyfunc(_start, 2 + 2 * pairs, 2)(
                 alternate, count - 1, *offsets.reshape(2 * pairs, rows))
             top, bottom = (max(i0), min(i0)) if rows else (0, 0)
         args = offsets[..., None] + np.arange(count - 1.0)
-        num, den = args[0]
-        for x, y in args[1:]:
-            num, den = num * x, den * y
+        num, den = args[0, 0], args[0, 1]
+        for k in range(1, pairs):
+            num, den = num * args[k, 0], den * args[k, 1]
         if alternate:
             np.negative(num, out=num)
         out = np.empty((rows, count))
@@ -111,10 +112,10 @@ def gamma_ratio_chain(offsets: np.ndarray, count: int, alternate: bool = False) 
             # and down over start, 1 / factor(top - 1), ..., 1 / factor(0)
             out[:, top] = start
             np.divide(num[:, top:], den[:, top:], out=out[:, top + 1:])
-            np.cumprod(out[:, top:], axis=1, out=out[:, top:])
+            np.multiply.accumulate(out[:, top:], axis=1, out=out[:, top:])
             if top:
                 np.divide(den[:, :top], num[:, :top], out=out[:, :top])
-                np.cumprod(out[:, top::-1], axis=1, out=out[:, top::-1])
+                np.multiply.accumulate(out[:, top::-1], axis=1, out=out[:, top::-1])
         else:
             # the same two products from each row's own start, over 1 where a
             # product has not reached that start yet
@@ -126,12 +127,12 @@ def gamma_ratio_chain(offsets: np.ndarray, count: int, alternate: bool = False) 
             out[np.arange(count) < i0[:, None]] = 1.0
             down[np.arange(top, -1, -1) > i0[:, None]] = 1.0
             out[at] = down[at[0], top - at[1]] = start
-            np.cumprod(out, axis=1, out=out)
-            np.cumprod(down, axis=1, out=down)
+            np.multiply.accumulate(out, axis=1, out=out)
+            np.multiply.accumulate(down, axis=1, out=down)
             np.copyto(out[:, :top], down[:, :0:-1], where=np.arange(top) < i0[:, None])
-    if top or count == 1:
+    if (top or count == 1) and (rows != 1 or any(map(_is_pole, flat))):
         # poles sit below the first step with every argument positive: at the
-        # steps i <= -a of an integer offset a <= 0
+        # steps i <= -a of an integer offset a <= 0 (one row checks its floats)
         poles = (offsets <= 0.0) & (offsets == np.floor(offsets))
         if poles.any():
             below = np.where(poles, 1.0 - offsets, 0.0).max(axis=0)[..., None]

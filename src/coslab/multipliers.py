@@ -121,7 +121,7 @@ def check_order(n: int, alpha, family: Family | str, i: int | None = None):
     raises ExcludedParameterError naming that lattice.
     """
     bad = _excluded_mask(n, alpha, family, i)
-    if bad.any():                           # the mask holds non-finite orders too
+    if np.count_nonzero(bad):               # the mask holds non-finite orders too
         finite = np.isfinite(alpha)
         if not np.all(finite):
             raise ValueError(f"alpha must be finite, got {np.asarray(alpha)[~finite].flat[0]}")
@@ -275,29 +275,28 @@ def _table(n: int, j: np.ndarray, family: str, params: dict) -> np.ndarray:
     pairs = _gamma_args(n, 0.0, family, params)
     shape = np.broadcast(*(x for pair in pairs for x in pair)).shape
     rows = math.prod(shape)
-    top = int(j.max()) if j.size else 0
-    odd = np.count_nonzero(j & 1)
-    if odd in (0, j.size):                  # one parity: a grid of every other degree
-        parities, index = ((1,) if odd else (0,)), j // 2
-    else:                                   # both: a grid of every degree
-        parities, index = (0, 1), j
+    top = int(np.maximum.reduce(j, axis=None, initial=0))
     # the argument at degree j is offset + j/2, so degree j is step j // 2 of its
-    # parity's chain; M, Q and Funk vanish on odd degrees and run no odd chain,
-    # and two parities run as one chain over twice the rows
-    runs = tuple(p for p in parities if p == 0 or family not in ("M", "Q", "Funk"))
-    if runs:
-        offsets = np.empty((len(pairs), 2, len(runs)) + shape)
-        for k, pair in enumerate(pairs):
-            offsets[k, 0], offsets[k, 1] = pair
-        if runs[-1]:
-            offsets[:, :, -1] += 0.5
-        chain = gamma_ratio_chain(offsets.reshape(len(pairs), 2, -1), top // 2 + 1,
-                                  alternate=family in ("M", "Funk"))
-        if family == "Funk":
-            chain /= constant("c_limit", n, i=n - 1)
-    if len(parities) == 1:
-        grid = chain if runs else np.zeros((rows, top // 2 + 1))
-    else:
+    # parity's chain.  M, Q and Funk vanish on odd degrees: their even chain
+    # fills a grid of every degree.  The others run the parities of j, one as a
+    # grid of every other degree, both as one chain over twice the rows.
+    if family in ("M", "Q", "Funk"):
+        runs, index = (0,), j
+    elif (odd := np.count_nonzero(j & 1)) in (0, j.size):  # one parity: every other degree
+        runs, index = ((1,) if odd else (0,)), j // 2
+    else:                                   # both parities: a grid of every degree
+        runs, index = (0, 1), j
+    offsets = np.empty((len(pairs), 2, len(runs)) + shape)
+    for k, pair in enumerate(pairs):
+        offsets[k, 0], offsets[k, 1] = pair
+    if runs[-1]:
+        offsets[:, :, -1] += 0.5
+    chain = gamma_ratio_chain(offsets.reshape(len(pairs), 2, -1), top // 2 + 1,
+                              alternate=family in ("M", "Funk"))
+    if family == "Funk":
+        chain /= constant("c_limit", n, i=n - 1)
+    grid = chain
+    if index is j:                          # a grid of every degree
         grid = np.zeros((rows, top + 1))
         for k, p in enumerate(runs):
             grid[:, p::2] = chain[k * rows:(k + 1) * rows, :(top - p) // 2 + 1]
@@ -305,7 +304,11 @@ def _table(n: int, j: np.ndarray, family: str, params: dict) -> np.ndarray:
         # degrees along the last axis, orders along the others
         lead = shape if j.ndim == 0 else shape[:-1]
         return grid.reshape(lead + grid.shape[-1:])[..., index]
-    ndim = max(len(shape), j.ndim)
+    try:
+        ndim = len(np.broadcast_shapes(shape, j.shape))
+    except ValueError:
+        raise ValueError(f"degrees of shape {j.shape} do not broadcast against "
+                         f"parameters of shape {shape}") from None
     grid = grid.reshape((1,) * (ndim - len(shape)) + shape + grid.shape[-1:])
     index = index.reshape((1,) * (ndim - j.ndim) + j.shape + (1,))
     return np.take_along_axis(grid, index, axis=-1)[..., 0]
@@ -326,7 +329,7 @@ def table(n: int, degrees, family: str, **params) -> np.ndarray:
     j = np.asarray(degrees)
     if j.dtype.kind not in "iu":
         raise ValueError(f"degrees must be integers, got dtype {j.dtype}")
-    if j.size and j.min() < 0:
+    if np.minimum.reduce(j, axis=None, initial=0) < 0:
         raise ValueError(f"degrees must be >= 0, got {j.min()}")
     if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown family {family!r}")
@@ -335,7 +338,7 @@ def table(n: int, degrees, family: str, **params) -> np.ndarray:
                         f"{FAMILY_PARAMS[family]}, got {tuple(params)}")
     values = _table(n, j, family, params)
     pole = np.isnan(values)
-    if pole.any():
+    if np.count_nonzero(pole):
         at = np.broadcast_to(j, pole.shape)[pole].flat[0]
         raise GammaPoleError(f"family {family} has a numerator gamma pole at degree {at}")
     return values

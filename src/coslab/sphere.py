@@ -114,6 +114,7 @@ class S2Grid:
         self.points[..., 0] = st[:, None] * cphi[None, :]
         self.points[..., 1] = st[:, None] * sphi[None, :]
         self.points[..., 2] = self.t[:, None]
+        self.phi.flags.writeable = self.points.flags.writeable = False    # bodies share grids
         self._legendre_cache: dict[int, np.ndarray] = {}
 
     @property

@@ -76,8 +76,12 @@ class ZonalFunction:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.n < 2:
             raise RepresentationError(f"ambient dimension must be >= 2, got {self.n}")
+        if self.coeffs.ndim != 1:
+            raise RepresentationError(f"zonal coefficients must be a flat list, got shape "
+                                      f"{self.coeffs.shape}")
         if len(self.coeffs) == 0:
             raise RepresentationError("a zonal function needs at least one coefficient")
 
@@ -107,9 +111,6 @@ class ZonalFunction:
         if d.get("basis") != "orthonormal-gegenbauer-prob":
             raise RepresentationError(f"unknown zonal basis {d.get('basis')!r}")
         coeffs = np.asarray(d["coeffs"], dtype=float)
-        if coeffs.ndim != 1:
-            raise RepresentationError(f"zonal coefficients must be a flat list, got shape "
-                                      f"{coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise RepresentationError("zonal coefficients must be finite")
         return cls(n=integer_field(d, "n"), coeffs=coeffs)

@@ -607,11 +607,33 @@ class TestTableChain:
 
     def test_rows_starting_beyond_the_degrees(self):
         # each row of a table is the table of its order alone, bitwise, also where
-        # the orders' first positive steps differ and lie beyond the last degree
-        alphas = np.array([-40.5, -12.3, -2.3, 0.4])
-        got = m.table(3, np.arange(25)[None, :], "M", alpha=alphas[:, None])
-        for row, alpha in zip(got, alphas):
-            np.testing.assert_array_equal(row, m.table(3, np.arange(25), "M", alpha=alpha))
+        # the orders' first positive steps differ and lie beyond the last degree;
+        # on even degrees and on both parities, for every gamma family (Funk, with
+        # no order, as rows of a 2-D degree array)
+        rows = {
+            "M": {"alpha": [-40.5, -12.3, -2.3, 0.4]},
+            "Q": {"alpha": [-40.5, -12.3, -2.3, 0.4, 7.7]},
+            "A": {"alpha": [-40.5, -12.3, 2.3, 9.7], "beta": [0.35, -7.3, 0.35, 3.3]},
+            "Qplus": {"mu": [1.7, 1.7, -3.1, 0.5], "nu": [30.5, 12.3, 2.3, -0.4]},
+            "Qminus": {"mu": [31.7, 12.3, 2.3, -0.4], "nu": [1.0, 1.0, 4.5, 1.0]},
+            "Funk": {},
+        }
+        for degrees in (np.arange(0, 25, 2), np.arange(25)):
+            for family, params in rows.items():
+                got = m.table(3, degrees[None, :], family,
+                              **{k: np.array(v)[:, None] for k, v in params.items()})
+                orders = list(zip(*params.values())) or [()]
+                assert got.shape == (len(orders), len(degrees))
+                for row, order in zip(got, orders):
+                    alone = m.table(3, degrees, family, **dict(zip(params, order)))
+                    np.testing.assert_array_equal(row, alone, err_msg=f"{family} {order}")
+                    assert np.isfinite(alone).all() and np.count_nonzero(alone)
+
+    def test_degrees_that_do_not_broadcast_against_the_orders(self):
+        with pytest.raises(ValueError, match=r"\(3,\).*\(2,\)"):
+            m.table(3, [0, 1, 2], "M", alpha=np.array([0.5, -0.5]))
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 1\)"):
+            m.table(3, np.zeros((2, 3), dtype=int), "A", alpha=np.zeros((4, 1)), beta=0.5)
 
 
 # --- identity suite against a scalar loop -------------------------------------

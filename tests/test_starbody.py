@@ -1,5 +1,6 @@
 """Star-body construction, classification, and intersection-body identities."""
 
+import gc
 import math
 
 import mpmath
@@ -111,6 +112,16 @@ class TestMakeBody:
         b = sb.make_body(5, "lp_ball", p=2.0, resolution=6)
         assert b.meta == {"shape": "ball", "params": {"r": 1.0}}
         assert b.repr_.coeffs.tolist() == [1.0] + [0.0] * 6
+
+    def test_bodies_of_one_resolution_share_their_grid(self):
+        a = sb.make_body(3, "ball", resolution=21)
+        b = sb.make_body(3, "ellipsoid", axes=[1, 2, 3], resolution=21)
+        assert a.repr_.grid is b.repr_.grid
+        assert sb.make_body(3, "ball", resolution=23).repr_.grid is not a.repr_.grid
+        assert not (a.repr_.grid.points.flags.writeable or a.repr_.grid.phi.flags.writeable)
+        del a, b
+        gc.collect()
+        assert 21 not in sb._GRIDS              # the grid goes with its last body
 
 
 class TestIntersectionBody:
@@ -253,10 +264,10 @@ class TestClassify:
         with pytest.raises(ValueError, match="band limit"):
             sb.classify_K_alpha(body, 1.0, band_limit=-1)
 
-    def test_zonal_basis_built_once_per_call(self, monkeypatch):
-        # one basis evaluation serves the profile, the analysis and the density
-        body = sb.make_body(5, "ellipsoid", axes=[1, 1, 1, 1, 1.3], resolution=30)
-        want = sb.classify_K_alpha(body, 1.5)           # builds the cached rule too
+    def test_zonal_basis_built_once_per_rule(self, monkeypatch):
+        # the basis at the rule nodes and the density samples is built once per
+        # (n, J, N): a second verdict on the body evaluates no zonal_basis
+        sb._class_basis.cache_clear()
         calls = []
         basis = zn.zonal_basis
 
@@ -265,9 +276,42 @@ class TestClassify:
             return basis(n, J, t)
 
         monkeypatch.setattr(zn, "zonal_basis", counting)
-        got = sb.classify_K_alpha(body, 1.5)
-        assert calls == [(5, 30, 48 + 201)]
-        assert got == want
+        body = sb.make_body(5, "ellipsoid", axes=[1, 1, 1, 1, 1.3], resolution=30)
+        built = len(calls)                      # make_body's own analysis
+        first = sb.classify_K_alpha(body, 1.5)
+        assert calls[built:] == [(5, 30, 48 + 201)]
+        again = [sb.classify_K_alpha(body, 1.5), sb.classify_K_alpha(body, 0.7)]
+        assert calls[built:] == [(5, 30, 48 + 201)]
+        assert again[0] == first
+        # another band limit, or a body of another degree, gets its own table
+        sb.classify_K_alpha(body, 1.5, band_limit=12)
+        assert calls[-1] == (5, 30, 24 + 201)
+        sb.classify_K_alpha(sb.make_body(5, "ellipsoid", axes=[1, 1, 1, 1, 1.3],
+                                         resolution=20), 1.5)
+        assert calls[-1] == (5, 24, 48 + 201)
+        built = len(calls)
+        table = sb._class_basis(5, 30, 48)      # the first body's table is still cached
+        assert len(calls) == built
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+
+    def test_cached_basis_gives_the_verdicts_of_a_fresh_one(self):
+        # each verdict, from a fresh table and from the cached one, is bitwise
+        # equal to one computed from a basis built for it alone
+        body = sb.make_body(5, "ellipsoid", axes=[1, 1, 1, 1, 2.2], resolution=30)
+        for alpha in (-2.5, -0.5, 0.7, 1.0, 2.9):
+            sb._class_basis.cache_clear()
+            fresh = sb.classify_K_alpha(body, alpha)
+            cached = sb.classify_K_alpha(body, alpha)
+            assert fresh == cached
+            rule = zn.gauss_jacobi_rule(5, 48)
+            Z = zn.zonal_basis(5, 30, np.concatenate((rule.nodes, sb._DENSITY_T)))
+            profile = (body.repr_.coeffs @ Z[:, :48]) ** alpha
+            coeffs = Z[:25, :48] @ (rule.weights * profile)
+            factors = sb._class_factors(5, 24, alpha, sb.DEFAULT_SMOOTHING)
+            density = (factors * coeffs) @ Z[:25, 48:]
+            assert cached.min_value == float(density.min())
 
     @pytest.mark.parametrize("n,resolution", [(3, 48), (5, 24)])
     def test_sweep_matches_closed_form(self, n, resolution):
@@ -287,6 +331,13 @@ class TestClassify:
         v = sb.classify_K_alpha(body, 1.0)
         assert v.member == "yes"
         assert v.tail_energy < 1e-8
+
+
+def test_body_on_a_list_of_zonal_coefficients():
+    # the payload's coefficients are an array, whatever the caller passed
+    body = sb.StarBody(3, zn.ZonalFunction(3, [1.0, 0.0, 0.1]), {})
+    assert body.repr_.coeffs.dtype == float
+    assert sb.classify_K_alpha(body, 1.0).member in ("yes", "no", "inconclusive")
 
 
 class TestEmbedding:

@@ -467,6 +467,16 @@ class TestSerialization:
         with pytest.raises(RepresentationError):
             zn.ZonalFunction.from_dict({"n": 3, "basis": "other", "coeffs": [1]})
 
+    def test_coefficients_become_a_float_array(self):
+        f = zn.ZonalFunction(3, [1, 0, 0.1])
+        assert f.coeffs.dtype == float and f.coeffs.shape == (3,)
+        assert f.odd_energy_fraction() == 0.0
+
+    @pytest.mark.parametrize("coeffs", [[[1.0]], [[1.0, 0.5], [0.2, 0.1]], 1.0])
+    def test_rejects_coefficients_that_are_not_flat(self, coeffs):
+        with pytest.raises(RepresentationError, match="flat list"):
+            zn.ZonalFunction(3, coeffs)
+
 
 def test_gamma_sine_constant_matches_kernel_integral():
     # sine-transform normalization against a plain quadrature of its kernel
