@@ -73,6 +73,26 @@ def _start(alternate: bool, last: int, *offsets) -> tuple:
         return i0, math.nan
 
 
+def _starts(alternate: bool, last: int, offsets: np.ndarray) -> tuple:
+    """:func:`_start` for each column of ``offsets`` (2K, R), bitwise, as arrays.  A
+    column with a negative argument at its start (poles among them), one beyond 1e300
+    or an overflowing exp takes :func:`_start` itself."""
+    i0 = np.floor(-offsets.min(axis=0)) + 1.0
+    alone = (i0 > last) | (offsets.max(axis=0) > 1e300)
+    i0 = np.minimum(np.maximum(i0, 0.0), last)
+    args = np.where(alone, 1.0, offsets + i0)
+    lg = np.array(list(map(math.lgamma, args.ravel().tolist()))).reshape(args.shape)
+    log = sum(lg[0::2] - lg[1::2])              # pair by pair, from 0, as _start sums
+    alone |= log > 709.0                        # math.exp overflows above ~709.78
+    log[alone] = 0.0
+    start = np.array(list(map(math.exp, log.tolist())))
+    if alternate:
+        np.negative(start, out=start, where=i0 % 2 == 1.0)
+    for r in np.flatnonzero(alone):
+        start[r] = _start(alternate, last, *offsets[:, r].tolist())[1]
+    return i0.astype(int), start
+
+
 def gamma_ratio_chain(offsets: np.ndarray, count: int, alternate: bool = False) -> np.ndarray:
     """prod_k Gamma(a_k + i) / Gamma(b_k + i) at i = 0, 1, ..., count - 1, times (-1)**i if alternate.
 
@@ -92,14 +112,13 @@ def gamma_ratio_chain(offsets: np.ndarray, count: int, alternate: bool = False) 
     """
     pairs, _, rows = offsets.shape
     with np.errstate(all="ignore"):
-        if rows == 1:                           # the same function, without a ufunc's cost
+        if rows == 1:                           # the same start, without the arrays' cost
             flat = offsets.ravel().tolist()
             i0, start = _start(alternate, count - 1, *flat)
             top = bottom = i0
         else:
-            i0, start = np.frompyfunc(_start, 2 + 2 * pairs, 2)(
-                alternate, count - 1, *offsets.reshape(2 * pairs, rows))
-            top, bottom = (max(i0), min(i0)) if rows else (0, 0)
+            i0, start = _starts(alternate, count - 1, offsets.reshape(2 * pairs, rows))
+            top, bottom = (i0.max(), i0.min()) if rows else (0, 0)
         args = offsets[..., None] + np.arange(count - 1.0)
         num, den = args[0, 0], args[0, 1]
         for k in range(1, pairs):
@@ -119,12 +138,11 @@ def gamma_ratio_chain(offsets: np.ndarray, count: int, alternate: bool = False) 
         else:
             # the same two products from each row's own start, over 1 where a
             # product has not reached that start yet
-            i0 = i0.astype(int)
             at = (np.arange(rows), i0)
             down = np.empty((rows, top + 1))
             np.divide(num, den, out=out[:, 1:])
             np.divide(den[:, top - 1::-1], num[:, top - 1::-1], out=down[:, 1:])
-            out[np.arange(count) < i0[:, None]] = 1.0
+            out[:, :top][np.arange(top) < i0[:, None]] = 1.0
             down[np.arange(top, -1, -1) > i0[:, None]] = 1.0
             out[at] = down[at[0], top - at[1]] = start
             np.multiply.accumulate(out, axis=1, out=out)

@@ -445,9 +445,9 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
 
     An order (or order pair) is skipped when it is excluded or when a gamma
     factor of the identity has a numerator pole at some degree.  The first
-    four identities are evaluated as arrays over (order, degree) through
-    ``_table``; each row is one order or order pair.  Each entry's error is
-    relative to max(|expected|, 1), as in :class:`reports.IdentityReport`.
+    five identities are evaluated as arrays over (order, degree), one
+    ``_table`` per family; each row is one order or order pair.  Each entry's
+    error is relative to max(|expected|, 1), as in :class:`reports.IdentityReport`.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
@@ -456,69 +456,76 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
     alphas = np.asarray(alpha_grid, dtype=float)
     betas = np.asarray(beta_grid, dtype=float)
     j = np.arange(0, j_max + 1, 2)
-    ok_alpha = ~_excluded_mask(n, alphas, Family.M)
+    na = len(alphas)
+    ok = ~_excluded_mask(n, np.concatenate((alphas, 2.0 - n - alphas, betas)), Family.M)
+    a, b = alphas[ok[:na]], betas[ok[2 * na:]]
+    inv = ok[na:2 * na][ok[:na]]                    # among the admissible alphas
+    semi = ~_excluded_mask(n, a + n - 2.0, Family.Q)
     reports: list[IdentityReport] = []
+
+    def stacked(family, *orders):
+        """One table over every list of orders, split into one block per list."""
+        table = _table(n, j, family, {"alpha": np.concatenate(orders)[:, None]})
+        ends = np.cumsum([len(o) for o in orders]).tolist()
+        return [table[end - len(o):end] for o, end in zip(orders, ends)]
+
+    # every M order of the suite in one table and every Q order in another (the
+    # semigroup's, and q(0, i-1) of composite_const): rows are independent
+    m_a, m_inv, m_b, m_0 = stacked("M", a, 2.0 - n - a[inv], b, [0.0])
+    q_semi, q_i = stacked("Q", a[semi] + n - 2.0, np.arange(n - 1.0))
 
     def rows(*terms):
         """Keep the rows where no term has a numerator pole (NaN); count the others."""
         keep = ~functools.reduce(np.logical_or, (np.isnan(v).any(axis=-1) for v in terms))
+        if keep.all():
+            return terms, 0
         shape = np.broadcast_shapes(*(v.shape for v in terms))
         return ([np.broadcast_to(v, shape)[keep] for v in terms],
                 int(np.count_nonzero(~keep)))
 
-    def m(alpha):
-        return _table(n, j, "M", {"alpha": alpha})
-
-    # inversion
-    a = alphas[ok_alpha & ~_excluded_mask(n, 2.0 - n - alphas, Family.M)][:, None]
-    (m_a, m_b), poles = rows(m(a), m(2.0 - n - a))
-    skipped = len(alphas) - len(a) + poles
+    # inversion and semigroup: an order is skipped unless its row is kept
+    (m_1, m_2), _ = rows(m_a[inv], m_inv)
     reports.append(make_report(
-        "inversion", {"n": n, "j_max": j_max, "alphas": len(alpha_grid), "skipped": skipped},
-        [(m_a * m_b, 1.0)], tol))
-
-    # semigroup
-    a = alphas[ok_alpha & ~_excluded_mask(n, alphas + n - 2.0, Family.Q)][:, None]
-    (m_a, m_0, q), poles = rows(m(a), m(0.0), _table(n, j, "Q", {"alpha": a + n - 2.0}))
-    skipped = len(alphas) - len(a) + poles
+        "inversion", {"n": n, "j_max": j_max, "alphas": na, "skipped": na - len(m_1)},
+        [(m_1 * m_2, 1.0)], tol))
+    (m_1, m_2, q), _ = rows(m_a[semi], m_0, q_semi)
     reports.append(make_report(
-        "semigroup", {"n": n, "j_max": j_max, "alphas": len(alpha_grid), "skipped": skipped},
-        [(m_a * m_0, q)], tol))
+        "semigroup", {"n": n, "j_max": j_max, "alphas": na, "skipped": na - len(m_1)},
+        [(m_1 * m_2, q)], tol))
 
     # cosine_bridge and bridge_factors on the (alpha, beta, degree) outer product:
     # alpha-only and beta-only gamma arguments are evaluated once per order
-    a = alphas[ok_alpha][:, None, None]
-    b = betas[~_excluded_mask(n, betas, Family.M)][None, :, None]
+    a, b = a[:, None, None], b[None, :, None]
     mu = a - b
-    (m_a, m_b, av, q_plus, q_minus), poles = rows(
-        m(a), m(b),
+    (m_1, m_2, av, q_plus, q_minus), poles = rows(
+        m_a[:, None], m_b[None],
         _table(n, j, "A", {"alpha": a, "beta": b}),
         _table(n, j, "Qplus", {"mu": mu, "nu": 2.0 - b}),
         _table(n, j, "Qminus", {"mu": mu, "nu": 1.0 - b}))
     params = {"n": n, "j_max": j_max, "grid": f"{len(alpha_grid)}x{len(beta_grid)}",
-              "skipped": len(alphas) * len(betas) - a.size * b.size + poles}
-    reports.append(make_report("cosine_bridge", params, [(m_b * av, m_a)], tol))
+              "skipped": na * len(betas) - a.size * b.size + poles}
+    reports.append(make_report("cosine_bridge", params, [(m_2 * av, m_1)], tol))
     reports.append(make_report("bridge_factors", dict(params),
                                [(q_plus * q_minus, av)], tol))
 
     # composite constant: c * q(0, i-1) = 1
-    values = np.array([constant("c_radon_composite", n, i=ii) * q_mult(n, 0, float(ii - 1))
-                       for ii in range(1, n)])
+    values = np.array([constant("c_radon_composite", n, i=ii) for ii in range(1, n)]) * q_i[:, 0]
     reports.append(make_report("composite_const", {"n": n, "i_range": [1, n - 1]},
                                [(values, 1.0)], tol))
 
     # asymptotics: probed at a degree where the 2% band applies; the
     # finite-degree correction scales like |alpha + n/2 - 1| (n/2 - 1) / j,
-    # so the probe degree grows with the dimension
+    # so the probe degree grows with the dimension; |m| there is a chain's start,
+    # and no probe is on the M lattice
     j = max(j_max, 200, 200 * (n - 2))
     j = j if j % 2 == 0 else j + 1
-    probe_alphas = [-1.0, 0.0, 0.5, 2.0]
-    admissible = [a for a in probe_alphas if not excluded(n, a, Family.M)]
-    values = np.array([abs(m_mult(n, j, a)) * (j / 2.0) ** (a + n / 2.0 - 1.0)
-                       for a in admissible])
+    probes = np.array([-1.0, 0.0, 0.5, 2.0])
+    pairs = _gamma_args(n, float(j), "M", {"alpha": probes})
+    start = gamma_ratio_chain(np.reshape(np.broadcast_arrays(
+        *(x for pair in pairs for x in pair)), (len(pairs), 2, -1)), 1)[:, 0]
+    values = np.abs(start) * [(j / 2.0) ** (p + n / 2.0 - 1.0) for p in probes.tolist()]
     reports.append(make_report(
-        "asymptotics", {"n": n, "j": j, "alphas": probe_alphas,
-                        "skipped": len(probe_alphas) - len(admissible)},
+        "asymptotics", {"n": n, "j": j, "alphas": probes.tolist(), "skipped": 0},
         [(values, 1.0)], 0.02))
 
     return reports

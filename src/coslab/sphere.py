@@ -114,8 +114,7 @@ class S2Grid:
         self.points[..., 0] = st[:, None] * cphi[None, :]
         self.points[..., 1] = st[:, None] * sphi[None, :]
         self.points[..., 2] = self.t[:, None]
-        self.phi.flags.writeable = self.points.flags.writeable = False    # bodies share grids
-        self._legendre_cache: dict[int, np.ndarray] = {}
+        self.phi.flags.writeable = self.points.flags.writeable = False    # functions share grids
 
     @property
     def band_limit(self) -> int:
@@ -136,13 +135,11 @@ class S2Grid:
         (row j-p is P-bar_{j,p}(t)) and order L-p in rows L-p+1..L+1 (row
         j+1 is P-bar_{j,L-p}(t)); for even L the middle block holds order
         L/2 once, over zero rows.  Rows of m >= 1 carry sqrt(2) as in
-        the real basis.  Built once per band limit in extended precision:
-        analysis noise in these values is amplified by strongly
-        order-negative multipliers downstream.  Read-only.
+        the real basis.  Built in extended precision: analysis noise in
+        these values is amplified by strongly order-negative multipliers
+        downstream.  Read-only, and shared by every grid with this n_theta.
         """
-        if L not in self._legendre_cache:
-            self._legendre_cache[L] = _legendre_blocks(L, self.t)
-        return self._legendre_cache[L]
+        return _legendre_table(self.n_theta, L)
 
     def antipodal_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Index maps sending each node to its antipode (exact on this grid)."""
@@ -180,6 +177,12 @@ def _diagonal_rows(L: int, t: np.ndarray, s: np.ndarray):
         prev2, prev, a_prev = prev, cur, a
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_table(n_theta: int, L: int) -> np.ndarray:
+    """:meth:`S2Grid.legendre_table` per (n_theta, L), which fix a grid's nodes."""
+    return _legendre_blocks(L, gauss_jacobi_rule(3, n_theta).nodes)
+
+
 def _legendre_blocks(L: int, t: np.ndarray) -> np.ndarray:
     """P-bar_{j,m}(t), folded as in :meth:`S2Grid.legendre_table`.
 
@@ -197,7 +200,7 @@ def _legendre_blocks(L: int, t: np.ndarray) -> np.ndarray:
     for k, rows in enumerate(_diagonal_rows(L, t, s)):
         n = rows.shape[0]
         flat[start[:n] + k] = scale[:n] * rows
-    table.flags.writeable = False           # shared by every caller on the grid
+    table.flags.writeable = False           # shared by every grid of its n_theta
     return table
 
 
@@ -630,11 +633,14 @@ def _funk_hecke(f: GridFunction, L: int, s: np.ndarray, w: np.ndarray) -> GridFu
     return synthesize(analyze(f, L).scale_degrees(moments), f.grid)
 
 
+@functools.lru_cache(maxsize=8)
 def _sine_rule(alpha: float, L: int, const: float) -> tuple[np.ndarray, np.ndarray]:
     """Rule for const (1 - s^2)^((alpha-2)/2): a symmetric Jacobi rule, exact to degree L."""
     x, w = _gauss_rule(L // 2 + 2, (alpha - 2.0) / 2.0, (alpha - 2.0) / 2.0)
     mass = math.sqrt(math.pi) * math.gamma(alpha / 2.0) / math.gamma((alpha + 1.0) / 2.0)
-    return x, w * (0.5 * mass * const)
+    w *= 0.5 * mass * const
+    x.flags.writeable = w.flags.writeable = False     # cached: shared by every caller
+    return x, w
 
 
 def cosine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFunction:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ DEFAULT_SMOOTHING = 0.98                    # Poisson smoothing t of the classif
 DEFAULT_MARGIN = 1e-7                       # the classifier's verdict margin
 DEFAULT_RESOLUTION = 48                     # grid latitudes (n = 3) or zonal degree
 _DENSITY_T = np.linspace(-1.0, 1.0, 201)    # where zonal class densities are sampled
-_GRIDS = weakref.WeakValueDictionary()      # resolution -> the grid its live bodies share
 
 
 @dataclass
@@ -159,9 +157,7 @@ def make_body(n: int, shape: str, *, r: float = 1.0, axes=None, p: float = 2.0,
         raise BadShapeParamsError(f"unknown shape {shape!r}")
     meta = {"shape": shape, "params": params}
     if n == 3:
-        grid = _GRIDS.get(resolution)
-        if grid is None:
-            grid = _GRIDS[resolution] = sphere.S2Grid(resolution)
+        grid = sphere.S2Grid(resolution)
         return StarBody(3, sphere.GridFunction(grid, radial(grid.points)), meta)
 
     if shape == "ellipsoid":

@@ -300,6 +300,7 @@ def _adapted_dots(n: int, x: np.ndarray, t0, M: int) -> tuple[np.ndarray, np.nda
     return x * t0 + c * sigma_nodes, sigma_weights
 
 
+@functools.lru_cache(maxsize=32)
 def _cosine_rule(n: int, alpha: float, J: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule for gamma_n(alpha) |s|^(alpha-1) against the law of s = theta.u on S^(n-1).
 
@@ -313,7 +314,9 @@ def _cosine_rule(n: int, alpha: float, J: int) -> tuple[np.ndarray, np.ndarray]:
     mass = math.gamma(n / 2.0) * math.gamma(alpha / 2.0) / (
         math.sqrt(math.pi) * math.gamma((n - 1.0 + alpha) / 2.0))
     w *= mass * mult.constant("gamma_alpha", n, alpha=alpha) / 2.0
-    return np.concatenate((s, -s)), np.concatenate((w, w))
+    s, w = np.concatenate((s, -s)), np.concatenate((w, w))
+    s.flags.writeable = w.flags.writeable = False     # cached: shared by every caller
+    return s, w
 
 
 def zonal_cosine_direct(n: int, profile, alpha: float, t0, degree_hint: int = 32):

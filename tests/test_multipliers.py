@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from coslab import _gamma
 from coslab import multipliers as m
 from coslab.errors import (
     ExcludedParameterError,
@@ -629,6 +630,37 @@ class TestTableChain:
                     np.testing.assert_array_equal(row, alone, err_msg=f"{family} {order}")
                     assert np.isfinite(alone).all() and np.count_nonzero(alone)
 
+    @pytest.mark.parametrize("pairs", [1, 2])
+    @pytest.mark.parametrize("alternate", [False, True])
+    def test_array_start_is_bitwise_the_scalar_start(self, pairs, alternate):
+        # integer and half-integer offsets (poles), offsets near +-300 (overflow),
+        # negative offsets whose first positive step is past the last one, and
+        # zero rows; the chains of many rows against each row alone, too
+        rng = np.random.default_rng(7 + pairs + 2 * alternate)
+        kinds = [lambda k: rng.integers(-16, 16, k) / 2.0,
+                 lambda k: rng.choice([-300.5, -299.75, 300.25, 301.0], k) + rng.integers(-3, 4, k),
+                 lambda k: rng.uniform(-40.0, 8.0, k),
+                 lambda k: rng.uniform(0.1, 30.0, k)]
+        checked, seen = 0, set()
+        for count in range(1, 13):
+            for rows in (0, 2, 3, 9):
+                offsets = np.array([kinds[rng.integers(4)](2 * pairs) for _ in range(rows)])
+                offsets = offsets.reshape(rows, 2 * pairs).T
+                i0, start = _gamma._starts(alternate, count - 1, offsets)
+                want = [_gamma._start(alternate, count - 1, *col) for col in offsets.T.tolist()]
+                assert i0.tolist() == [w[0] for w in want]
+                assert start.tobytes() == np.array([w[1] for w in want]).tobytes()
+                chains = _gamma.gamma_ratio_chain(offsets.reshape(pairs, 2, rows), count, alternate)
+                for r in range(rows):
+                    alone = _gamma.gamma_ratio_chain(offsets[:, r:r + 1].reshape(pairs, 2, 1),
+                                                     count, alternate)
+                    assert chains[r].tobytes() == alone[0].tobytes()
+                checked += rows
+                seen |= {"nan"} if np.isnan(start).any() else set()
+                seen |= {"inf"} if np.isinf(start).any() else set()
+                seen |= {"capped"} if (offsets + i0 < 0.0).any() else set()
+        assert checked == 12 * 14 and seen == {"nan", "inf", "capped"}
+
     def test_degrees_that_do_not_broadcast_against_the_orders(self):
         with pytest.raises(ValueError, match=r"\(3,\).*\(2,\)"):
             m.table(3, [0, 1, 2], "M", alpha=np.array([0.5, -0.5]))
@@ -730,6 +762,15 @@ class TestIdentitySuiteArrays:
         # a(j, 0.35, -4) has Gamma(-1) in its numerator at j = 0
         reports = {r.identity: r for r in
                    m.check_identities(3, 20, [0.35], beta_grid=[-4.0, 0.5])}
+        for name in ("cosine_bridge", "bridge_factors"):
+            assert reports[name].params["skipped"] == 1
+            assert reports[name].passed
+
+    def test_numerator_pole_row_of_a_many_row_table_is_skipped(self):
+        # at n = 5, a(j, 0.5, -6) has Gamma(-1) in its numerator at j = 0, in a
+        # bridge table of two rows, which starts its chains as arrays
+        reports = {r.identity: r for r in
+                   m.check_identities(5, 20, [0.5], beta_grid=[-6.0, 0.5])}
         for name in ("cosine_bridge", "bridge_factors"):
             assert reports[name].params["skipped"] == 1
             assert reports[name].passed

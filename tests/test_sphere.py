@@ -415,7 +415,7 @@ class TestEngineAgainstReference:
             ref, got = out.values, sp.kernel_at(c, normals, *rule)
         assert _dev(got, ref.reshape(-1)[nodes]) <= 1e-13
 
-    def test_legendre_table_built_once_per_grid_and_L(self, monkeypatch):
+    def test_legendre_table_built_once_per_n_theta_and_L(self, monkeypatch):
         calls = []
         build = sp._legendre_blocks
 
@@ -424,15 +424,27 @@ class TestEngineAgainstReference:
             return build(L, t)
 
         monkeypatch.setattr(sp, "_legendre_blocks", counting)
+        sp._legendre_table.cache_clear()
         grid = sp.S2Grid(10, 20)
         f = sp.synthesize(_random_coeffs(6, 1), grid)
         for _ in range(3):
             sp.analyze(f, 6)
             sp.synthesize(sp.analyze(f, 4), grid)
         assert calls == [6, 4]
-        assert grid.legendre_table(6) is grid.legendre_table(6)
-        sp.analyze(sp.GridFunction(sp.S2Grid(10, 20), f.values), 6)   # a new grid builds
-        assert calls == [6, 4, 6]
+        table = grid.legendre_table(6)
+        assert not table.flags.writeable
+        # another grid of the same n_theta, whatever its n_phi, builds nothing
+        for n_phi in (20, 26):
+            g = sp.S2Grid(10, n_phi)
+            sp.analyze(sp.synthesize(sp.analyze(f, 6), g), 6)
+            assert g.legendre_table(6) is table
+        assert calls == [6, 4]
+        # another n_theta or L builds its own table
+        sp.S2Grid(11, 22).legendre_table(6)
+        grid.legendre_table(5)
+        assert calls == [6, 4, 6, 5]
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
 
     def test_legendre_blocks_layout(self):
         # orders m and L-m share block min(m, L-m): the smaller fills rows
