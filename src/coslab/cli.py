@@ -68,8 +68,13 @@ def _param_names(families) -> tuple:
 _PARAM_NAMES = _param_names(mult.FAMILY_PARAMS)
 
 
+# the settings a verify config file may hold
+_CONFIG_KEYS = ("n", "jmax", "lmax", "tol", "seed", "n_theta", "mult_tol")
+
+
 def _read_config(path: str | None) -> dict:
-    """Flat key=value configuration file; '#' starts a comment."""
+    """Flat key=value configuration file; '#' starts a comment.  A key outside
+    _CONFIG_KEYS raises ValueError."""
     cfg: dict[str, str] = {}
     if not path:
         return cfg
@@ -80,8 +85,10 @@ def _read_config(path: str | None) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
+            cfg[key] = value
     return cfg
 
 

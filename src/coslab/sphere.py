@@ -24,15 +24,15 @@ orthogonal plane is then a pure re-labelling of the same data, which is
 how the perpendicular-subspace maps below are implemented.
 
 Direct (kernel-quadrature) engines never use the gamma closed forms of
-:mod:`coslab.multipliers` for the operator action.  For kernels of the
-form K(theta . u), rotation invariance reduces the integral at each output
-direction to a weighted 1-D integral of the latitudinal averages around u;
-the weight (|s|^(alpha-1) or (1-s^2)^((alpha-2)/2)) is absorbed into a
-Gauss-Jacobi rule, making the quadrature exact for band-limited input; the
-cosine rule is the zonal oracle's, ``zonal._cosine_rule`` at n = 3.  The
-Funk kernel is a point mass at s = 0.  :func:`kernel_at` takes the same
-rules pointwise: it integrates the series over the circles theta . u = s
-of each node, through :func:`synthesize_at` instead of the grid.
+:mod:`coslab.multipliers` for the operator action.  A kernel K(theta . u)
+scales degree j by its Legendre moment (Funk-Hecke), which a Gauss-Jacobi
+rule absorbing the weight (|s|^(alpha-1) or (1-s^2)^((alpha-2)/2)) gives
+exactly for band-limited input; the cosine rule is the zonal oracle's,
+``zonal._cosine_rule`` at n = 3, and the Funk kernel is a point mass at
+s = 0.  So the engines scale coefficients, and analyze and synthesize around
+that for a grid function (:func:`_funk_hecke`).  :func:`kernel_at` takes the
+same rules pointwise: it integrates the series over the circles
+theta . u = s of each node, through :func:`synthesize_at` instead of the grid.
 """
 
 from __future__ import annotations
@@ -333,6 +333,8 @@ class GrassmannFunctionS2:
     def __post_init__(self):
         if self.kind not in ("lines", "planes"):
             raise ValueError(f"kind must be 'lines' or 'planes', got {self.kind!r}")
+        if not isinstance(self.repr_, GridFunction):
+            raise RepresentationError(f"need a GridFunction, got {type(self.repr_).__name__}")
         if self.repr_.odd_energy_fraction() > 1e-12:
             raise OddInputError("subspace functions must be even on the sphere")
 
@@ -619,31 +621,40 @@ def apply_spectral(c: HarmonicCoeffs, family: str, **params) -> HarmonicCoeffs:
 # --- direct kernel-quadrature engines ---------------------------------------
 
 
-def _funk_hecke(f: GridFunction, L: int, s: np.ndarray, w: np.ndarray) -> GridFunction:
+def _funk_hecke(f: GridFunction | HarmonicCoeffs, L: int | None,
+                rule) -> GridFunction | HarmonicCoeffs:
     """Apply a zonal kernel K(theta . u) by the Funk-Hecke theorem (n = 3).
 
     Degree j is multiplied by the kernel's Legendre moment
-    (1/2) int K(s) P_j(s) ds, which the caller's rule (nodes s, weights w
-    with the kernel constant folded in) gives exactly.  Odd degrees vanish
-    by parity.
+    (1/2) int K(s) P_j(s) ds, which ``rule(L)`` (nodes s, weights w with the
+    kernel constant folded in) gives exactly.  Odd degrees vanish by parity.
+    Coefficients come back as coefficients (``L`` must be None or c.L); a
+    grid function is analyzed at L (default: its grid's band limit), scaled
+    and synthesized back on its grid.
     """
+    if isinstance(f, GridFunction):
+        L = f.grid.band_limit if L is None else L
+        return synthesize(_funk_hecke(analyze(f, L), L, rule), f.grid)
+    if L not in (None, f.L):
+        raise ValueError(f"L={L} given with coefficients of band limit {f.L}")
+    s, w = rule(f.L)
     # zonal_basis(3, ...) is sqrt(2j+1) P_j
-    moments = (zonal_basis(3, L, s) @ w) / np.sqrt(2.0 * np.arange(L + 1) + 1.0)
+    moments = (zonal_basis(3, f.L, s) @ w) / np.sqrt(2.0 * np.arange(f.L + 1) + 1.0)
     moments[1::2] = 0.0
-    return synthesize(analyze(f, L).scale_degrees(moments), f.grid)
+    return f.scale_degrees(moments)
 
 
 @functools.lru_cache(maxsize=8)
-def _sine_rule(alpha: float, L: int, const: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rule for const (1 - s^2)^((alpha-2)/2): a symmetric Jacobi rule, exact to degree L."""
+def _sine_rule(alpha: float, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule for gamma_sine (1 - s^2)^((alpha-2)/2): a symmetric Jacobi rule, exact to degree L."""
     x, w = _gauss_rule(L // 2 + 2, (alpha - 2.0) / 2.0, (alpha - 2.0) / 2.0)
     mass = math.sqrt(math.pi) * math.gamma(alpha / 2.0) / math.gamma((alpha + 1.0) / 2.0)
-    w *= 0.5 * mass * const
+    w *= 0.5 * mass * mult.constant("gamma_sine", 3, alpha=alpha)
     x.flags.writeable = w.flags.writeable = False     # cached: shared by every caller
     return x, w
 
 
-def cosine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFunction:
+def cosine_direct(f: GridFunction | HarmonicCoeffs, alpha: float, L: int | None = None):
     """Generalized cosine transform by direct quadrature of its kernel.
 
     At each output direction u the integral reduces to latitude averages
@@ -652,19 +663,16 @@ def cosine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFu
     for band-limited input.  The multiplier closed forms are not used.
     """
     _check_direct_order(3, alpha, mult.Family.M)
-    L = f.grid.band_limit if L is None else L
-    return _funk_hecke(f, L, *_cosine_rule(3, alpha, L))
+    return _funk_hecke(f, L, functools.partial(_cosine_rule, 3, alpha))
 
 
-def sine_direct(f: GridFunction, alpha: float, L: int | None = None) -> GridFunction:
+def sine_direct(f: GridFunction | HarmonicCoeffs, alpha: float, L: int | None = None):
     """Generalized sine transform by direct quadrature of its kernel."""
     _check_direct_order(3, alpha, mult.Family.Q)
-    L = f.grid.band_limit if L is None else L
-    const = mult.constant("gamma_sine", 3, alpha=alpha)
-    return _funk_hecke(f, L, *_sine_rule(alpha, L, const))
+    return _funk_hecke(f, L, functools.partial(_sine_rule, alpha))
 
 
-def funk_direct(f: GridFunction, L: int | None = None) -> GridFunction:
+def funk_direct(f: GridFunction | HarmonicCoeffs, L: int | None = None):
     """Great-circle averages (Funk-Radon transform) of f.
 
     The kernel is a point mass at s = 0, so by the Funk-Hecke theorem degree
@@ -672,8 +680,7 @@ def funk_direct(f: GridFunction, L: int | None = None) -> GridFunction:
     than from the gamma closed forms.  :func:`funk_at` evaluates the same
     transform pointwise by circle quadrature.
     """
-    L = f.grid.band_limit if L is None else L
-    return _funk_hecke(f, L, np.zeros(1), np.ones(1))
+    return _funk_hecke(f, L, lambda _: (np.zeros(1), np.ones(1)))
 
 
 def radon_r1(f: GridFunction, line: np.ndarray, L: int | None = None) -> float | np.ndarray:
@@ -731,9 +738,7 @@ def ri_alpha_direct(f: GridFunction, i: int, alpha: float,
     if i == 2:
         return GrassmannFunctionS2("planes", cosine_direct(f, alpha, L=L))
     if i == 1:
-        L = f.grid.band_limit if L is None else L
-        const = mult.constant("gamma_alpha_i", 3, i=1, alpha=alpha)
-        return GrassmannFunctionS2("lines", _funk_hecke(f, L, *_sine_rule(alpha, L, const)))
+        return GrassmannFunctionS2("lines", _funk_hecke(f, L, functools.partial(_sine_rule, alpha)))
     raise ValueError(f"i must be 1 or 2 on S^2, got {i}")
 
 
@@ -766,6 +771,7 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     functions are fixed by ``seed``.  Pointwise sides (:func:`kernel_at`) start
     from the test functions' generating coefficients at seeded grid nodes, so
     they share neither analysis nor Funk-Hecke moments with the grid side.
+    The kernel engines run on coefficients, so no grid function is analyzed twice.
     """
     grid = S2Grid(max(4 * L, 48) if n_theta is None else n_theta)
     rng = np.random.default_rng(seed)
@@ -779,11 +785,12 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     def nodes():
         return rng.choice(len(points), 32, replace=False)
 
-    # read by several identities, each computed once: the analyses, R_2 f and
-    # R_2^alpha f (the cosine transform keyed by normals) at the chain's orders
+    # read by several identities, each computed once: the analyses, and on them R_2 f
+    # and R_2^alpha f (the cosine transform keyed by normals) at the chain's orders;
+    # where both sides of an identity would start from cfs, one starts from cs instead
     cfs = [analyze(f, L) for f in fs]
-    r2s = [radon_transform(f, 2, L=L) for f in fs]
-    r2_alpha = {(alpha, k): ri_alpha_direct(fs[k], 2, alpha, L=L)
+    r2s = [funk_direct(cf) for cf in cfs]
+    r2_alpha = {(alpha, k): cosine_direct(cfs[k], alpha)
                 for alpha in (0.5, 1.5) for k in range(3)}
 
     # Funk factorization: M f = R_i^* R_(n-i),perp f, both i.  The right side
@@ -793,8 +800,8 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     for c, f, r2 in zip(cs, fs, r2s):
         idx = nodes()
         mf = funk_at(c, points[idx])
-        for r in (r2, radon_transform(f, 1, L=L)):      # R_(3-i) f at i = 1, 2
-            rhs = dual_radon(r.perp(), L=L)
+        # i = 1: R_2 f read as lines, so R_1^* is the identity; i = 2: R_1 f as planes
+        for rhs in (synthesize(r2, grid), dual_radon(radon_transform(f, 1).perp(), L=L)):
             pairs.append((mf, rhs.values.reshape(-1)[idx]))
     reports.append(make_report("funk_factorization",
                                {"L": L, "i": [1, 2], "functions": len(fs), "nodes": 32},
@@ -805,20 +812,20 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     c_chain = mult.constant("c_cosine_radon", 3, i=2)
     pairs = []
     for (alpha, k), r2a in r2_alpha.items():
-        lhs = radon_transform(r2a.repr_, 2, L=L)
-        rhs = ri_alpha_direct(fs[k], 1, alpha + 1.0, L=L).perp()
-        pairs.append((lhs.repr_.values, c_chain * rhs.repr_.values))
+        lhs = synthesize(funk_direct(r2a), grid)
+        rhs = synthesize(sine_direct(cs[k], alpha + 1.0), grid)    # the kernel of R_1^(alpha+1)
+        pairs.append((lhs.values, c_chain * rhs.values))
     reports.append(make_report("cosine_radon_chain",
                                {"L": L, "alphas": [0.5, 1.5], "c": c_chain}, pairs, tol))
 
     # range identity: R_2^alpha f = R_2 f1, f1 = c M^(1-i) M^(alpha+i+1-n) f
     c_f1 = mult.constant("c_range_f1", 3, i=2)
     pairs = []
-    for (alpha, k), lhs in r2_alpha.items():
+    for (alpha, k), r2a in r2_alpha.items():
         f1 = synthesize(apply_spectral(apply_spectral(cfs[k], "M", alpha=alpha),
                                        "M", alpha=-1.0), grid)
         rhs = radon_transform(GridFunction(grid, c_f1 * f1.values), 2, L=L)
-        pairs.append((lhs.repr_.values, rhs.repr_.values))
+        pairs.append((synthesize(r2a, grid).values, rhs.repr_.values))
     reports.append(make_report("range_swap", {"L": L, "alphas": [0.5, 1.5], "c": c_f1},
                                pairs, tol))
 
@@ -848,7 +855,7 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     consts = [lam, mult.constant("c_perp_swap", 3, i=2), 1.0 / sqrt_pi]
     pairs = []
     for f, r2 in zip(fs, r2s):
-        inverted = synthesize(apply_spectral(analyze(r2.repr_, L), "M", alpha=-1.0), grid)
+        inverted = synthesize(apply_spectral(r2, "M", alpha=-1.0), grid)
         pairs.extend((inverted.values, k * f.values) for k in consts)
     reports.append(make_report("radon_inversion", {"L": L, "constants": consts}, pairs, tol))
 
@@ -856,11 +863,9 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     # engines against the sine kernel at points
     alpha = 0.5
     idx = nodes()
-    rule = _sine_rule(alpha + 1.0, L, mult.constant("gamma_sine", 3, alpha=alpha + 1.0))
-    rhs = lam * kernel_at(cs[0], points[idx], *rule)
-    lhs = cosine_direct(r2s[0].repr_, alpha, L=L)
-    lhs2 = dual_radon(r2_alpha[alpha, 0], L=L)
-    pairs = [(g.values.reshape(-1)[idx], rhs) for g in (lhs, lhs2)]
+    rhs = lam * kernel_at(cs[0], points[idx], *_sine_rule(alpha + 1.0, L))
+    lhs = (cosine_direct(r2s[0], alpha), funk_direct(r2_alpha[alpha, 0]))
+    pairs = [(synthesize(g, grid).values.reshape(-1)[idx], rhs) for g in lhs]
     reports.append(make_report("sine_composites",
                                {"L": L, "alpha": alpha, "lambda": lam, "nodes": 32}, pairs, tol))
 
@@ -877,10 +882,9 @@ def verify_s2_suite(L: int = 12, tol: float = 1e-6, seed: int = 7,
     j = np.arange(L + 1)
     step = (j * (j + 1.0) - 2.0) / 4.0
     pairs = []
-    for f, r2 in zip(fs[:2], r2s):
-        target = sqrt_pi * r2.repr_.values
-        limit = synthesize(analyze(cosine_direct(f, 2.0, L=L), L).scale_degrees(step), grid)
-        pairs.append((limit.values, target))
+    for c, r2 in zip(cs[:2], r2s):
+        limit = synthesize(cosine_direct(c, 2.0).scale_degrees(step), grid)
+        pairs.append((limit.values, sqrt_pi * synthesize(r2, grid).values))
     reports.append(make_report("cosine_funk_limit", {"L": L, "alpha": 2.0}, pairs, tol_spec))
 
     # cross-engine: the cosine kernel at points vs gamma multipliers on the grid,

@@ -369,13 +369,14 @@ def istar_chain_check(g: "sphere.GridFunction", tol: float = 1e-8) -> IdentityRe
         raise OddInputError("plane densities must be even")
     grid = g.grid
     Lband = grid.band_limit
-    rho_k = sphere.dual_radon(sphere.GrassmannFunctionS2("planes", g))
+    cg = sphere.analyze(g, Lband)
+    rho_k = sphere.synthesize(sphere.funk_direct(cg), grid)      # dual Radon transform of g
     if float(rho_k.values.min()) <= 0.0:
         raise NonPositiveBodyError("dual Radon transform of g is not positive")
     pts = grid.points.reshape(-1, 3)
     nodes = pts[np.random.default_rng(0).choice(len(pts), min(64, len(pts)), replace=False)]
     lhs = sphere.radon_r1(rho_k, nodes, L=Lband)
-    rhs = sphere.funk_at(sphere.analyze(g, Lband), nodes)
+    rhs = sphere.funk_at(cg, nodes)
     return make_report("istar_chain", {"n": 3, "i": 1, "band_limit": Lband,
                                        "nodes": len(nodes)}, [(lhs, rhs)], tol)
 

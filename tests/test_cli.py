@@ -11,7 +11,8 @@ import pytest
 from coslab import cli
 from coslab import starbody as sb
 from coslab import zonal as zn
-from coslab.io import load_object, save_object
+from coslab.errors import RepresentationError, integer_field
+from coslab.io import detect_kind, load_object, save_object
 from coslab.sphere import GrassmannFunctionS2, GridFunction, HarmonicCoeffs, S2Grid
 
 SQRT_PI = math.sqrt(math.pi)
@@ -185,13 +186,37 @@ class TestVerify:
         assert out == ""
 
     def test_config_file(self, capsys, tmp_path):
+        # blank and comment-only lines are skipped
         cfg = tmp_path / "coslab.cfg"
-        cfg.write_text("lmax = 8\nn_theta = 32  # comment\nseed=3\n")
+        cfg.write_text("\nlmax = 8\n# lmax = 10\n   \nn_theta = 32  # comment\nseed=3\n")
         out_file = tmp_path / "r.json"
         code, _, _ = run(capsys, "verify", "--suite", "s2", "--config", str(cfg),
                          "--out", str(out_file))
         assert code == 0
-        assert json.loads(out_file.read_text())["config"]["lmax"] == 8
+        config = json.loads(out_file.read_text())["config"]
+        assert (config["lmax"], config["n_theta"], config["seed"]) == (8, 32, 3)
+
+    @pytest.mark.parametrize("text,says", [
+        ("lmx = 8\n", "unknown config key 'lmx'"),     # a typo of lmax
+        ("lmax = 8\nsuite = s2\n", "unknown config key 'suite'"),
+        ("lmax 8\n", "bad config line: 'lmax 8'"),
+    ])
+    def test_bad_config_exits_2(self, capsys, tmp_path, text, says):
+        cfg = tmp_path / "coslab.cfg"
+        cfg.write_text(text)
+        out_file = tmp_path / "r.json"
+        code, out, err = run(capsys, "verify", "--suite", "s2", "--config", str(cfg),
+                             "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error:") and says in err and err.count("\n") == 1
+        assert out == "" and not out_file.exists()
+
+    def test_missing_config_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--suite", "s2",
+                             "--config", str(tmp_path / "absent.cfg"))
+        assert code == 2
+        assert err.startswith("error:") and "absent.cfg" in err and err.count("\n") == 1
+        assert out == ""
 
 
 @pytest.fixture()
@@ -717,3 +742,22 @@ def test_bad_body_input_exits_with_its_documented_code(capsys, tmp_path, reader,
     if case != "zonal_body":
         assert str(bad) in err              # the message names the file
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("call,says", [
+    pytest.param(lambda: detect_kind({"values": [1.0]}), "not contain a known representation",
+                 id="unknown_object"),
+    pytest.param(lambda: integer_field({"L": 3.7}, "L"), "L must be an integer, got 3.7",
+                 id="fractional"),
+    pytest.param(lambda: integer_field({"L": "3"}, "L"), "L must be an integer, got '3'",
+                 id="string"),
+])
+def test_file_field_checks(call, says):
+    with pytest.raises(RepresentationError, match=says):
+        call()
+
+
+def test_integer_field_accepts_integral_floats():
+    for value in (3, 3.0):
+        got = integer_field({"L": value}, "L")
+        assert got == 3 and type(got) is int

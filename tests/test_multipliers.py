@@ -815,3 +815,21 @@ class TestPerturbations:
     def test_every_report_is_covered(self):
         names = {r.identity for r in m.check_identities(3, 20, VERIFY_GRID)}
         assert set().union(*(fails for _, _, fails in PERTURBATIONS)) == names
+
+
+@pytest.mark.parametrize("call,says", [
+    pytest.param(lambda: m.sigma(0), "dimension must be >= 1, got 0", id="sigma0"),
+    pytest.param(lambda: m.excluded(3, 0.5, "R_i"), "requires the subspace dimension i",
+                 id="excluded_no_i"),
+    pytest.param(lambda: m.excluded(3, 0.5, "R_i", i=3), "need 1 <= i <= n-1, got i=3",
+                 id="excluded_i3"),
+    pytest.param(lambda: m.qpm_mult(3, 2, 0.5, 1.5, "both"),
+                 "sign must be 'plus' or 'minus', got 'both'", id="qpm_sign"),
+    pytest.param(lambda: m.constant("lambda1", 3), "constant 'lambda1' needs 1 <= i <= n-1",
+                 id="constant_no_i"),
+    pytest.param(lambda: m.constant("gamma_sine", 3), "constant 'gamma_sine' needs alpha",
+                 id="constant_no_alpha"),
+])
+def test_input_checks(call, says):
+    with pytest.raises(ValueError, match=says):
+        call()

@@ -16,6 +16,7 @@ from coslab.errors import (
     GridTooCoarseError,
     OddInputError,
     QuadratureWindowError,
+    RepresentationError,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -385,10 +386,8 @@ class TestEngineAgainstReference:
     KERNEL_ENGINES = {
         "cosine0.5": lambda f, L: (sp.cosine_direct(f, 0.5, L=L), sp._cosine_rule(3, 0.5, L)),
         "cosine2.5": lambda f, L: (sp.cosine_direct(f, 2.5, L=L), sp._cosine_rule(3, 2.5, L)),
-        "sine1.5": lambda f, L: (sp.sine_direct(f, 1.5, L=L), sp._sine_rule(
-            1.5, L, sp.mult.constant("gamma_sine", 3, alpha=1.5))),
-        "ri1_1.5": lambda f, L: (sp.ri_alpha_direct(f, 1, 1.5, L=L).repr_, sp._sine_rule(
-            1.5, L, sp.mult.constant("gamma_alpha_i", 3, i=1, alpha=1.5))),
+        "sine1.5": lambda f, L: (sp.sine_direct(f, 1.5, L=L), sp._sine_rule(1.5, L)),
+        "ri1_1.5": lambda f, L: (sp.ri_alpha_direct(f, 1, 1.5, L=L).repr_, sp._sine_rule(1.5, L)),
         "funk": lambda f, L: (sp.funk_direct(f, L=L), (np.zeros(1), np.ones(1))),
     }
 
@@ -676,7 +675,7 @@ class TestRiAlphaDirect:
     @pytest.mark.parametrize("alpha", [0.5, 1.1, 1.5, 2.5, 2.9])
     def test_sine_rule_moments(self, alpha, L):
         # the rule's Legendre moments are the sine multipliers (zero at odd j)
-        x, w = sp._sine_rule(alpha, L, sp.mult.constant("gamma_sine", 3, alpha=alpha))
+        x, w = sp._sine_rule(alpha, L)
         j = np.arange(L + 1)
         want = sp.mult.table(3, j, "Q", alpha=alpha)
         got = eval_legendre(j[:, None], x) @ w
@@ -687,6 +686,56 @@ class TestRiAlphaDirect:
         spec = sp.synthesize(sp.apply_spectral(sp.analyze(even_f, 10), "Q",
                                                alpha=1.5), grid)
         assert np.abs(direct.values - spec.values).max() < 1e-12
+
+
+class TestEnginesOnCoefficients:
+    # the kernel engines that take coefficients, each at one admissible order
+    ENGINES = {
+        "cosine": lambda f, L=None: sp.cosine_direct(f, 1.5, L=L),
+        "sine": lambda f, L=None: sp.sine_direct(f, 1.5, L=L),
+        "funk": lambda f, L=None: sp.funk_direct(f, L=L),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("L", [0, 1, 7, 12])
+    def test_same_transform_as_on_the_grid(self, engine, L):
+        # the coefficients are not even: the moments zero odd degrees either way
+        apply = self.ENGINES[engine]
+        c = _random_coeffs(L, 60 + L)
+        grid = sp.S2Grid(L + 2)
+        want = sp.analyze(apply(sp.synthesize(c, grid), L=c.L), c.L)
+        for got in (apply(c), apply(c, L=c.L)):
+            assert isinstance(got, sp.HarmonicCoeffs) and got.L == L
+            assert _dev(got.coeffs, want.coeffs) <= 1e-14
+        for other in (L - 1, L + 1):
+            with pytest.raises(ValueError, match=f"L={other} given with coefficients"):
+                apply(c, L=other)
+
+
+@pytest.mark.parametrize("call,error,says", [
+    pytest.param(lambda: sp.GridFunction(sp.S2Grid(4), np.ones((4, 7))),
+                 RepresentationError, "does not match grid 4x8", id="grid_shape"),
+    pytest.param(lambda: sp.HarmonicCoeffs(2, np.ones(9)).index(3, 0),
+                 IndexError, "outside band limit 2", id="index_degree"),
+    pytest.param(lambda: sp.HarmonicCoeffs(2, np.ones(9)).index(1, -2),
+                 IndexError, "outside band limit 2", id="index_order"),
+    pytest.param(lambda: sp.HarmonicCoeffs.from_dict(
+        {"L": 0, "ordering": "k-major", "coeffs": [1.0]}),
+                 RepresentationError, "unknown ordering 'k-major'", id="ordering"),
+    pytest.param(lambda: sp.radon_transform(sp.GridFunction(sp.S2Grid(4), np.ones((4, 8))), 3),
+                 ValueError, "i must be 1 or 2", id="radon_i3"),
+    # subspace functions hold grid functions, so the transforms that return
+    # them take grid functions only
+    *(pytest.param(call, RepresentationError, "need a GridFunction, got HarmonicCoeffs", id=name)
+      for name, call in [
+          ("grassmann_payload", lambda: sp.GrassmannFunctionS2("planes", _random_coeffs(0, 1))),
+          ("ri_alpha_i1", lambda: sp.ri_alpha_direct(_random_coeffs(4, 3), 1, 1.5)),
+          ("ri_alpha_i2", lambda: sp.ri_alpha_direct(_random_coeffs(4, 3), 2, 1.5)),
+          ("radon_i2", lambda: sp.radon_transform(_random_coeffs(4, 3), 2))]),
+])
+def test_input_checks(call, error, says):
+    with pytest.raises(error, match=says):
+        call()
 
 
 # engine, orders outside the direct-quadrature window (0, 3], an order on its lattice
@@ -827,6 +876,19 @@ class TestSuite:
         reports = sp.verify_s2_suite(L=8, tol=1e-6, seed=3)
         covered = {name for row in PERTURBATIONS.values() for name in row[-1]}
         assert {r.identity for r in reports} == covered
+
+    def test_analyzes_each_input_once(self, monkeypatch):
+        # the engines take coefficients, so no grid function is analyzed twice
+        seen = []
+        analyze = sp.analyze
+
+        def recording(f, L):
+            seen.append(f.values.tobytes())
+            return analyze(f, L)
+
+        monkeypatch.setattr(sp, "analyze", recording)
+        sp.verify_s2_suite(L=8, tol=1e-6, seed=3)
+        assert seen and len(set(seen)) == len(seen)
 
     def test_deterministic_under_seed(self):
         a = sp.verify_s2_suite(L=8, tol=1e-6, seed=3)

@@ -16,6 +16,7 @@ from coslab.errors import (
     GammaPoleError,
     NonPositiveBodyError,
     OddInputError,
+    RepresentationError,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -472,3 +473,24 @@ class TestSuite:
         failed = [r for r in reports if not r.passed]
         assert not failed, [(r.identity, r.max_abs_err, r.max_rel_err)
                             for r in failed]
+
+
+def _ball(resolution=8):
+    return sb.make_body(3, "ball", resolution=resolution)
+
+
+@pytest.mark.parametrize("call,error,says", [
+    pytest.param(lambda: sb.StarBody(4, _ball().repr_, {}), RepresentationError,
+                 "grid-represented bodies live in R\\^3", id="grid_body_n4"),
+    pytest.param(lambda: sb.StarBody.from_dict({"n": 3, "repr_kind": "mesh", "payload": {}}),
+                 RepresentationError, "unknown repr_kind 'mesh'", id="repr_kind"),
+    pytest.param(lambda: sb.make_body(5, "ball", resolution=4).radial_power(2.0),
+                 RepresentationError, "radial_power on coefficients", id="zonal_radial_power"),
+    pytest.param(lambda: sb.i_intersection_pair_check(_ball(), _ball(), 3), ValueError,
+                 "i must be 1 or 2", id="pair_i3"),
+    pytest.param(lambda: sb.i_intersection_pair_check(_ball(), _ball(10), 2),
+                 RepresentationError, "same grid", id="pair_grids"),
+])
+def test_input_checks(call, error, says):
+    with pytest.raises(error, match=says):
+        call()

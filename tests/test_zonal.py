@@ -154,7 +154,7 @@ class TestGaussRule:
                 "from coslab import sphere, zonal\n"
                 "zonal.gauss_jacobi_rule(3, 48)\n"
                 "zonal._cosine_rule(3, 0.5, 12)\n"
-                "sphere._sine_rule(1.5, 12, 1.0)\n"
+                "sphere._sine_rule(1.5, 12)\n"
                 "assert 'scipy.linalg' not in sys.modules\n")
         src = str(pathlib.Path(zn.__file__).parents[1])
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -484,3 +484,22 @@ def test_gamma_sine_constant_matches_kernel_integral():
     c = m.constant("gamma_sine", n, alpha=alpha)
     integral, _ = quad(lambda t: 0.5 * (1 - t * t) ** ((alpha - n + 1) / 2), -1, 1)
     assert c * integral == pytest.approx(m.q_mult(n, 0, alpha), rel=1e-10)
+
+
+@pytest.mark.parametrize("call,error,says", [
+    pytest.param(lambda: zn.zonal_basis(1, 3, np.zeros(2)), ValueError,
+                 "dimension must be >= 2, got 1", id="basis_n1"),
+    pytest.param(lambda: zn.gauss_jacobi_rule(1, 4), ValueError,
+                 "dimension must be >= 2, got 1", id="rule_n1"),
+    pytest.param(lambda: zn.gauss_jacobi_rule(3, 0), ValueError,
+                 "need at least one node, got N=0", id="rule_N0"),
+    pytest.param(lambda: zn.zonal_analyze(3, np.ones(4), 2, zn.gauss_jacobi_rule(3, 5)),
+                 RepresentationError, "got 4 samples for a 5-node rule", id="sample_count"),
+    pytest.param(lambda: zn.zonal_poisson_direct(3, np.cos, 1.0, 0.2), ValueError,
+                 "0 <= t < 1, got 1.0", id="poisson_t1"),
+    pytest.param(lambda: zn.zonal_poisson_direct(3, np.cos, -0.1, 0.2), ValueError,
+                 "0 <= t < 1, got -0.1", id="poisson_t_negative"),
+])
+def test_input_checks(call, error, says):
+    with pytest.raises(error, match=says):
+        call()
