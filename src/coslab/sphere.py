@@ -6,9 +6,14 @@ is real and orthonormal with respect to the probability measure; storage
 is j-major with k ascending from -j to j.  Grid analysis and synthesis run
 one real FFT per latitude ring and one batched matrix product over all
 longitudinal orders: each grid's Legendre table is stored folded, orders
-m and L-m sharing one (L+2)-row block (see :func:`_fold_layout`), so the
-triangle of per-order blocks fills a rectangle and every order goes
-through the same product.  One recurrence, :func:`_diagonal_rows`, runs
+m and L-m sharing one block whose rows are sorted by the parity of j-m
+(see :func:`_fold_layout`), so the triangle of per-order blocks fills a
+rectangle and every order goes through the same product.  The Gauss nodes
+are mirrored, t_(n-1-r) = -t_r, and P-bar_{j,m}(-t) = (-1)^(j-m) P-bar_{j,m}(t),
+so a grid of at least _HALF_RINGS_FROM rings keeps rows at its first
+ceil(n/2) rings only: even-parity rows meet the sums of mirrored rings and
+odd-parity rows their differences, which halves the table and the product.
+One recurrence, :func:`_diagonal_rows`, runs
 along the diagonals j = m + k for all orders at once: in long double at
 the Gauss nodes for the tables, and in float at L+2 colatitudes for
 evaluation at arbitrary points, which reads its coefficients from the
@@ -131,13 +136,17 @@ class S2Grid:
     def legendre_table(self, L: int) -> np.ndarray:
         """Real-basis associated Legendre values at the latitude nodes, folded.
 
-        Shape (L//2+1, L+2, n_theta): block p holds order p in rows 0..L-p
-        (row j-p is P-bar_{j,p}(t)) and order L-p in rows L-p+1..L+1 (row
-        j+1 is P-bar_{j,L-p}(t)); for even L the middle block holds order
-        L/2 once, over zero rows.  Rows of m >= 1 carry sqrt(2) as in
-        the real basis.  Built in extended precision: analysis noise in
-        these values is amplified by strongly order-negative multipliers
-        downstream.  Read-only, and shared by every grid with this n_theta.
+        Shape (L//2+1, 2 (L//2+2), rings): block p holds orders p and L-p,
+        the rows with j-m even in its first L//2+2 rows and those with j-m
+        odd in the rest, each ascending in j, order p's before order L-p's;
+        the rows :func:`_fold_layout` gives no (j, m) are zero.  For even L the
+        middle block holds order L/2 once.  Below _HALF_RINGS_FROM rings a
+        table covers every ring; from there on only the first ceil(n_theta/2),
+        whose mirrors follow from the parity of j-m.  Rows of m >= 1 carry
+        sqrt(2) as in the real basis.  Built in extended precision: analysis
+        noise in these values is amplified by strongly order-negative
+        multipliers downstream.  Read-only, and shared by every grid with
+        this n_theta.
         """
         return _legendre_table(self.n_theta, L)
 
@@ -177,29 +186,45 @@ def _diagonal_rows(L: int, t: np.ndarray, s: np.ndarray):
         prev2, prev, a_prev = prev, cur, a
 
 
+# Grids of this many rings or more keep Legendre rows at half their rings.
+# Pairing the mirrored rings costs a few numpy calls per transform, which
+# the halved product repays only on larger grids.  An analyze + synthesize
+# pair at L = n_theta/2 - 1 against the same pair on a full-ring table, one
+# BLAS thread, median of 60 alternating rounds on a 2-core host: 66 rings
+# +11 %, 82 +3 %, 90 -1 %, 96 +1 %, 98 -2 %, 130 -10 %, 258 -24 %.  The
+# crossover lies near 96; the grids of 48 rings that the headline verify
+# and the class sweeps use stay on the full-ring product.
+_HALF_RINGS_FROM = 96
+
+
 @functools.lru_cache(maxsize=8)
 def _legendre_table(n_theta: int, L: int) -> np.ndarray:
-    """:meth:`S2Grid.legendre_table` per (n_theta, L), which fix a grid's nodes."""
-    return _legendre_blocks(L, gauss_jacobi_rule(3, n_theta).nodes)
+    """:meth:`S2Grid.legendre_table` per (n_theta, L), which fix a grid's nodes.
+
+    The one place that decides ring coverage: every ring below
+    _HALF_RINGS_FROM, the first ceil(n_theta/2) from there on.
+    """
+    t = gauss_jacobi_rule(3, n_theta).nodes
+    return _legendre_blocks(L, t if n_theta < _HALF_RINGS_FROM else t[:(n_theta + 1) // 2])
 
 
 def _legendre_blocks(L: int, t: np.ndarray) -> np.ndarray:
     """P-bar_{j,m}(t), folded as in :meth:`S2Grid.legendre_table`.
 
     The rows of :func:`_diagonal_rows`, run in long double, land in the
-    folded float table (sqrt(2) applied for m >= 1 before rounding) from
-    the row :func:`_fold_layout` gives each order's P-bar_{m,m} on.
+    folded float table (sqrt(2) applied for m >= 1 before rounding) on the
+    rows :func:`_fold_layout` gives each order and parity.
     """
     ld = np.longdouble
     t = np.asarray(t, dtype=ld)
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     start = _fold_layout(L).start
     scale = np.where(np.arange(L + 1) > 0, np.sqrt(ld(2)), ld(1))[:, None]
-    table = np.zeros((L // 2 + 1, L + 2, t.shape[0]))
+    table = np.zeros((L // 2 + 1, 2 * (L // 2 + 2), t.shape[0]))
     flat = table.reshape(-1, t.shape[0])
     for k, rows in enumerate(_diagonal_rows(L, t, s)):
         n = rows.shape[0]
-        flat[start[:n] + k] = scale[:n] * rows
+        flat[start[k % 2, :n] + k // 2] = scale[:n] * rows
     table.flags.writeable = False           # shared by every grid of its n_theta
     return table
 
@@ -323,6 +348,12 @@ class HarmonicCoeffs:
         return cls(integer_field(d, "L"), coeffs)
 
 
+def _check_type(obj, cls: type) -> None:
+    """RepresentationError naming both types unless obj is a cls."""
+    if not isinstance(obj, cls):
+        raise RepresentationError(f"need a {cls.__name__}, got {type(obj).__name__}")
+
+
 @dataclass
 class GrassmannFunctionS2:
     """Even function on S^2 keyed as lines (directions) or planes (normals)."""
@@ -333,8 +364,7 @@ class GrassmannFunctionS2:
     def __post_init__(self):
         if self.kind not in ("lines", "planes"):
             raise ValueError(f"kind must be 'lines' or 'planes', got {self.kind!r}")
-        if not isinstance(self.repr_, GridFunction):
-            raise RepresentationError(f"need a GridFunction, got {type(self.repr_).__name__}")
+        _check_type(self.repr_, GridFunction)
         if self.repr_.odd_energy_fraction() > 1e-12:
             raise OddInputError("subspace functions must be even on the sphere")
 
@@ -366,7 +396,7 @@ class _Fold(NamedTuple):
     """Index maps of the folded layout at one band limit; see :func:`_fold_layout`."""
 
     orders: np.ndarray          # (L//2+1, 2): the orders p and L-p of block p
-    start: np.ndarray           # (L+1,): table row of P-bar_{m,m}, blocks flattened
+    start: np.ndarray           # (2, L+1): table row of P-bar_{m+k,m} is start[k%2, m] + k//2
     slots: np.ndarray           # ((L+1)^2,): flat position of each coefficient
     to_spectrum: np.ndarray     # ((L+1)^2,): 1 if m = 0, else 1/2 (cosine), -1/2 (sine)
 
@@ -376,24 +406,32 @@ def _fold_layout(L: int) -> _Fold:
     """Where each order and each coefficient sits in the folded layout.
 
     Orders m and L-m share block p = min(m, L-m) of the folded Legendre
-    table (:meth:`S2Grid.legendre_table`): order p fills rows 0..L-p,
-    order L-p rows L-p+1..L+1.  In a (L//2+1, L+2, 4) array of the same
-    blocks, a block's first order keeps its cosine and sine coefficient
-    pair in columns 0 and 1, its second order in columns 2 and 3; ``slots``
-    gives the flat position there of each coefficient, j-major as in
+    table (:meth:`S2Grid.legendre_table`), whose 2 (L//2+2) rows, blocks
+    flattened, hold first the rows of even j-m, then those of odd j-m;
+    within each parity order p's rows come first and order L-p's after
+    them, each ascending in j.  ``start`` gives the row of P-bar_{m,m}
+    (k = 0) and of P-bar_{m+1,m} (k = 1); the rows of one parity are
+    consecutive.  In a (L//2+1, 2 (L//2+2), 4) array of the same rows, a
+    block's first order keeps its cosine and sine coefficient pair in
+    columns 0 and 1, its second order in columns 2 and 3; ``slots`` gives
+    the flat position there of each coefficient, j-major as in
     :class:`HarmonicCoeffs`.  ``to_spectrum`` takes a coefficient to its
     share of the spectrum that the inverse real FFT sums: a - i b for
     a cos(m phi) + b sin(m phi), halved for m >= 1.
     """
     m = np.arange(L + 1)
     second = 2 * m > L
-    start = np.where(second, (L - m) * (L + 2) + m + 1, m * (L + 2))
+    rows = L // 2 + 2                                # per parity and block
+    # order m's block, parity section, and the rows of order L-m ahead of it:
+    # (L-p)//2 + 1 even and (L-p+1)//2 odd ones for the second order m = L-p
+    ahead = np.where(second, np.stack((m // 2 + 1, (m + 1) // 2)), 0)
+    start = 2 * rows * np.minimum(m, L - m) + np.array([[0], [rows]]) + ahead
     j = np.repeat(m, 2 * m + 1)
     k = np.arange((L + 1) ** 2) - j * (j + 1)       # c_{j,k}: order |k|, sine if k < 0
     mk = np.abs(k)
     fold = _Fold(orders=np.stack((m[:L // 2 + 1], L - m[:L // 2 + 1]), axis=1),
                  start=start,
-                 slots=4 * (start[mk] + j - mk) + 2 * second[mk] + (k < 0),
+                 slots=4 * (start[(j - mk) % 2, mk] + (j - mk) // 2) + 2 * second[mk] + (k < 0),
                  to_spectrum=np.where(k == 0, 1.0, 0.5 * np.sign(k)))
     for a in fold:
         a.flags.writeable = False           # shared by every caller
@@ -401,9 +439,9 @@ def _fold_layout(L: int) -> _Fold:
 
 
 def _packed(c: HarmonicCoeffs, scale) -> np.ndarray:
-    """c.coeffs * scale in the folded (L//2+1, L+2, 4) layout of :func:`_fold_layout`."""
+    """c.coeffs * scale in the folded (L//2+1, 2 (L//2+2), 4) layout of :func:`_fold_layout`."""
     L = c.L
-    packed = np.zeros((L // 2 + 1, L + 2, 4))
+    packed = np.zeros((L // 2 + 1, 2 * (L // 2 + 2), 4))
     packed.reshape(-1)[_fold_layout(L).slots] = c.coeffs * scale
     return packed
 
@@ -415,7 +453,10 @@ def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
     f cos(m phi) and f sin(m phi).  Set side by side per block of the
     folded Legendre table (orders p and L-p), they go through one batched
     product with the table, which gives every order's degree-j
-    coefficients.
+    coefficients.  On a half-ring table the means of each ring and its
+    mirror are first added, for the rows of even j-m, and subtracted, for
+    the odd ones; an odd grid's equator ring pairs with itself, so its sum
+    is halved.
     """
     if L < 0:
         raise ValueError(f"band limit must be >= 0, got {L}")
@@ -423,10 +464,22 @@ def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
     _check_resolution(grid, L)
     fold = grid.legendre_table(L)
     layout = _fold_layout(L)
-    ring = np.take(np.fft.rfft(f.values, axis=1), layout.orders, axis=1)
-    np.conjugate(ring, out=ring)            # (ring, block, order): cosine + i sine mean
-    ring *= (grid.wt / grid.n_phi)[:, None, None]
-    out = fold @ ring.view(float).transpose(1, 0, 2)
+    spec = np.fft.rfft(f.values, axis=1)
+    h = fold.shape[-1]
+    if h < grid.n_theta:                    # (parity, ring, m): ring + mirror, ring - mirror
+        near, far = spec[:h, :L + 1], spec[:-h - 1:-1, :L + 1]
+        spec = np.empty((2, h, L + 1), dtype=complex)
+        np.add(near, far, out=spec[0])
+        np.subtract(near, far, out=spec[1])
+        if grid.n_theta % 2:
+            spec[0, -1] *= 0.5              # the equator ring is its own mirror
+    ring = np.take(spec, layout.orders, axis=-1)
+    np.conjugate(ring, out=ring)            # (..., ring, block, order): cosine + i sine mean
+    ring *= (grid.wt[:h] / grid.n_phi)[:, None, None]
+    if h == grid.n_theta:
+        out = fold @ ring.view(float).transpose(1, 0, 2)
+    else:
+        out = fold.reshape(fold.shape[0], 2, -1, h) @ ring.view(float).transpose(2, 0, 1, 3)
     return HarmonicCoeffs(L, out.reshape(-1)[layout.slots])
 
 
@@ -437,15 +490,28 @@ def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
     (orders p and L-p side by side, zeros elsewhere), go through one
     batched product with the table; it gives each ring's cos(m phi) and
     sin(m phi) amplitudes, and one inverse real FFT per ring sums them.
+    On a half-ring table the product gives, at each stored ring, the sums
+    E over even j-m and O over odd j-m; the ring takes E + O and its
+    mirror E - O.
     """
     L = c.L
     _check_resolution(grid, L)
     fold = grid.legendre_table(L)
     packed = _packed(c, _fold_layout(L).to_spectrum)
-    amp = (fold.transpose(0, 2, 1) @ packed).view(complex)   # (block, ring, order)
+    blocks, h = fold.shape[0], fold.shape[-1]
+    if h == grid.n_theta:
+        amp = fold.transpose(0, 2, 1) @ packed
+    else:                                   # (block, parity, ring, 4) as (block, E then O rings, 4)
+        amp = (fold.reshape(blocks, 2, -1, h).transpose(0, 1, 3, 2)
+               @ packed.reshape(blocks, 2, -1, 4)).reshape(blocks, 2 * h, 4)
+    amp = amp.view(complex)                 # (block, ring, order)
     spec = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
-    spec[:, :L // 2 + 1] = amp[:, :, 0].T   # orders p
-    spec[:, L // 2 + 1:L + 1] = amp[:(L + 1) // 2, :, 1][::-1].T     # orders L-p
+    sums = spec if h == grid.n_theta else np.empty((2 * h, L + 1), dtype=complex)  # E, then O
+    sums[:, :L // 2 + 1] = amp[:, :, 0].T   # orders p
+    sums[:, L // 2 + 1:L + 1] = amp[:(L + 1) // 2, :, 1][::-1].T     # orders L-p
+    if h < grid.n_theta:
+        np.add(sums[:h], sums[h:], out=spec[:h, :L + 1])
+        np.subtract(sums[:h], sums[h:], out=spec[:-h - 1:-1, :L + 1])  # equator: O = 0
     return GridFunction(grid, np.fft.irfft(spec, n=grid.n_phi, axis=1, norm="forward"))
 
 
@@ -458,7 +524,7 @@ def _colatitude_samples(c: HarmonicCoeffs) -> np.ndarray:
     amplitudes for the parity of k, so no table of rows is kept and the
     working memory is O(L^2).  In the folded layout of :func:`_packed`,
     seen as (cos/sin, 2 x row + [2m > L]), that pair is column
-    2 start[m] + [2m > L] + 2k.  The recurrence runs on the northern
+    2 start[k%2, m] + [2m > L] + 2 (k//2).  The recurrence runs on the northern
     colatitudes q <= (L+1)/2 only: P-bar_{j,m}(-t) = (-1)^(j-m) P-bar_{j,m}(t)
     gives the southern ones from the two parity sums.
     """
@@ -473,7 +539,7 @@ def _colatitude_samples(c: HarmonicCoeffs) -> np.ndarray:
     acc = np.zeros((2, 2, L + 1, h))        # (parity of k, cos/sin, order, colatitude)
     for k, rows in enumerate(_diagonal_rows(L, np.cos(theta), np.sin(theta))):
         n = rows.shape[0]
-        acc[k % 2, :, :n] += pairs[:, first[:n] + 2 * k, None] * rows
+        acc[k % 2, :, :n] += pairs[:, first[k % 2, :n] + 2 * (k // 2), None] * rows
     g = np.empty((L + 1, 2, L + 2))
     g[..., :h] = (acc[0] + acc[1]).transpose(1, 0, 2)
     g[..., h:] = (acc[0] - acc[1]).transpose(1, 0, 2)[..., L + 1 - h::-1]
@@ -691,6 +757,7 @@ def radon_r1(f: GridFunction, line: np.ndarray, L: int | None = None) -> float |
     synthesis at the line's direction u (or an array of directions).  A
     non-finite line or one of zero length raises ValueError.
     """
+    _check_type(f, GridFunction)
     u = np.asarray(line, dtype=float)
     _lengths(u.reshape(-1, 3), "line")
     c = analyze(f, f.grid.band_limit if L is None else L)
@@ -705,6 +772,7 @@ def radon_transform(f: GridFunction, i: int, L: int | None = None) -> GrassmannF
     on the grid via the antipodal index map).  i = 2: great-circle averages
     keyed by plane normals.
     """
+    _check_type(f, GridFunction)
     if i == 1:
         return GrassmannFunctionS2("lines", f.even_part())
     if i == 2:
@@ -720,6 +788,7 @@ def dual_radon(phi: GrassmannFunctionS2, L: int | None = None) -> GridFunction:
     perpendicular to u); for line-keyed input the only line through u is
     the one with direction u, so the transform is pointwise evaluation.
     """
+    _check_type(phi, GrassmannFunctionS2)
     if phi.kind == "planes":
         return funk_direct(phi.repr_, L=L)
     return GridFunction(phi.repr_.grid, phi.repr_.values.copy())

@@ -446,27 +446,60 @@ class TestEngineAgainstReference:
             table[0, 0, 0] = 1.0
 
     def test_legendre_blocks_layout(self):
-        # orders m and L-m share block min(m, L-m): the smaller fills rows
-        # 0..L-m, the larger the rows after it; the middle order of even L
-        # is held once, over zero rows
-        for L in (0, 1, 7, 8):
-            grid = sp.S2Grid(L + 1, 2 * L + 2)
+        # orders m and L-m share block min(m, L-m); its first L//2+2 rows hold
+        # the rows of even j-m, the rest those of odd j-m, each ascending in j,
+        # the smaller order's before the larger's; the middle order of even L
+        # is held once.  From _HALF_RINGS_FROM rings on a table covers only
+        # the first ceil(n_theta/2) rings: full and half coverage, odd and
+        # even n_theta, odd and even L
+        for n_theta, L in [(1, 0), (2, 1), (8, 7), (9, 8), (13, 12),
+                           (96, 7), (97, 8), (98, 1), (99, 0), (130, 12)]:
+            grid = sp.S2Grid(n_theta)
             fold = grid.legendre_table(L)
-            ref = _ref_legendre(L, grid.t)
-            assert fold.shape == (L // 2 + 1, L + 2, L + 1)
-            assert fold.nbytes <= (L // 2 + 1) * (L + 2) * grid.n_theta * 8   # no padded copy
+            rings = n_theta if n_theta < sp._HALF_RINGS_FROM else (n_theta + 1) // 2
+            half = L // 2 + 2
+            assert fold.shape == (L // 2 + 1, 2 * half, rings)
             assert not fold.flags.writeable
+            ref = _ref_legendre(L, grid.t[:rings])
             filled = np.zeros(fold.shape[:2], dtype=bool)
             for m in range(L + 1):
                 p = min(m, L - m)
-                first = L - p + 1 if 2 * m > L else 0
-                rows = slice(first, first + L + 1 - m)
-                want = ref[[_ref_pair(j, m) for j in range(m, L + 1)]]
-                want *= math.sqrt(2) if m else 1
-                assert np.abs(fold[p, rows] - want).max() <= 1e-14
-                filled[p, rows] = True
-            assert not np.any(fold[~filled])
+                for parity in (0, 1):
+                    js = range(m + parity, L + 1, 2)
+                    ahead = 0 if m == p else len(range(p + parity, L + 1, 2))
+                    rows = parity * half + ahead + np.arange(len(js))
+                    want = ref[[_ref_pair(j, m) for j in js]] * (math.sqrt(2) if m else 1)
+                    assert np.abs(fold[p, rows] - want).max(initial=0.0) <= 1e-14
+                    assert not np.any(filled[p, rows])
+                    filled[p, rows] = True
+            assert not np.any(fold[~filled])            # padding rows are zero
             assert filled.sum() == (L + 1) * (L + 2) // 2
+
+
+class TestHalfRingTables:
+    # From _HALF_RINGS_FROM rings on a grid's Legendre table covers its first
+    # ceil(n_theta/2) rings; mirrored rings follow from the parity of j-m.
+
+    @pytest.mark.parametrize("n_theta,L", [(97, 47), (98, 48), (130, 64)])
+    def test_agrees_with_full_ring_table(self, n_theta, L, monkeypatch):
+        grid = sp.S2Grid(n_theta)
+        assert grid.legendre_table(L).shape[-1] == (n_theta + 1) // 2
+        c = _random_coeffs(L, n_theta)      # odd degrees too, so both parities count
+        f = sp.synthesize(c, grid)
+
+        def transforms():
+            return [sp.synthesize(c, grid).values, sp.analyze(f, L).coeffs,
+                    sp.cosine_direct(f, 1.5, L=L).values, sp.funk_direct(f, L=L).values]
+
+        half = transforms()
+        full = sp._legendre_blocks(L, grid.t)
+        monkeypatch.setattr(sp, "_legendre_table", lambda n_theta, L: full)
+        for got, want in zip(half, transforms()):
+            assert _dev(got, want) <= 1e-14
+
+    def test_table_size(self):
+        # 16.6 MiB when it covered all 258 rings
+        assert sp._legendre_table(258, 128).nbytes <= 8.5 * 2**20
 
 
 class TestDegreeBlocks:
@@ -736,6 +769,16 @@ class TestEnginesOnCoefficients:
 def test_input_checks(call, error, says):
     with pytest.raises(error, match=says):
         call()
+
+
+@pytest.mark.parametrize("call,says", [
+    pytest.param(lambda c: sp.radon_transform(c, 1), "GridFunction", id="radon_i1"),
+    pytest.param(lambda c: sp.radon_r1(c, [0.0, 0.0, 1.0]), "GridFunction", id="radon_r1"),
+    pytest.param(lambda c: sp.dual_radon(c), "GrassmannFunctionS2", id="dual_radon"),
+])
+def test_grid_only_transforms_name_the_type(call, says):
+    with pytest.raises(RepresentationError, match=f"need a {says}, got HarmonicCoeffs"):
+        call(_random_coeffs(2, 5))
 
 
 # engine, orders outside the direct-quadrature window (0, 3], an order on its lattice
