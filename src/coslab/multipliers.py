@@ -68,50 +68,40 @@ def sigma(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _near_lattice(alpha, start: float, step: float = 2.0):
-    """Whether alpha (a float or an array) is within EPS_POLE of {start, start+step, ...}."""
-    k = np.fmax(np.rint((alpha - start) / step), 0.0)
-    return abs(alpha - (start + k * step)) <= EPS_POLE
+# family -> its excluded orders, half-lattices (start, step) = {start, start+step, ...}
+# in n and i: where a numerator gamma of the family's closed form has its first
+# pole, at degree 0, and then every second order
+_POLES = {
+    Family.M: lambda n, i: ((1, 2),),           # Gamma((j+1-alpha)/2)
+    Family.Q: lambda n, i: ((n - 1, 2),),       # Gamma((j+n-1-alpha)/2)
+    Family.R_I: lambda n, i: ((n - i, 2),),     # Gamma((n-i-alpha)/2) of gamma_alpha_i
+    # M at 1-n+alpha: its Gamma((j+1-beta)/2), and the poles of its degree-0
+    # denominator Gamma((n-1+beta)/2) = Gamma(alpha/2), where the density is 0
+    Family.K_CLASS: lambda n, i: ((n, 2), (0, -2)),
+}
 
 
 def _excluded_mask(n: int, alpha, family: Family | str, i: int | None = None):
     """``excluded`` elementwise, for a float or an array of orders."""
     _check_dim(n)
     family = Family(family)
+    if family is Family.R_I:
+        if i is None:
+            raise ValueError("family R_i requires the subspace dimension i")
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"need 1 <= i <= n-1, got i={i}, n={n}")
+    near = ~np.isfinite(alpha)
     with np.errstate(invalid="ignore"):     # an infinite order gives inf - inf
-        if family is Family.M:
-            near = _near_lattice(alpha, 1.0)
-        elif family is Family.Q:
-            near = _near_lattice(alpha, float(n))
-        elif family is Family.R_I:
-            if i is None:
-                raise ValueError("family R_i requires the subspace dimension i")
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"need 1 <= i <= n-1, got i={i}, n={n}")
-            near = _near_lattice(alpha, float(n - i))
-        else:
-            near = _near_lattice(alpha, 0.0, -2.0) | _near_lattice(alpha, float(n))
-    return near | ~np.isfinite(alpha)
+        for start, step in _POLES[family](n, i):
+            k = np.fmax(np.rint((alpha - start) / step), 0.0)
+            near |= abs(alpha - (start + k * step)) <= EPS_POLE
+    return near
 
 
 def excluded(n: int, alpha: float, family: Family | str, i: int | None = None) -> bool:
-    """Whether alpha sits on the excluded lattice of the given family.
-
-    M:       {1, 3, 5, ...}
-    Q:       {n, n+2, ...}
-    R_i:     {n-i, n-i+2, ...}   (requires i)
-    K_class: {0, -2, -4, ...} union {n, n+2, ...}
-    """
+    """Whether alpha is not finite or within EPS_POLE of the family's excluded lattice,
+    the half-lattices ``_POLES[family](n, i)`` (R_i requires i)."""
     return bool(_excluded_mask(n, alpha, family, i))
-
-
-# family -> its excluded lattice, as ExcludedParameterError names it
-_LATTICES = {
-    Family.M: "the cosine-family pole lattice 1, 3, 5, ...",
-    Family.Q: "the sine-family pole lattice n, n+2, ... (n={n})",
-    Family.R_I: "the i={i} Radon-family order lattice n-i, n-i+2, ... (n={n})",
-    Family.K_CLASS: "the class exclusion lattice {{0, -2, ...}} U {{n, n+2, ...}} (n={n})",
-}
 
 
 def check_order(n: int, alpha, family: Family | str, i: int | None = None):
@@ -125,8 +115,9 @@ def check_order(n: int, alpha, family: Family | str, i: int | None = None):
         finite = np.isfinite(alpha)
         if not np.all(finite):
             raise ValueError(f"alpha must be finite, got {np.asarray(alpha)[~finite].flat[0]}")
-        lattice = _LATTICES[Family(family)].format(n=n, i=i)
-        raise ExcludedParameterError(f"alpha={np.asarray(alpha)[bad].flat[0]} is on {lattice}")
+        lattice = " U ".join(f"{{{s}, {s + d}, ...}}" for s, d in _POLES[Family(family)](n, i))
+        raise ExcludedParameterError(f"alpha={np.asarray(alpha)[bad].flat[0]} is on the "
+                                     f"{Family(family).value} order lattice {lattice} (n={n})")
     return alpha
 
 
@@ -225,21 +216,16 @@ FAMILY_PARAMS = {
 def _gamma_args(n: int, j, family: str, params: dict) -> list:
     """(numerator, denominator) gamma-argument pairs of a family, for floats or arrays.
 
-    M and Q orders on their lattice raise ExcludedParameterError, a non-finite
-    Qplus, Qminus or A parameter ValueError.  The callers apply the rest: the
-    sign (-1)^(j/2) of M and Funk, Funk's 1/c_(n-1), zeros at odd M, Q, Funk degrees.
+    The closed form only: the callers check the parameters (:func:`_check_params`)
+    and apply the rest: the sign (-1)^(j/2) of M and Funk, Funk's 1/c_(n-1),
+    zeros at odd M, Q, Funk degrees.
     """
-    if family in ("M", "Funk"):
-        alpha = 0.0 if family == "Funk" else check_order(n, params["alpha"], Family.M)
+    mu, nu, alpha, beta = (params.get(name, 0.0) for name in ("mu", "nu", "alpha", "beta"))
+    if family in ("M", "Funk"):                 # Funk, with no parameter, is M at order 0
         return [((j + 1.0 - alpha) / 2.0, (j + n - 1.0 + alpha) / 2.0)]
     if family == "Q":
-        alpha = check_order(n, params["alpha"], Family.Q)
         return [((j + n - 1.0 - alpha) / 2.0, (j + n - 1.0) / 2.0),
                 ((j + 1.0) / 2.0, (j + alpha + 1.0) / 2.0)]
-    for name in FAMILY_PARAMS[family]:
-        if not np.isfinite(params[name]).all():
-            raise ValueError(f"{name} must be finite, got {params[name]}")
-    mu, nu, alpha, beta = map(params.get, ("mu", "nu", "alpha", "beta"))
     if family == "Qplus":
         return [((j + n - nu + 1.0) / 2.0, (j + n - nu + 1.0 + mu) / 2.0)]
     if family == "Qminus":
@@ -248,13 +234,25 @@ def _gamma_args(n: int, j, family: str, params: dict) -> list:
             ((j + n - 1.0 + beta) / 2.0, (j + n - 1.0 + alpha) / 2.0)]
 
 
+def _check_params(n: int, family: str, params: dict) -> None:
+    """An M or Q order on its lattice raises ExcludedParameterError, a non-finite
+    gamma-family parameter ValueError; Poisson's ``t`` is checked by ``_table``."""
+    if family in ("M", "Q"):
+        check_order(n, params["alpha"], family)
+    elif family != "Poisson":
+        for name in FAMILY_PARAMS[family]:
+            if not np.isfinite(params[name]).all():
+                raise ValueError(f"{name} must be finite, got {params[name]}")
+
+
 def _multiplier(n: int, j: int, family: str, params: dict) -> float:
     """One degree of a gamma family: the body of the per-degree scalars."""
     _check_dim(n)
     _check_degree(j)
-    pairs = _gamma_args(n, j, family, params)
+    _check_params(n, family, params)
     if family in ("M", "Q", "Funk") and j % 2 == 1:
         return 0.0
+    pairs = _gamma_args(n, j, family, params)
     value = (-1.0 if family in ("M", "Funk") and (j // 2) % 2 else 1.0) * gamma_ratio(pairs)
     return value / constant("c_limit", n, i=n - 1) if family == "Funk" else value
 
@@ -262,10 +260,10 @@ def _multiplier(n: int, j: int, family: str, params: dict) -> float:
 def _table(n: int, j: np.ndarray, family: str, params: dict) -> np.ndarray:
     """Multipliers over broadcast degrees and orders, NaN where a numerator has a gamma pole.
 
-    Excluded orders raise ExcludedParameterError.  Each degree parity that
-    is needed runs as one ``_gamma.gamma_ratio_chain`` per order, from
-    degree 0 or 1 up to the largest requested degree; M, Q and Funk run
-    only their even degrees, and vanish on odd ones.
+    Its callers check the parameters (``table`` by :func:`_check_params`).  Each
+    degree parity that is needed runs as one ``_gamma.gamma_ratio_chain`` per
+    order, from degree 0 or 1 up to the largest requested degree; M, Q and Funk
+    run only their even degrees, and vanish on odd ones.
     """
     if family == "Poisson":
         t = np.asarray(params["t"], dtype=float)
@@ -336,6 +334,7 @@ def table(n: int, degrees, family: str, **params) -> np.ndarray:
     if set(params) != set(FAMILY_PARAMS[family]):
         raise TypeError(f"family {family!r} takes parameters "
                         f"{FAMILY_PARAMS[family]}, got {tuple(params)}")
+    _check_params(n, family, params)
     values = _table(n, j, family, params)
     pole = np.isnan(values)
     if np.count_nonzero(pole):
@@ -460,7 +459,6 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
     ok = ~_excluded_mask(n, np.concatenate((alphas, 2.0 - n - alphas, betas)), Family.M)
     a, b = alphas[ok[:na]], betas[ok[2 * na:]]
     inv = ok[na:2 * na][ok[:na]]                    # among the admissible alphas
-    semi = ~_excluded_mask(n, a + n - 2.0, Family.Q)
     reports: list[IdentityReport] = []
 
     def stacked(family, *orders):
@@ -470,9 +468,10 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
         return [table[end - len(o):end] for o, end in zip(orders, ends)]
 
     # every M order of the suite in one table and every Q order in another (the
-    # semigroup's, and q(0, i-1) of composite_const): rows are independent
+    # semigroup's, and q(0, i-1) of composite_const): rows are independent, and
+    # alpha + n - 2 is on the Q lattice exactly when alpha is on the M lattice
     m_a, m_inv, m_b, m_0 = stacked("M", a, 2.0 - n - a[inv], b, [0.0])
-    q_semi, q_i = stacked("Q", a[semi] + n - 2.0, np.arange(n - 1.0))
+    q_semi, q_i = stacked("Q", a + n - 2.0, np.arange(n - 1.0))
 
     def rows(*terms):
         """Keep the rows where no term has a numerator pole (NaN); count the others."""
@@ -488,7 +487,7 @@ def check_identities(n: int, j_max: int, alpha_grid, tol: float = 1e-10,
     reports.append(make_report(
         "inversion", {"n": n, "j_max": j_max, "alphas": na, "skipped": na - len(m_1)},
         [(m_1 * m_2, 1.0)], tol))
-    (m_1, m_2, q), _ = rows(m_a[semi], m_0, q_semi)
+    (m_1, m_2, q), _ = rows(m_a, m_0, q_semi)
     reports.append(make_report(
         "semigroup", {"n": n, "j_max": j_max, "alphas": na, "skipped": na - len(m_1)},
         [(m_1 * m_2, q)], tol))

@@ -269,15 +269,16 @@ class GridFunction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridFunction":
-        g = S2Grid(integer_field(d["grid"], "n_theta"), integer_field(d["grid"], "n_phi"))
+        n_theta, n_phi = (integer_field(d["grid"], key) for key in ("n_theta", "n_phi"))
         vals = np.asarray(d["values"], dtype=float)
-        if vals.shape != (g.n_theta * g.n_phi,):
+        # checked before the grid is built, which costs an n_theta x n_theta eigenproblem
+        if vals.shape != (n_theta * n_phi,):
             raise RepresentationError(
-                f"need {g.n_theta * g.n_phi} values for grid {g.n_theta}x{g.n_phi}, "
+                f"need {n_theta * n_phi} values for grid {n_theta}x{n_phi}, "
                 f"got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise RepresentationError("grid function values must be finite")
-        return cls(g, vals.reshape(g.n_theta, g.n_phi))
+        return cls(S2Grid(n_theta, n_phi), vals.reshape(n_theta, n_phi))
 
 
 @dataclass

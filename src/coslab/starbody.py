@@ -225,7 +225,7 @@ def _verdict(min_value: float, margin: float) -> str:
 def _class_factors(n: int, L: int, alpha: float, t_smooth: float) -> np.ndarray:
     """Degree factors m(n, j, 1-n+alpha) t^j of the smoothed class density, j = 0..L."""
     js = np.arange(L + 1)
-    return mult.table(n, js, "M", alpha=1.0 - n + alpha) * t_smooth ** js
+    return mult._table(n, js, "M", {"alpha": 1.0 - n + alpha}) * t_smooth ** js
 
 
 def classify_K_alpha(body: StarBody, alpha: float,

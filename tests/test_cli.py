@@ -7,8 +7,11 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coslab import cli
+from coslab import sphere
 from coslab import starbody as sb
 from coslab import zonal as zn
 from coslab.errors import RepresentationError, integer_field
@@ -104,6 +107,47 @@ class TestMultiplier:
         with pytest.raises(SystemExit) as e:
             run(capsys, "multiplier", "--family", "bogus")
         assert e.value.code == 2
+
+
+# parameter values of the exit-code sweep: lattice points, points inside and
+# outside their guard bands, non-finite values and floats near and far
+_LATTICE_POINTS = st.integers(-10, 12).map(float)
+_SWEEP_VALUES = st.one_of(
+    _LATTICE_POINTS,
+    st.tuples(_LATTICE_POINTS, st.sampled_from([-1e-6, -5e-9, 5e-9, 1e-6])).map(sum),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(-20.0, 20.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _multiplier_flags(draw):
+    """A family and its parameter flags: each one it reads is absent one time in
+    five, and one time in five a flag it may not read is added."""
+    family = draw(st.sampled_from(sorted(cli._FAMILIES)))
+    names = [name for name in cli.mult.FAMILY_PARAMS[cli._FAMILIES[family]]
+             if draw(st.integers(0, 4))]
+    if not draw(st.integers(0, 4)):
+        names.append(draw(st.sampled_from(cli._PARAM_NAMES)))
+    return family, {name: draw(_SWEEP_VALUES) for name in names}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_multiplier_flags(), n=st.integers(2, 9), jmax=st.integers(0, 40))
+def test_multiplier_exit_codes(capsys, drawn, n, jmax):
+    # "--alpha=-1e-06" keeps argparse from reading a negative value as a flag
+    family, flags = drawn
+    code, out, err = run(capsys, "multiplier", "--family", family, "--n", str(n),
+                         "--jmax", str(jmax), *(f"--{k}={v!r}" for k, v in flags.items()))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1 and out == ""
+    else:
+        lines = out.splitlines()
+        assert lines[0] == "j,value" and len(lines) == jmax + 2 and err == ""
 
 
 class TestVerify:
@@ -755,6 +799,18 @@ def test_bad_body_input_exits_with_its_documented_code(capsys, tmp_path, reader,
 def test_file_field_checks(call, says):
     with pytest.raises(RepresentationError, match=says):
         call()
+
+
+def test_grid_count_is_checked_before_the_grid_is_built(tmp_path, monkeypatch):
+    # one value for a 1000 x 2000 grid: rejected without building the grid
+    def no_rule(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(sphere, "gauss_jacobi_rule", no_rule)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"grid": {"n_theta": 1000, "n_phi": 2000}, "values": [1.0]}))
+    with pytest.raises(RepresentationError, match="need 2000000 values"):
+        load_object(path)
 
 
 def test_integer_field_accepts_integral_floats():

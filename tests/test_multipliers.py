@@ -57,8 +57,8 @@ class TestExcluded:
         (3, 1.0, "M", True),
         (3, 0.5, "M", False),
         (5, -2.0, "K_class", True),
-        (3, 3.0, "Q", True),
-        (3, 2.0, "Q", False),
+        (3, 2.0, "Q", True),
+        (3, 3.0, "Q", False),
         (4, 7.0, "M", True),
         (3, -1.0, "M", False),
         (5, 5.0, "K_class", True),
@@ -80,6 +80,44 @@ class TestExcluded:
     def test_pole_guard_width(self):
         assert m.excluded(3, 1.0 + 5e-9, "M")
         assert not m.excluded(3, 1.0 + 1e-6, "M")
+
+    # every integer and half-integer order in [-8, 12], and the orders 5e-9
+    # (inside the guard band) and 2e-8 (outside it) off each integer
+    ORDERS = sorted({k / 2 for k in range(-16, 25)}
+                    | {k + d for k in range(-8, 13) for d in (-2e-8, -5e-9, 5e-9, 2e-8)})
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lattices_are_the_poles_of_the_closed_forms(self, n):
+        # an order is excluded exactly where mpmath finds a pole at it, or at the
+        # integer whose guard band holds it
+        for family, i in [("M", None), ("Q", None), ("K_class", None),
+                          *(("R_i", i) for i in range(1, n))]:
+            for alpha in self.ORDERS:
+                at = round(alpha) if abs(alpha - round(alpha)) <= m.EPS_POLE else alpha
+                assert m.excluded(n, alpha, family, i) is mp_pole(n, at, family, i), \
+                    f"{family} i={i} alpha={alpha}"
+
+
+def mp_pole(n, alpha, family, i=None):
+    """Whether the family's closed form has a pole at order alpha, by mpmath.
+
+    A numerator gamma of M or Q on the even degrees 0..40 or of gamma_alpha_i
+    for R_i; for K_class, a numerator gamma of M at 1-n+alpha on those degrees or
+    M's degree-0 denominator Gamma((n-1+beta)/2) = Gamma(alpha/2), whose poles
+    zero the class density.
+    """
+    with mpmath.workdps(50):
+        a, even = mpmath.mpf(alpha), range(0, 41, 2)
+        if family == "M":
+            args = [(j + 1 - a) / 2 for j in even]
+        elif family == "Q":
+            args = [x for j in even for x in ((j + n - 1 - a) / 2, mpmath.mpf(j + 1) / 2)]
+        elif family == "R_i":
+            args = [(n - i - a) / 2]
+        else:
+            beta = 1 - n + a
+            args = [(j + 1 - beta) / 2 for j in even] + [(n - 1 + beta) / 2]
+        return any(mpmath.rgamma(x) == 0 for x in args)
 
 
 class TestCosineMultiplier:
@@ -140,13 +178,13 @@ class TestSineMultiplier:
             assert m.q_mult(n, j, alpha) == pytest.approx(want, rel=1e-12)
 
     def test_degree_specific_pole_raises(self):
-        # alpha = n - 1 puts Gamma(0) in the numerator at degree 0
-        with pytest.raises(GammaPoleError):
+        # alpha = n - 1 puts Gamma(0) in the numerator at degree 0: on the lattice
+        with pytest.raises(ExcludedParameterError):
             m.q_mult(3, 0, 2.0)
 
     def test_excluded_raises(self):
         with pytest.raises(ExcludedParameterError):
-            m.q_mult(3, 0, 3.0)
+            m.q_mult(3, 0, 4.0)
 
 
 class TestPoissonAverages:
@@ -458,19 +496,21 @@ class TestTable:
         assert got[4] != 0.0
 
     @pytest.mark.parametrize("family,params", [
-        ("Q", {"alpha": 2.0}),                       # Gamma(0) at degree 0
+        ("Q", {"alpha": 2.0}),                       # Gamma(0) at degree 0: on the lattice
         ("A", {"alpha": 0.35, "beta": -4.0}),        # Gamma(-1) at degree 0
         ("Qplus", {"mu": 1.0, "nu": 4.0}),           # Gamma(0) at degree 0
         ("Qminus", {"mu": 3.0, "nu": 1.0}),          # Gamma(-1) at degree 0
     ])
     def test_numerator_pole_raises_like_scalar(self, family, params):
-        with pytest.raises(GammaPoleError):
+        # every numerator pole of Q is on its lattice
+        error = ExcludedParameterError if family == "Q" else GammaPoleError
+        with pytest.raises(error):
             SCALARS[family](3, 0, params)
-        with pytest.raises(GammaPoleError):
+        with pytest.raises(error):
             m.table(3, DEGREES, family, **params)
 
     @pytest.mark.parametrize("family,alpha", [
-        ("M", 1.0), ("M", 3.0 + 5e-9), ("Q", 3.0), ("Q", 5.0 - 5e-9),
+        ("M", 1.0), ("M", 3.0 + 5e-9), ("Q", 2.0), ("Q", 4.0 - 5e-9),
     ])
     def test_excluded_order_raises(self, family, alpha):
         with pytest.raises(ExcludedParameterError, match="lattice"):
@@ -530,6 +570,33 @@ class TestTable:
             m.table(3, DEGREES, "Qplus", mu=1.0)
         with pytest.raises(TypeError):
             m.table(3, DEGREES, "Funk", alpha=0.5)
+
+
+class TestNearPoles:
+    """``table`` just outside the 1e-8 guard band around a pole of its closed form."""
+
+    # family, dimension, lattice point: two points of each lattice
+    CASES = ([("M", n, a0) for n in (3, 5) for a0 in (1.0, 7.0)]
+             + [("Q", n, a0) for n in (3, 4, 5) for a0 in (n - 1.0, n + 3.0)])
+
+    @pytest.mark.parametrize("family,n,alpha0", CASES)
+    def test_matches_the_closed_form_and_its_residue(self, family, n, alpha0):
+        degrees = np.arange(41)
+        # the even degrees whose numerator Gamma((j+1-alpha)/2) or
+        # Gamma((j+n-1-alpha)/2) has its pole at alpha0
+        pole = (degrees % 2 == 0) & (degrees <= alpha0 - (1 if family == "M" else n - 1))
+        with mpmath.workdps(50):
+            # the residue in alpha: delta times the closed form at alpha0 + delta
+            near = {"alpha": mpmath.mpf(alpha0) + mpmath.mpf("1e-30")}
+            residue = np.array([mp_multiplier(n, int(j), family, near) for j in degrees]) * 1e-30
+        for delta in (1e-6, -1e-6, 1e-7, -1e-7):
+            alpha = alpha0 + delta
+            got = m.table(n, degrees, family, alpha=alpha)
+            want = [mp_multiplier(n, int(j), family, {"alpha": alpha}) for j in degrees]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"{alpha}")
+            # (alpha - alpha0) times the multiplier tends to the residue, linearly
+            err = np.abs((alpha - alpha0) * got[pole] - residue[pole])
+            assert np.all(err <= 10.0 * abs(delta) * np.abs(residue[pole])), alpha
 
 
 # the CLI's 59-order class sweep and 40-order verify grid
@@ -757,6 +824,15 @@ class TestIdentitySuiteArrays:
             assert report.max_rel_err == max(r[name].max_rel_err for r in rows)
             assert report.params["skipped"] == sum(r[name].params["skipped"] for r in rows)
         assert whole["cosine_bridge"].params["skipped"] >= 2 * len(grid)
+
+    def test_one_lattice_mask_per_call(self, monkeypatch):
+        # the semigroup's Q orders alpha + n - 2 are on the Q lattice exactly when
+        # alpha is on M's, so only the M mask runs
+        families, mask = [], m._excluded_mask
+        monkeypatch.setattr(m, "_excluded_mask",
+                            lambda *args: families.append(args[2]) or mask(*args))
+        m.check_identities(3, 20, self.ALPHAS, beta_grid=self.BETAS)
+        assert families == [m.Family.M]
 
     def test_numerator_pole_rows_are_skipped(self):
         # a(j, 0.35, -4) has Gamma(-1) in its numerator at j = 0

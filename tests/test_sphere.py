@@ -714,6 +714,17 @@ class TestRiAlphaDirect:
         got = eval_legendre(j[:, None], x) @ w
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("L", [8, 12])
+    def test_order_off_the_sine_lattice(self, L):
+        # alpha = 3 is off the sine lattice 2, 4, ...: both sine-kernel routes run
+        # there and match the multipliers
+        c = _random_coeffs(L, 80 + L)
+        want = sp.apply_spectral(c, "Q", alpha=3.0).coeffs
+        f = sp.synthesize(c, sp.S2Grid(L + 2))
+        for got in (sp.sine_direct(c, 3.0).coeffs,
+                    sp.analyze(sp.ri_alpha_direct(f, 1, 3.0, L=L).repr_, L).coeffs):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_sine_direct_agrees_with_spectral(self, grid, even_f):
         direct = sp.sine_direct(even_f, 1.5, L=10)
         spec = sp.synthesize(sp.apply_spectral(sp.analyze(even_f, 10), "Q",
@@ -784,7 +795,7 @@ def test_grid_only_transforms_name_the_type(call, says):
 # engine, orders outside the direct-quadrature window (0, 3], an order on its lattice
 GUARD_CASES = [
     ("cosine_direct", (-0.5, 0.0, 3.5), 1.0),
-    ("sine_direct", (-0.5, 0.0, 3.5), 3.0),
+    ("sine_direct", (-0.5, 0.0, 3.5), 2.0),
     ("ri_alpha_direct_i1", (-0.5, 0.0, 3.5), 2.0),
     ("ri_alpha_direct_i2", (-0.5, 0.0, 3.5), 3.0),
     ("zonal_cosine_direct", (-0.5, 0.0, 3.5), 1.0),

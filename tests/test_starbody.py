@@ -232,6 +232,18 @@ class TestClassify:
         with pytest.raises(ExcludedParameterError):
             sb.classify_K_alpha(ball, 3.0)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_one_lattice_check_per_verdict(self, monkeypatch, n):
+        # the class lattice holds M's at 1 - n + alpha, so the verdict's
+        # multipliers are not checked a second time
+        body = sb.make_body(n, "ball", resolution=8)
+        families, mask = [], m._excluded_mask
+        monkeypatch.setattr(m, "_excluded_mask",
+                            lambda *args: families.append(args[2]) or mask(*args))
+        for alpha in (-2.5, 0.5, 1.0):
+            sb.classify_K_alpha(body, alpha)
+        assert families == [m.Family.K_CLASS] * 3
+
     @pytest.mark.parametrize("kind", ["grid", "zonal"])
     def test_odd_power_rejected(self, kind):
         # odd energy ~5e-9 passes the body's check (limit 1e-8); rho^2.9 has ~8x that
