@@ -24,6 +24,7 @@ from .errors import (
     GammaPoleError,
     GridTooCoarseError,
     InsufficientRuleError,
+    NonFiniteResultError,
     NonPositiveBodyError,
     OddInputError,
     QuadratureWindowError,

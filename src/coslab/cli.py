@@ -7,8 +7,9 @@ Subcommands:
   body         make / intersect / classify / pair-check star bodies
 
 Exit codes: 0 success, 1 identity failure, 2 argument error, 3 excluded
-parameter or quadrature window, 4 representation mismatch or malformed
-input file, 5 non-positive or non-symmetric body.
+parameter or quadrature window, or an apply result that is not finite,
+4 representation mismatch or malformed input file, 5 non-positive or
+non-symmetric body.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     CoslabError,
     ExcludedParameterError,
     GammaPoleError,
+    NonFiniteResultError,
     NonPositiveBodyError,
     OddInputError,
     QuadratureWindowError,
@@ -48,7 +50,7 @@ EXIT_REPR = 4
 EXIT_BODY = 5
 
 _PARAM_ERRORS = (ExcludedParameterError, QuadratureWindowError, GammaPoleError,
-                 UnknownConstantError)
+                 UnknownConstantError, NonFiniteResultError)
 _BODY_ERRORS = (NonPositiveBodyError, OddInputError, BadShapeParamsError)
 # error kinds -> exit code; any other argument, file or coslab error exits EXIT_USAGE
 _EXIT_CODES = ((_PARAM_ERRORS, EXIT_PARAM), (RepresentationError, EXIT_REPR),
@@ -271,7 +273,13 @@ def _cmd_apply(args) -> int:
         raise RepresentationError(
             f"op {op!r}{f' --method {method}' if method else ''} does not take "
             f"a {type(obj).__name__} file")
-    out = route(obj, family, **params) if method == "spectral" else route(obj, **params)
+    with np.errstate(all="ignore"):         # a result that is not finite is refused below
+        out = route(obj, family, **params) if method == "spectral" else route(obj, **params)
+    values = out.repr_.values if isinstance(out, GrassmannFunctionS2) else (
+        out.values if isinstance(out, GridFunction) else out.coeffs)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteResultError(f"op {op!r} with {meta} gives values that are not "
+                                   f"finite on {args.input}; no file written")
     save_object(out, args.output, meta=meta)
     return 0
 

@@ -21,6 +21,10 @@ class QuadratureWindowError(CoslabError):
     """Direct quadrature requested outside the validated order window."""
 
 
+class NonFiniteResultError(CoslabError):
+    """A transform gave values that are not finite, which no coslab file may hold."""
+
+
 class InsufficientRuleError(CoslabError):
     """Quadrature rule cannot resolve the requested expansion degree."""
 

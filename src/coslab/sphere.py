@@ -18,9 +18,13 @@ along the diagonals j = m + k for all orders at once: in long double at
 the Gauss nodes for the tables, and in float at L+2 colatitudes for
 evaluation at arbitrary points, which reads its coefficients from the
 same folded layout but no table.  One real FFT turns those samples into a
-Fourier series in colatitude for each order, which two matrix products
-per chunk of points then sum.  Table-vs-point agreement thus compares two
-routes: different nodes, different precision, no shared table.
+Fourier series in colatitude for each order; a series of even (or of odd)
+degrees keeps only its even (odd) frequencies, since P-bar_{j,m}(cos theta)
+has frequencies of the parity of j.  Per chunk of points, one matrix product
+for the even orders and one for the odd ones give the longitude amplitudes,
+and one product-sum against cos(m phi), sin(m phi) adds them up.
+Table-vs-point agreement thus compares two routes: different nodes,
+different precision, no shared table.
 
 Subspace-valued functions (lines through the origin, planes through the
 origin) are carried as even functions on the sphere: a line is keyed by
@@ -516,7 +520,21 @@ def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
     return GridFunction(grid, np.fft.irfft(spec, n=grid.n_phi, axis=1, norm="forward"))
 
 
-def _colatitude_samples(c: HarmonicCoeffs) -> np.ndarray:
+def _frequencies(c: HarmonicCoeffs) -> tuple[int, int]:
+    """(k0, step): the colatitude frequencies k0, k0 + step, ... <= L the series holds.
+
+    P-bar_{j,m}(cos theta) is a trigonometric polynomial in theta whose
+    frequencies k all have the parity of j.  If every nonzero coefficient
+    has a degree of one parity p, only k = p, p + 2, ... occur, so
+    (k0, step) = (p, 2); otherwise (both parities, or no nonzero
+    coefficient) every k may, and (k0, step) = (0, 1).  Only exact zeros
+    count as absent.
+    """
+    held = np.flatnonzero(np.bincount(c.degrees() % 2, weights=c.coeffs != 0.0, minlength=2))
+    return (int(held[0]), 2) if held.size == 1 else (0, 1)
+
+
+def _colatitude_samples(c: HarmonicCoeffs, k0: int, step: int) -> np.ndarray:
     """Each order's amplitudes g_m, h_m at the L+2 colatitudes pi q/(L+1).
 
     Shape (order, cos/sin amplitude, q); see :func:`_colatitude_series`.
@@ -525,9 +543,12 @@ def _colatitude_samples(c: HarmonicCoeffs) -> np.ndarray:
     amplitudes for the parity of k, so no table of rows is kept and the
     working memory is O(L^2).  In the folded layout of :func:`_packed`,
     seen as (cos/sin, 2 x row + [2m > L]), that pair is column
-    2 start[k%2, m] + [2m > L] + 2 (k//2).  The recurrence runs on the northern
-    colatitudes q <= (L+1)/2 only: P-bar_{j,m}(-t) = (-1)^(j-m) P-bar_{j,m}(t)
-    gives the southern ones from the two parity sums.
+    2 start[k%2, m] + [2m > L] + 2 (k//2).  With step 2 (degrees of one
+    parity k0, :func:`_frequencies`) only the orders m = k0 + k mod 2 have
+    a degree m + k that holds coefficients, so only they are added.  The
+    recurrence runs on the northern colatitudes q <= (L+1)/2 only:
+    P-bar_{j,m}(-t) = (-1)^(j-m) P-bar_{j,m}(t) gives the southern ones
+    from the two parity sums.
     """
     L = c.L
     h = (L + 3) // 2                        # q <= (L+1)/2: the equator too when L is odd
@@ -539,15 +560,15 @@ def _colatitude_samples(c: HarmonicCoeffs) -> np.ndarray:
     first = 2 * _fold_layout(L).start + (2 * m > L)
     acc = np.zeros((2, 2, L + 1, h))        # (parity of k, cos/sin, order, colatitude)
     for k, rows in enumerate(_diagonal_rows(L, np.cos(theta), np.sin(theta))):
-        n = rows.shape[0]
-        acc[k % 2, :, :n] += pairs[:, first[k % 2, :n] + 2 * (k // 2), None] * rows
+        held = slice((k0 + k) % step, rows.shape[0], step)     # orders whose degree m + k is held
+        acc[k % 2, :, held] += pairs[:, first[k % 2, held] + 2 * (k // 2), None] * rows[held]
     g = np.empty((L + 1, 2, L + 2))
     g[..., :h] = (acc[0] + acc[1]).transpose(1, 0, 2)
     g[..., h:] = (acc[0] - acc[1]).transpose(1, 0, 2)[..., L + 1 - h::-1]
     return g
 
 
-def _colatitude_series(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
+def _colatitude_series(c: HarmonicCoeffs, k0: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Fourier coefficients in theta of each order's amplitudes of the series.
 
     Order m contributes g_m(theta) cos(m phi) + h_m(theta) sin(m phi), with
@@ -559,31 +580,35 @@ def _colatitude_series(c: HarmonicCoeffs) -> tuple[np.ndarray, np.ndarray]:
     through one real FFT.  The samples come from the diagonal recurrence
     of :func:`_colatitude_samples`.
 
-    Returns (even, odd): rows 2i and 2i+1 of ``even`` (shape (2 x orders,
-    L+1)) hold the cos(k theta) coefficients, k = 0..L, of g_m and h_m for
-    m = 2i; rows 2i and 2i+1 of ``odd`` (shape (2 x orders, L)) hold the
-    sin(k theta) coefficients, k = 1..L, for m = 2i+1.
+    Returns (even, odd) at the frequencies k = k0, k0 + step, ... <= L of
+    :func:`_frequencies`: rows 2i and 2i+1 of ``even`` (shape
+    (2 x orders, frequencies)) hold the cos(k theta) coefficients of g_m
+    and h_m for m = 2i; rows 2i and 2i+1 of ``odd`` hold the sin(k theta)
+    coefficients, at those of the frequencies that are >= 1, for m = 2i+1.
     """
     L = c.L
     g = np.empty((L + 1, 2, 2 * L + 2))     # (order, cos/sin amplitude, colatitude)
-    g[..., :L + 2] = _colatitude_samples(c)
+    g[..., :L + 2] = _colatitude_samples(c, k0, step)
     g[..., L + 2:] = g[..., L:0:-1] * (-1.0) ** np.arange(L + 1)[:, None, None]   # at 2 pi - theta
     spec = np.fft.rfft(g)[..., :L + 1]
     spec /= L + 1
     spec[..., 0] *= 0.5
-    even = spec[0::2].real.reshape(L // 2 * 2 + 2, L + 1)
-    odd = -spec[1::2, :, 1:].imag.reshape((L + 1) // 2 * 2, L)
-    return np.ascontiguousarray(even), np.ascontiguousarray(odd)
+    even = spec[0::2, :, k0::step].real
+    odd = -spec[1::2, :, (k0 or step)::step].imag     # sin(0 theta) = 0: from k = 1 on
+    return tuple(np.ascontiguousarray(a.reshape(2 * a.shape[0], a.shape[2])) for a in (even, odd))
 
 
-def _unit_powers(z: np.ndarray, L: int) -> np.ndarray:
-    """Rows z^k, k = 0..L, of unit complex numbers z: rows 1..b times z^b fill rows b+1..2b."""
-    out = np.empty((L + 1, z.shape[0]), dtype=complex)
+def _unit_powers(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows z^k, k = 0..len(out)-1, of unit complex numbers z, written to out.
+
+    Rows 1..b times z^b fill rows b+1..2b.
+    """
+    top = out.shape[0] - 1
     out[0] = 1.0
     out[1:2] = z
     b = 1
-    while b < L:
-        n = min(b, L - b)
+    while b < top:
+        n = min(b, top - b)
         np.multiply(out[1:n + 1], out[b], out=out[b + 1:b + n + 1])
         b += n
     return out
@@ -602,19 +627,30 @@ def _lengths(pts: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     return rho, r
 
 
+# Fewest points in a chunk of synthesize_at: below a few hundred columns its
+# products lose speed, and each chunk costs ~20 numpy calls whatever its size
+_MIN_CHUNK = 256
+
+
 def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Evaluate the series at the directions p/|p| of points p (shape (..., 3)).
 
     A non-finite point or one of zero length raises ValueError.  Independent
     of the grid tables: the series is first written as a Fourier series in
     colatitude for each order (:func:`_colatitude_series`, which runs
-    :func:`_diagonal_rows` in float at L+2 colatitudes).  At each point,
-    cos(k theta), sin(k theta), cos(m phi) and sin(m phi) come from the
-    point's own coordinates by angle addition; two matrix products give
-    every order's cos(m phi) and sin(m phi) amplitude, and one sum over m
-    adds them up.  Points go through in chunks of _POINT_CHUNK / (L+1), so
-    each of the chunk's (L+1)-row blocks holds about _POINT_CHUNK numbers
-    however many points there are.
+    :func:`_diagonal_rows` in float at L+2 colatitudes), at only the
+    frequencies k = k0, k0 + step, ... it holds (:func:`_frequencies`): every
+    other one for a series of even or of odd degrees, which halves its
+    rows.  At each point, e^(i theta) and e^(i phi) come from the point's
+    own coordinates, once per call, and powers of them give e^(i k theta)
+    and e^(i m phi).  Per chunk of points one matrix product gives the
+    cos(m phi) and sin(m phi) amplitudes of the even orders and one those
+    of the odd orders, and one product-sum against cos(m phi) and sin(m phi),
+    laid out as the amplitudes' rows, adds them up.  A chunk has
+    _POINT_CHUNK / (L+1) points but at least _MIN_CHUNK, so each (L+1)-row
+    block holds about _POINT_CHUNK numbers up to L = 63 and
+    _MIN_CHUNK x (L+1) above.  Its three buffers are allocated once per
+    call, and e^(i m phi) reuses the one of e^(i k theta).
     """
     L = c.L
     pts = np.asarray(points, dtype=float)
@@ -622,23 +658,49 @@ def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     pts = pts.reshape(-1, 3)
     n = pts.shape[0]
     rho, r = _lengths(pts, "points")
-    even, odd = _colatitude_series(c)
+    k0, step = _frequencies(c)
+    cos_series, sin_series = _colatitude_series(c, k0, step)
     # numpy takes a one-column product through gemv, which rounds unlike the
     # gemm of wider chunks; an even count in even chunks leaves no such chunk,
     # so a lone point evaluates as it does beside its antipode in radon_r1
     if n % 2:
         pts, rho, r = (np.concatenate((x, x[-1:])) for x in (pts, rho, r))
-    out = np.empty(pts.shape[0])
-    size = max(2, _POINT_CHUNK // (L + 1) // 2 * 2)
-    for lo in range(0, pts.shape[0], size):
-        p, rh, rr = pts[lo:lo + size], rho[lo:lo + size], r[lo:lo + size]
-        colat = _unit_powers((p[:, 2] + 1j * rh) / rr, L)
-        amp = np.empty((L + 1, 2, p.shape[0]))
-        amp[0::2] = (even @ np.ascontiguousarray(colat.real)).reshape(-1, 2, p.shape[0])
-        amp[1::2] = (odd @ np.ascontiguousarray(colat[1:].imag)).reshape(-1, 2, p.shape[0])
-        lon = _unit_powers(np.divide(p[:, 0] + 1j * p[:, 1], rh, where=rh > 0.0,
-                                     out=np.ones(p.shape[0], dtype=complex)), L)
-        out[lo:lo + size] = (amp[:, 0] * lon.real + amp[:, 1] * lon.imag).sum(axis=0)
+    total = pts.shape[0]
+    z = (pts[:, 2] + 1j * rho) / r          # e^(i theta)
+    w = np.divide(pts[:, 0] + 1j * pts[:, 1], rho, where=rho > 0.0,
+                  out=np.ones(total, dtype=complex))        # e^(i phi)
+    size = max(_MIN_CHUNK, _POINT_CHUNK // (L + 1)) // 2 * 2
+    width = min(size, total)
+    even_m = L // 2 + 1                     # orders 0, 2, ..., then 1, 3, ...
+    n_cos, n_sin = cos_series.shape[1], sin_series.shape[1]
+    # flat buffers, each chunk's blocks contiguous views into them: e^(i k theta)
+    # and then e^(i m phi); the real rows of the products and then
+    # cos(m phi), sin(m phi) laid out as amp's rows; the amplitudes
+    powers = np.empty((L + 1) * width, dtype=complex)
+    rows = np.empty(2 * (L + 1) * width)
+    amps = np.empty(2 * (L + 1) * width)
+    out = np.empty(total)
+    for lo in range(0, total, size):
+        chunk = slice(lo, lo + size)
+        cols = min(size, total - lo)
+        zc, wc = z[chunk], w[chunk]
+        colat = _unit_powers(zc ** step, powers[:n_cos * cols].reshape(n_cos, cols))
+        if k0:
+            colat *= zc
+        cos_rows = rows[:n_cos * cols].reshape(n_cos, cols)
+        sin_rows = rows[n_cos * cols:(n_cos + n_sin) * cols].reshape(n_sin, cols)
+        np.copyto(cos_rows, colat.real)
+        np.copyto(sin_rows, colat[1 - k0:].imag)                # from frequency 1 on
+        amp = amps[:2 * (L + 1) * cols].reshape(2 * (L + 1), cols)    # cos, sin of each order
+        np.matmul(cos_series, cos_rows, out=amp[:2 * even_m])
+        np.matmul(sin_series, sin_rows, out=amp[2 * even_m:])
+        lon = powers[:(L + 1) * cols].reshape(L + 1, cols)
+        _unit_powers(wc * wc, lon[:even_m])
+        np.multiply(lon[:L + 1 - even_m], wc, out=lon[even_m:])     # odd m
+        lon_rows = rows[:2 * (L + 1) * cols].reshape(L + 1, 2, cols)
+        np.copyto(lon_rows[:, 0], lon.real)
+        np.copyto(lon_rows[:, 1], lon.imag)
+        out[chunk] = np.einsum("ij,ij->j", amp, lon_rows.reshape(amp.shape))
     return out[:n].reshape(shape)
 
 

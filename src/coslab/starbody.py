@@ -240,7 +240,7 @@ def classify_K_alpha(body: StarBody, alpha: float,
     the top four degrees as a truncation-risk indicator.  A call pays for that
     numerical work only: the grid's Legendre table and a zonal body's basis
     (:func:`_class_basis`) are built once for every order.  At the defaults a grid
-    verdict takes ~170 us, a zonal n = 5 one ~65 us (2-vCPU host).
+    verdict takes ~150 us, a zonal n = 5 one ~45 us (2-vCPU host, one BLAS thread).
     """
     return _signed_verdict(body, alpha, 1.0, t_smooth, margin, band_limit)
 

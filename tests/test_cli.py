@@ -527,6 +527,83 @@ class TestApply:
         back = load_object(out)
         assert back.get(2, 0) == pytest.approx(c.get(2, 0) * 0.25, rel=1e-14)
 
+    @pytest.mark.parametrize("op,method,kind,alpha", [
+        ("cosine", "spectral", "coefficients", "-200.5"),   # gamma ratios overflow
+        ("qalpha", "spectral", "zonal", "-200.5"),
+        ("cosine", "direct", "grid", "1e-300"),             # the rule's weights overflow
+        ("qalpha", "direct", "grid", "1e-300"),
+    ])
+    def test_non_finite_result_exits_3(self, capsys, tmp_path, op, method, kind, alpha):
+        path = tmp_path / "in.json"
+        save_object(APPLY_INPUTS[kind](), path)
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "apply", "--op", op, "--method", method,
+                                f"--alpha={alpha}", "--input", str(path),
+                                "--output", str(out))
+        assert code == 3
+        assert err.startswith("error:") and "not finite" in err and err.count("\n") == 1
+        assert stdout == "" and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def apply_files(tmp_path_factory):
+    """One file of each apply input kind, by kind."""
+    tmp = tmp_path_factory.mktemp("apply")
+    paths = {kind: tmp / f"{i}.json" for i, kind in enumerate(APPLY_INPUTS)}
+    for kind, path in paths.items():
+        save_object(APPLY_INPUTS[kind](), path)
+    return paths
+
+
+@st.composite
+def _apply_argv(draw):
+    """An op, a --method or none, an input kind and the op's parameter flags:
+    each parameter it reads is absent one time in five, and one time in five
+    a flag it may not read (a parameter or --i) is added."""
+    op = draw(st.sampled_from(sorted(cli._OPS)))
+    method = draw(st.sampled_from([None, "spectral", "direct"]))
+    kind = draw(st.sampled_from(sorted(APPLY_INPUTS)))
+    flags = {name: repr(draw(_SWEEP_VALUES))
+             for name in cli._param_names((cli._OPS[op][0],)) if draw(st.integers(0, 4))}
+    if not draw(st.integers(0, 4)):
+        stray = draw(st.sampled_from(["alpha", "t", "i"]))
+        flags[stray] = draw(st.sampled_from(["1", "2"])) if stray == "i" else repr(
+            draw(_SWEEP_VALUES))
+    return op, method, kind, flags
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_apply_argv())
+def test_apply_exit_codes(capsys, tmp_path, apply_files, drawn):
+    # exit 2 for a flag the op does not read or a parameter it lacks, before the
+    # input is read; then 4 for an input its route does not take; then 0, 2 or
+    # 3 (a non-finite parameter is 2); one error line, no traceback, no file
+    op, method, kind, flags = drawn
+    family, reads, _ = cli._OPS[op]
+    params = cli._param_names((family,))
+    out = tmp_path / "x.json"
+    out.unlink(missing_ok=True)
+    code, stdout, err = run(capsys, "apply", "--op", op,
+                            *(["--method", method] if method else []),
+                            *(f"--{k}={v}" for k, v in flags.items()),
+                            "--input", str(apply_files[kind]), "--output", str(out))
+    takes = APPLY_TAKES[op][1]
+    if ((method and "method" not in reads) or set(params) - set(flags)
+            or set(flags) - {*reads, *params}):
+        assert code == 2
+    elif kind not in takes[method or next(iter(takes))]:
+        assert code == 4
+    elif not all(math.isfinite(float(flags[name])) for name in params):
+        assert code == 2
+    else:
+        assert code in (0, 2, 3)
+    assert stdout == "" and "Traceback" not in err
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1 and not out.exists()
+    else:
+        assert err == "" and load_object(out) is not None     # readers refuse NaN and inf
+
 
 class TestBody:
     def test_make_intersect_ball(self, capsys, tmp_path):

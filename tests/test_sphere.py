@@ -258,6 +258,26 @@ def _random_coeffs(L, seed):
     return sp.HarmonicCoeffs(L, np.random.default_rng(seed).uniform(-1, 1, (L + 1) ** 2))
 
 
+def _parity_inputs(c):
+    """(even degrees of c only, odd degrees of c only, c)."""
+    odd = c.degrees() % 2 == 1
+    return (sp.HarmonicCoeffs(c.L, np.where(odd, 0.0, c.coeffs)),
+            sp.HarmonicCoeffs(c.L, np.where(odd, c.coeffs, 0.0)), c)
+
+
+def _spy_powers(patch):
+    """Record the shape of each table sphere._unit_powers fills, in call order."""
+    shapes, powers = [], sp._unit_powers
+
+    def spy(*args):
+        table = powers(*args)
+        shapes.append(table.shape)
+        return table
+
+    patch.setattr(sp, "_unit_powers", spy)
+    return shapes
+
+
 class TestEngineAgainstReference:
     # (grid shape, band limit): square grids at L in {0, 1, 2, 7, 16, 33},
     # wide grids (n_phi > 2 n_theta) and analysis below the grid's band limit;
@@ -305,12 +325,18 @@ class TestEngineAgainstReference:
         assert empty.shape == (0,)
 
     def test_synthesize_at_crosses_chunks(self, monkeypatch):
-        c = _random_coeffs(7, 9)
         pts = np.random.default_rng(4).normal(size=(50, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        whole = sp.synthesize_at(c, pts)
-        monkeypatch.setattr(sp, "_POINT_CHUNK", 16)
-        assert np.array_equal(sp.synthesize_at(c, pts), whole)
+        for c in _parity_inputs(_random_coeffs(7, 9)):
+            whole = sp.synthesize_at(c, pts)
+            with monkeypatch.context() as patch:
+                patch.setattr(sp, "_POINT_CHUNK", 16)
+                patch.setattr(sp, "_MIN_CHUNK", 16)
+                widths = _spy_powers(patch)
+                assert np.array_equal(sp.synthesize_at(c, pts), whole)
+            # two power tables per chunk, each one column per point
+            chunks = [w[1] for w in widths[0::2]]
+            assert len(chunks) >= 2 and sum(chunks) == 50
 
     @pytest.mark.parametrize("L", [64, 128])
     def test_synthesize_at_long_double(self, L):
@@ -322,6 +348,33 @@ class TestEngineAgainstReference:
         unit /= np.sqrt(np.sum(unit * unit, axis=1, keepdims=True))
         ref = _ref_m_components(c, unit, np.longdouble)[0].sum(axis=0)
         assert _dev(sp.synthesize_at(c, pts), ref) <= 1e-13
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 7, 16, 33, 64, 128])
+    def test_synthesize_at_parity_paths(self, L):
+        # even-only and odd-only input take every other colatitude frequency;
+        # all three against the long-double reference at p/|p|
+        pts = np.random.default_rng(300 + L).normal(size=(200, 3))
+        unit = pts.astype(np.longdouble)
+        unit /= np.sqrt(np.sum(unit * unit, axis=1, keepdims=True))
+        for c in _parity_inputs(_random_coeffs(L, 300 + L)):
+            ref = _ref_m_components(c, unit, np.longdouble)[0].sum(axis=0)
+            assert _dev(sp.synthesize_at(c, pts), ref) <= 1e-13
+
+    @pytest.mark.parametrize("L", [1, 7, 16, 33, 128])
+    def test_synthesize_at_colatitude_rows(self, L, monkeypatch):
+        # a series of one degree parity holds only every other colatitude
+        # frequency, so its table of e^(i k theta) has half the rows
+        even, odd, mixed = _parity_inputs(_random_coeffs(L, 400 + L))
+        barely = even.coeffs.copy()
+        barely[1] = 5e-324                      # one subnormal coefficient of degree 1
+        expected = [(even, L // 2 + 1), (odd, (L + 1) // 2), (mixed, L + 1),
+                    (sp.HarmonicCoeffs(L, barely), L + 1)]
+        pts = np.random.default_rng(L).normal(size=(20, 3))
+        for c, rows in expected:
+            with monkeypatch.context() as patch:
+                shapes = _spy_powers(patch)
+                sp.synthesize_at(c, pts)
+            assert [shape[0] for shape in shapes[0::2]] == [rows]
 
     def test_synthesize_at_directions(self):
         c = _random_coeffs(9, 11)
@@ -344,15 +397,16 @@ class TestEngineAgainstReference:
     def test_synthesize_at_peak_memory(self):
         # the colatitude recurrence keeps O(L^2) numbers; a table of every
         # order's rows at L = 128 would take it to ~10 MB
-        c = _random_coeffs(128, 12)
+        mixed = _random_coeffs(128, 12)
         pts = np.random.default_rng(12).normal(size=(10_256, 3))
-        tracemalloc.start()
-        try:
-            sp.synthesize_at(c, pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4e6
+        for c in (mixed, _parity_inputs(mixed)[0]):
+            tracemalloc.start()
+            try:
+                sp.synthesize_at(c, pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4e6
 
     def test_pointwise_routes_use_no_grid_table(self, grid, even_f, monkeypatch):
         # synthesize_at and the oracles on it run their own recurrence;
