@@ -7,9 +7,9 @@ Subcommands:
   body         make / intersect / classify / pair-check star bodies
 
 Exit codes: 0 success, 1 identity failure, 2 argument error, 3 excluded
-parameter or quadrature window, or an apply result that is not finite,
-4 representation mismatch or malformed input file, 5 non-positive or
-non-symmetric body.
+parameter or quadrature window, or an apply or body result that is not
+finite, 4 representation mismatch or malformed input file, 5 non-positive
+or non-symmetric body, or one outside the float range.
 """
 
 from __future__ import annotations

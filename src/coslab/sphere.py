@@ -18,9 +18,9 @@ along the diagonals j = m + k for all orders at once: in long double at
 the Gauss nodes for the tables, and in float at L+2 colatitudes for
 evaluation at arbitrary points, which reads its coefficients from the
 same folded layout but no table.  One real FFT turns those samples into a
-Fourier series in colatitude for each order; a series of even (or of odd)
-degrees keeps only its even (odd) frequencies, since P-bar_{j,m}(cos theta)
-has frequencies of the parity of j.  Per chunk of points, one matrix product
+Fourier series in colatitude for each order; a series of even degrees
+keeps only its even frequencies, since P-bar_{j,m}(cos theta) has
+frequencies of the parity of j.  Per chunk of points, one matrix product
 for the even orders and one for the odd ones give the longitude amplitudes,
 and one product-sum against cos(m phi), sin(m phi) adds them up.
 Table-vs-point agreement thus compares two routes: different nodes,
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import multipliers as mult
 from .zonal import (_POINT_CHUNK, _check_direct_order, _cosine_rule, _gauss_rule,
-                    gauss_jacobi_rule, zonal_basis)
+                    _unit_scaled, gauss_jacobi_rule, zonal_basis)
 from .errors import (
     GridTooCoarseError,
     OddInputError,
@@ -259,8 +259,9 @@ class GridFunction:
         return GridFunction(self.grid, 0.5 * (self.values + self.antipodal().values))
 
     def odd_energy_fraction(self) -> float:
-        odd = 0.5 * (self.values - self.antipodal().values)
-        total = float(self.grid.wt @ (self.values ** 2).mean(axis=1))
+        scaled = GridFunction(self.grid, _unit_scaled(self.values))
+        odd = 0.5 * (scaled.values - scaled.antipodal().values)
+        total = float(self.grid.wt @ (scaled.values ** 2).mean(axis=1))
         if total == 0.0:
             return 0.0
         return float(self.grid.wt @ (odd ** 2).mean(axis=1)) / total
@@ -520,21 +521,18 @@ def synthesize(c: HarmonicCoeffs, grid: S2Grid) -> GridFunction:
     return GridFunction(grid, np.fft.irfft(spec, n=grid.n_phi, axis=1, norm="forward"))
 
 
-def _frequencies(c: HarmonicCoeffs) -> tuple[int, int]:
-    """(k0, step): the colatitude frequencies k0, k0 + step, ... <= L the series holds.
+def _frequencies(c: HarmonicCoeffs) -> int:
+    """The step of the colatitude frequencies 0, step, ... <= L the series holds.
 
     P-bar_{j,m}(cos theta) is a trigonometric polynomial in theta whose
-    frequencies k all have the parity of j.  If every nonzero coefficient
-    has a degree of one parity p, only k = p, p + 2, ... occur, so
-    (k0, step) = (p, 2); otherwise (both parities, or no nonzero
-    coefficient) every k may, and (k0, step) = (0, 1).  Only exact zeros
-    count as absent.
+    frequencies k all have the parity of j.  If every odd-degree
+    coefficient is exactly 0, only k = 0, 2, ... occur and the step is 2;
+    otherwise it is 1.
     """
-    held = np.flatnonzero(np.bincount(c.degrees() % 2, weights=c.coeffs != 0.0, minlength=2))
-    return (int(held[0]), 2) if held.size == 1 else (0, 1)
+    return 1 if np.any(c.coeffs[c.degrees() % 2 == 1]) else 2
 
 
-def _colatitude_samples(c: HarmonicCoeffs, k0: int, step: int) -> np.ndarray:
+def _colatitude_samples(c: HarmonicCoeffs, step: int) -> np.ndarray:
     """Each order's amplitudes g_m, h_m at the L+2 colatitudes pi q/(L+1).
 
     Shape (order, cos/sin amplitude, q); see :func:`_colatitude_series`.
@@ -543,9 +541,9 @@ def _colatitude_samples(c: HarmonicCoeffs, k0: int, step: int) -> np.ndarray:
     amplitudes for the parity of k, so no table of rows is kept and the
     working memory is O(L^2).  In the folded layout of :func:`_packed`,
     seen as (cos/sin, 2 x row + [2m > L]), that pair is column
-    2 start[k%2, m] + [2m > L] + 2 (k//2).  With step 2 (degrees of one
-    parity k0, :func:`_frequencies`) only the orders m = k0 + k mod 2 have
-    a degree m + k that holds coefficients, so only they are added.  The
+    2 start[k%2, m] + [2m > L] + 2 (k//2).  With step 2 (even degrees
+    only, :func:`_frequencies`) only the orders m = k mod 2 have a degree
+    m + k that holds coefficients, so only they are added.  The
     recurrence runs on the northern colatitudes q <= (L+1)/2 only:
     P-bar_{j,m}(-t) = (-1)^(j-m) P-bar_{j,m}(t) gives the southern ones
     from the two parity sums.
@@ -560,7 +558,7 @@ def _colatitude_samples(c: HarmonicCoeffs, k0: int, step: int) -> np.ndarray:
     first = 2 * _fold_layout(L).start + (2 * m > L)
     acc = np.zeros((2, 2, L + 1, h))        # (parity of k, cos/sin, order, colatitude)
     for k, rows in enumerate(_diagonal_rows(L, np.cos(theta), np.sin(theta))):
-        held = slice((k0 + k) % step, rows.shape[0], step)     # orders whose degree m + k is held
+        held = slice(k % step, rows.shape[0], step)            # orders whose degree m + k is held
         acc[k % 2, :, held] += pairs[:, first[k % 2, held] + 2 * (k // 2), None] * rows[held]
     g = np.empty((L + 1, 2, L + 2))
     g[..., :h] = (acc[0] + acc[1]).transpose(1, 0, 2)
@@ -568,7 +566,7 @@ def _colatitude_samples(c: HarmonicCoeffs, k0: int, step: int) -> np.ndarray:
     return g
 
 
-def _colatitude_series(c: HarmonicCoeffs, k0: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+def _colatitude_series(c: HarmonicCoeffs, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Fourier coefficients in theta of each order's amplitudes of the series.
 
     Order m contributes g_m(theta) cos(m phi) + h_m(theta) sin(m phi), with
@@ -580,7 +578,7 @@ def _colatitude_series(c: HarmonicCoeffs, k0: int, step: int) -> tuple[np.ndarra
     through one real FFT.  The samples come from the diagonal recurrence
     of :func:`_colatitude_samples`.
 
-    Returns (even, odd) at the frequencies k = k0, k0 + step, ... <= L of
+    Returns (even, odd) at the frequencies k = 0, step, ... <= L of
     :func:`_frequencies`: rows 2i and 2i+1 of ``even`` (shape
     (2 x orders, frequencies)) hold the cos(k theta) coefficients of g_m
     and h_m for m = 2i; rows 2i and 2i+1 of ``odd`` hold the sin(k theta)
@@ -588,13 +586,13 @@ def _colatitude_series(c: HarmonicCoeffs, k0: int, step: int) -> tuple[np.ndarra
     """
     L = c.L
     g = np.empty((L + 1, 2, 2 * L + 2))     # (order, cos/sin amplitude, colatitude)
-    g[..., :L + 2] = _colatitude_samples(c, k0, step)
+    g[..., :L + 2] = _colatitude_samples(c, step)
     g[..., L + 2:] = g[..., L:0:-1] * (-1.0) ** np.arange(L + 1)[:, None, None]   # at 2 pi - theta
     spec = np.fft.rfft(g)[..., :L + 1]
     spec /= L + 1
     spec[..., 0] *= 0.5
-    even = spec[0::2, :, k0::step].real
-    odd = -spec[1::2, :, (k0 or step)::step].imag     # sin(0 theta) = 0: from k = 1 on
+    even = spec[0::2, :, ::step].real
+    odd = -spec[1::2, :, step::step].imag     # sin(0 theta) = 0: from k = step on
     return tuple(np.ascontiguousarray(a.reshape(2 * a.shape[0], a.shape[2])) for a in (even, odd))
 
 
@@ -639,11 +637,11 @@ def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     of the grid tables: the series is first written as a Fourier series in
     colatitude for each order (:func:`_colatitude_series`, which runs
     :func:`_diagonal_rows` in float at L+2 colatitudes), at only the
-    frequencies k = k0, k0 + step, ... it holds (:func:`_frequencies`): every
-    other one for a series of even or of odd degrees, which halves its
-    rows.  At each point, e^(i theta) and e^(i phi) come from the point's
-    own coordinates, once per call, and powers of them give e^(i k theta)
-    and e^(i m phi).  Per chunk of points one matrix product gives the
+    frequencies k = 0, step, ... it holds (:func:`_frequencies`): every
+    other one for a series of even degrees, which halves its rows.  At
+    each point, e^(i theta) and e^(i phi) come from the point's own
+    coordinates, once per call, and powers of them give e^(i k theta) and
+    e^(i m phi).  Per chunk of points one matrix product gives the
     cos(m phi) and sin(m phi) amplitudes of the even orders and one those
     of the odd orders, and one product-sum against cos(m phi) and sin(m phi),
     laid out as the amplitudes' rows, adds them up.  A chunk has
@@ -658,19 +656,13 @@ def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     pts = pts.reshape(-1, 3)
     n = pts.shape[0]
     rho, r = _lengths(pts, "points")
-    k0, step = _frequencies(c)
-    cos_series, sin_series = _colatitude_series(c, k0, step)
-    # numpy takes a one-column product through gemv, which rounds unlike the
-    # gemm of wider chunks; an even count in even chunks leaves no such chunk,
-    # so a lone point evaluates as it does beside its antipode in radon_r1
-    if n % 2:
-        pts, rho, r = (np.concatenate((x, x[-1:])) for x in (pts, rho, r))
-    total = pts.shape[0]
+    step = _frequencies(c)
+    cos_series, sin_series = _colatitude_series(c, step)
     z = (pts[:, 2] + 1j * rho) / r          # e^(i theta)
     w = np.divide(pts[:, 0] + 1j * pts[:, 1], rho, where=rho > 0.0,
-                  out=np.ones(total, dtype=complex))        # e^(i phi)
-    size = max(_MIN_CHUNK, _POINT_CHUNK // (L + 1)) // 2 * 2
-    width = min(size, total)
+                  out=np.ones(n, dtype=complex))            # e^(i phi)
+    size = max(_MIN_CHUNK, _POINT_CHUNK // (L + 1))
+    width = min(size, n)
     even_m = L // 2 + 1                     # orders 0, 2, ..., then 1, 3, ...
     n_cos, n_sin = cos_series.shape[1], sin_series.shape[1]
     # flat buffers, each chunk's blocks contiguous views into them: e^(i k theta)
@@ -679,18 +671,16 @@ def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     powers = np.empty((L + 1) * width, dtype=complex)
     rows = np.empty(2 * (L + 1) * width)
     amps = np.empty(2 * (L + 1) * width)
-    out = np.empty(total)
-    for lo in range(0, total, size):
+    out = np.empty(n)
+    for lo in range(0, n, size):
         chunk = slice(lo, lo + size)
-        cols = min(size, total - lo)
+        cols = min(size, n - lo)
         zc, wc = z[chunk], w[chunk]
         colat = _unit_powers(zc ** step, powers[:n_cos * cols].reshape(n_cos, cols))
-        if k0:
-            colat *= zc
         cos_rows = rows[:n_cos * cols].reshape(n_cos, cols)
         sin_rows = rows[n_cos * cols:(n_cos + n_sin) * cols].reshape(n_sin, cols)
         np.copyto(cos_rows, colat.real)
-        np.copyto(sin_rows, colat[1 - k0:].imag)                # from frequency 1 on
+        np.copyto(sin_rows, colat[1:].imag)                     # from frequency step on
         amp = amps[:2 * (L + 1) * cols].reshape(2 * (L + 1), cols)    # cos, sin of each order
         np.matmul(cos_series, cos_rows, out=amp[:2 * even_m])
         np.matmul(sin_series, sin_rows, out=amp[2 * even_m:])
@@ -701,7 +691,7 @@ def synthesize_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
         np.copyto(lon_rows[:, 0], lon.real)
         np.copyto(lon_rows[:, 1], lon.imag)
         out[chunk] = np.einsum("ij,ij->j", amp, lon_rows.reshape(amp.shape))
-    return out[:n].reshape(shape)
+    return out.reshape(shape)
 
 
 def kernel_at(c: HarmonicCoeffs, normals: np.ndarray, s: np.ndarray,
@@ -816,16 +806,16 @@ def radon_r1(f: GridFunction, line: np.ndarray, L: int | None = None) -> float |
     """Radon transform over 1-dimensional subspaces: the symmetrized value.
 
     The unit 0-sphere along the line carries the two antipodal points with
-    equal mass 1/2, so the transform is (f(u) + f(-u)) / 2 evaluated by
-    synthesis at the line's direction u (or an array of directions).  A
-    non-finite line or one of zero length raises ValueError.
+    equal mass 1/2, so the transform is (f(u) + f(-u)) / 2, the even part
+    of f at the line's direction u (or an array of directions): the odd
+    degree blocks of f's coefficients are zeroed and the rest synthesized
+    at u alone.  A non-finite line or one of zero length raises ValueError.
     """
     _check_type(f, GridFunction)
     u = np.asarray(line, dtype=float)
     _lengths(u.reshape(-1, 3), "line")
     c = analyze(f, f.grid.band_limit if L is None else L)
-    ends = synthesize_at(c, np.stack((u, -u)))
-    return 0.5 * (ends[0] + ends[1])
+    return synthesize_at(c.scale_degrees(np.arange(c.L + 1) % 2 == 0), u)[()]   # one line: a scalar
 
 
 def radon_transform(f: GridFunction, i: int, L: int | None = None) -> GrassmannFunctionS2:
@@ -864,13 +854,13 @@ def ri_alpha_direct(f: GridFunction, i: int, alpha: float,
     i = 2: the projection onto the plane's normal line gives the cosine
     kernel |theta . n|^(alpha-1), so the output is the cosine transform
     keyed by normals.  i = 1: the projection onto the plane perpendicular
-    to the line gives (1 - (theta . u)^2)^((alpha-2)/2).
+    to the line gives (1 - (theta . u)^2)^((alpha-2)/2), the sine transform
+    keyed by lines.  At n = 3 each engine's order guard is R_i's.
     """
-    _check_direct_order(3, alpha, mult.Family.R_I, i=i)
+    if i == 1:
+        return GrassmannFunctionS2("lines", sine_direct(f, alpha, L=L))
     if i == 2:
         return GrassmannFunctionS2("planes", cosine_direct(f, alpha, L=L))
-    if i == 1:
-        return GrassmannFunctionS2("lines", _funk_hecke(f, L, functools.partial(_sine_rule, alpha)))
     raise ValueError(f"i must be 1 or 2 on S^2, got {i}")
 
 

@@ -26,6 +26,7 @@ from ._gamma import _sign, gamma_ratio
 from .errors import (
     BadShapeParamsError,
     ExcludedParameterError,
+    NonFiniteResultError,
     NonPositiveBodyError,
     OddInputError,
     RepresentationError,
@@ -71,9 +72,10 @@ class StarBody:
             if self.n != self.repr_.n:
                 raise RepresentationError(f"a body in R^{self.n} needs a zonal payload with "
                                           f"n = {self.n}, got n = {self.repr_.n}")
-            values = zn.zonal_synth(self.repr_, np.linspace(-1.0, 1.0, 401))
-        if float(values.min()) <= 0.0:
-            raise NonPositiveBodyError("radial function must be strictly positive")
+            with np.errstate(over="ignore"):        # a value beyond floats: refused below
+                values = zn.zonal_synth(self.repr_, np.linspace(-1.0, 1.0, 401))
+        if not (np.all(np.isfinite(values)) and float(values.min()) > 0.0):
+            raise NonPositiveBodyError("radial function must be finite and strictly positive")
         if self.repr_.odd_energy_fraction() > ODD_ENERGY_LIMIT:
             raise OddInputError("body is not origin-symmetric (odd energy above limit)")
 
@@ -147,18 +149,21 @@ def make_body(n: int, shape: str, *, r: float = 1.0, axes=None, p: float = 2.0,
     elif shape == "ellipsoid":
         axes = _check_axes(axes, n)
         params = {"axes": axes}
-        radial = lambda x: 1.0 / np.sqrt(sum((x[..., k] / a) ** 2 for k, a in enumerate(axes)))
+        radial = lambda x: _inverse_norm(x / axes, 2.0)
     elif shape == "lp_ball":
         if not (math.isfinite(p) and p > 0):
             raise BadShapeParamsError(f"lp exponent must be positive and finite, got {p}")
         params = {"p": p}
-        radial = lambda x: sum(np.abs(x[..., k]) ** p for k in range(3)) ** (-1.0 / p)
+        radial = lambda x: _inverse_norm(x, p)
     else:
         raise BadShapeParamsError(f"unknown shape {shape!r}")
     meta = {"shape": shape, "params": params}
     if n == 3:
         grid = sphere.S2Grid(resolution)
-        return StarBody(3, sphere.GridFunction(grid, radial(grid.points)), meta)
+        # a radial value beyond the float range is refused by StarBody
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = radial(grid.points)
+        return StarBody(3, sphere.GridFunction(grid, values), meta)
 
     if shape == "ellipsoid":
         if any(abs(a - axes[0]) > 1e-14 for a in axes[:-1]):
@@ -166,15 +171,28 @@ def make_body(n: int, shape: str, *, r: float = 1.0, axes=None, p: float = 2.0,
                 "outside R^3, ellipsoids must be axially symmetric "
                 "(equal first n-1 semi-axes) to have a zonal radial function")
         a, c = axes[0], axes[-1]
-        profile = lambda t: 1.0 / np.sqrt((1.0 - t * t) / a ** 2 + t * t / c ** 2)
+        profile = lambda t: _inverse_norm(np.stack((np.sqrt(1.0 - t * t) / a, t / c), -1), 2.0)
         rule = zn.gauss_jacobi_rule(n, max(2 * resolution, resolution + 1))
-        return StarBody(n, zn.zonal_analyze(n, profile, resolution, rule), meta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = zn.zonal_analyze(n, profile, resolution, rule)
+        return StarBody(n, rho, meta)
     if shape == "lp_ball":
         if p != 2.0:
             raise BadShapeParamsError(
                 "lp_ball with p != 2 is not axially symmetric; only n = 3 supported")
         r, meta = 1.0, {"shape": "ball", "params": {"r": 1.0}}
     return StarBody(n, zn.ZonalFunction(n, np.pad([float(r)], (0, resolution))), meta)
+
+
+def _inverse_norm(y: np.ndarray, p: float) -> np.ndarray:
+    """1 / ||y||_p over the last axis, as 1 / (m ||y / m||_p) with m = max |y_k|.
+
+    Each power then lies in [0, 1] and their sum in [1, len], so no step
+    overflows or underflows unless the result itself does.
+    """
+    parts = [np.abs(y[..., k]) for k in range(y.shape[-1])]
+    m = functools.reduce(np.maximum, parts)
+    return 1.0 / (m * sum((part / m) ** p for part in parts) ** (1.0 / p))
 
 
 def _check_axes(axes, n: int):
@@ -194,9 +212,10 @@ def intersection_body(body: StarBody) -> StarBody:
     """
     if not body.is_grid:
         raise RepresentationError("intersection_body needs a grid body (n = 3)")
-    sections = sphere.funk_direct(body.radial_power(2.0))
-    factor = mult.constant("ib_map", 3)
-    vals = factor * sections.values
+    with np.errstate(over="ignore", invalid="ignore"):      # rho^2 beyond floats: refused below
+        vals = mult.constant("ib_map", 3) * sphere.funk_direct(body.radial_power(2.0)).values
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteResultError("section areas leave the float range")
     if vals.min() <= 0.0:
         raise NonPositiveBodyError("section areas must stay positive")
     meta = {"shape": "intersection_body", "params": {"of": body.meta}}
@@ -257,29 +276,34 @@ def _signed_verdict(body: StarBody, alpha: float, sign: float, t_smooth: float,
     if band_limit is not None and band_limit < 0:
         raise ValueError(f"band limit must be >= 0, got {band_limit}")
 
-    if body.is_grid:
-        grid = body.repr_.grid
-        L = band_limit if band_limit is not None else min(DEFAULT_CLASSIFY_L,
-                                                          grid.band_limit)
-        powered = body.radial_power(alpha)
-        coeffs = sphere.analyze(powered, L)
-        factors = _class_factors(n, L, alpha, t_smooth)
-        density = sphere.synthesize(coeffs.scale_degrees(factors), grid).values
-        energies = coeffs.degree_energies()
-    else:
-        L = band_limit if band_limit is not None else DEFAULT_CLASSIFY_L
-        rho = body.repr_
-        N = max(2 * L, L + 1)
-        basis = _class_basis(n, max(rho.degree, L), N)
-        profile = (rho.coeffs @ basis[:rho.degree + 1, :N]) ** alpha
-        coeffs = basis[:L + 1, :N] @ (zn.gauss_jacobi_rule(n, N).weights * profile)
-        density = (_class_factors(n, L, alpha, t_smooth) * coeffs) @ basis[:L + 1, N:]
-        energies = coeffs ** 2
-    total = float(energies.sum())
+    # rho^alpha or the multipliers may leave the float range: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if body.is_grid:
+            grid = body.repr_.grid
+            L = band_limit if band_limit is not None else min(DEFAULT_CLASSIFY_L,
+                                                              grid.band_limit)
+            powered = body.radial_power(alpha)
+            coeffs = sphere.analyze(powered, L)
+            factors = _class_factors(n, L, alpha, t_smooth)
+            density = sphere.synthesize(coeffs.scale_degrees(factors), grid).values
+            energies = coeffs.degree_energies()
+        else:
+            L = band_limit if band_limit is not None else DEFAULT_CLASSIFY_L
+            rho = body.repr_
+            N = max(2 * L, L + 1)
+            basis = _class_basis(n, max(rho.degree, L), N)
+            profile = (rho.coeffs @ basis[:rho.degree + 1, :N]) ** alpha
+            coeffs = basis[:L + 1, :N] @ (zn.gauss_jacobi_rule(n, N).weights * profile)
+            density = (_class_factors(n, L, alpha, t_smooth) * coeffs) @ basis[:L + 1, N:]
+            energies = coeffs ** 2
+        total = float(energies.sum())
+    min_value = float(density.min() if sign > 0 else -density.max())     # sign is +-1
+    if not (math.isfinite(min_value) and math.isfinite(total)):         # NaN propagates
+        raise NonFiniteResultError(f"the class density at alpha={alpha} of this body is "
+                                   "not finite in floating point")
     if total and float(energies[1::2].sum()) / total > ODD_ENERGY_LIMIT:
         raise OddInputError("rho^alpha has odd energy above the limit")
 
-    min_value = float(density.min() if sign > 0 else -density.max())     # sign is +-1
     return ClassVerdict(alpha=float(alpha), member=_verdict(min_value, margin),
                         min_value=min_value, margin=margin, smoothing_t=t_smooth,
                         tail_energy=float(energies[-4:].sum()) / total if total else 0.0)
@@ -334,19 +358,22 @@ def i_intersection_pair_check(K: StarBody, L_body: StarBody, i: int,
         raise RepresentationError("pair check needs bodies on the same grid")
     grid = K.repr_.grid
     Lband = min(DEFAULT_CLASSIFY_L, grid.band_limit)
-    rho_k_i = K.radial_power(float(i))
-    rho_l_co = L_body.radial_power(float(3 - i))
+    with np.errstate(over="ignore", invalid="ignore"):     # refused below
+        rho_k_i = K.radial_power(float(i))
+        rho_l_co = L_body.radial_power(float(3 - i))
 
-    # section-volume identity: (sigma(k)/k) R_k rho^k on both sides, k = i and 3-i
-    section = tuple(mult.sigma(k) / k * sphere.radon_transform(rho, k, L=Lband).repr_.values
-                    for k, rho in ((i, rho_k_i), (3 - i, rho_l_co)))
+        # section-volume identity: (sigma(k)/k) R_k rho^k on both sides, k = i and 3-i
+        section = tuple(mult.sigma(k) / k * sphere.radon_transform(rho, k, L=Lband).repr_.values
+                        for k, rho in ((i, rho_k_i), (3 - i, rho_l_co)))
 
-    # spectral partner identity
-    factor = mult.constant("kl_factor", 3, i=i)
-    coeffs = sphere.analyze(rho_k_i, Lband)
-    partner = sphere.synthesize(
-        sphere.apply_spectral(coeffs, "M", alpha=float(1 - 3 + i)), grid)
-    spectral = (factor * partner.values, rho_l_co.values)
+        # spectral partner identity
+        factor = mult.constant("kl_factor", 3, i=i)
+        coeffs = sphere.analyze(rho_k_i, Lband)
+        partner = sphere.synthesize(
+            sphere.apply_spectral(coeffs, "M", alpha=float(1 - 3 + i)), grid)
+        spectral = (factor * partner.values, rho_l_co.values)
+    if not all(np.all(np.isfinite(side)) for side in (*section, *spectral)):
+        raise NonFiniteResultError("the pair's section volumes are not finite in floating point")
 
     return make_report(
         "i_intersection_pair", {"i": i, "n": 3, "band_limit": Lband,

@@ -56,6 +56,16 @@ __all__ = [
 ALPHA_WINDOW = (0.0, 3.0)  # direct quadrature validated for 0 < alpha <= 3
 
 
+def _unit_scaled(values: np.ndarray) -> np.ndarray:
+    """values times the power of 2 that brings the largest |value| into [1/2, 1).
+
+    Exact but where a value falls below the normal range, so a ratio of sums
+    of squares keeps its bits, and no square of a value near either end of
+    the float range overflows or underflows.
+    """
+    return np.ldexp(values, -np.frexp(np.max(np.abs(values), initial=0.0))[1])
+
+
 @dataclass(frozen=True)
 class JacobiRule:
     """Gauss rule for the probability weight ~ (1-t^2)^((n-3)/2) on [-1,1]."""
@@ -101,10 +111,11 @@ class ZonalFunction:
 
     def odd_energy_fraction(self) -> float:
         """Share of the coefficient energy in odd degrees."""
-        total = float(np.sum(self.coeffs ** 2))
+        coeffs = _unit_scaled(self.coeffs)
+        total = float(np.sum(coeffs ** 2))
         if total == 0.0:
             return 0.0
-        return float(np.sum(self.coeffs[1::2] ** 2)) / total
+        return float(np.sum(coeffs[1::2] ** 2)) / total
 
     @classmethod
     def from_dict(cls, d: dict) -> "ZonalFunction":

@@ -605,6 +605,155 @@ def test_apply_exit_codes(capsys, tmp_path, apply_files, drawn):
         assert err == "" and load_object(out) is not None     # readers refuse NaN and inf
 
 
+# shape parameters of the body sweep: invalid, at the ends of the float range, near 1
+_BODY_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e-3,
+                     1e3, 1e300, 1.7e308]),
+    st.floats(0.05, 20.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _finite_positive(*values):
+    return all(math.isfinite(v) and v > 0 for v in values)
+
+
+# the sweep's input files, by name -> what each holds; a grid function is not a body
+SWEEP_BODIES = {
+    "ball": lambda: sb.make_body(3, "ball", resolution=8),
+    "ball_12": lambda: sb.make_body(3, "ball", r=2.0, resolution=12),
+    "huge_ball": lambda: sb.make_body(3, "ball", r=1e300, resolution=8),
+    "tiny_ball": lambda: sb.make_body(3, "ball", r=1e-300, resolution=8),
+    "cube": lambda: sb.make_body(3, "lp_ball", p=1e5, resolution=8),
+    "ellipsoid": lambda: sb.make_body(3, "ellipsoid", axes=[0.5, 1.0, 2.0], resolution=8),
+    "zonal": lambda: sb.make_body(5, "ellipsoid", axes=[1.0] * 4 + [1.5], resolution=6),
+    "grid_function": _ones_grid,
+}
+
+
+@pytest.fixture(scope="module")
+def body_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bodies")
+    paths = {name: tmp / f"{name}.json" for name in SWEEP_BODIES}
+    for name, path in paths.items():
+        save_object(SWEEP_BODIES[name](), path)
+    return paths
+
+
+@st.composite
+def _body_argv(draw):
+    """A body subcommand, its argv (with {name} for a sweep body file) and the
+    exit code the README gives it, or None where 0 and a refusal may both be
+    right (a body or result that may leave the float range, a sweep that may
+    hold an order whose density overflows, a pair check that may fail)."""
+    command = draw(st.sampled_from(["make", "intersect", "classify", "pair-check"]))
+    bodies = sorted(SWEEP_BODIES)
+    if command == "make":
+        n, shape = draw(st.integers(2, 9)), draw(st.sampled_from(["ball", "ellipsoid",
+                                                                     "lp_ball"]))
+        resolution = draw(st.integers(-1, 64))
+        argv = ["make", "--shape", shape, f"--n={n}", f"--resolution={resolution}"]
+        if shape == "ball":
+            r = draw(_BODY_VALUES)
+            argv.append(f"--r={r!r}")
+            bad = not _finite_positive(r)
+        elif shape == "ellipsoid":
+            count = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+            first = draw(_BODY_VALUES)
+            axes = ([first] * (count - 1) if draw(st.booleans())
+                    else draw(st.lists(_BODY_VALUES, min_size=count - 1, max_size=count - 1)))
+            axes.append(draw(_BODY_VALUES))
+            argv.append("--axes=" + ",".join(map(repr, axes)))
+            bad = (count != n or not _finite_positive(*axes)
+                   or (n != 3 and any(a != axes[0] for a in axes[:-1])))
+        else:
+            p = draw(st.one_of(_BODY_VALUES, st.just(2.0)))
+            argv.append(f"--p={p!r}")
+            bad = not _finite_positive(p) or (n != 3 and p != 2.0)
+        code = 2 if resolution < (1 if n == 3 else 0) else 5 if bad else None
+        return argv, code
+    if command == "intersect":
+        # the section areas of the huge ball overflow, the tiny ball's underflow to 0
+        name = draw(st.sampled_from(bodies))
+        code = {"zonal": 4, "grid_function": 4, "huge_ball": 3, "tiny_ball": 5}.get(name, 0)
+        return ["intersect", "--input", f"{{{name}}}"], code
+    if command == "pair-check":
+        k, l, i = (draw(st.sampled_from(bodies)), draw(st.sampled_from(bodies)),
+                   draw(st.sampled_from([1, 2])))
+        tol = draw(st.one_of(_BODY_VALUES, st.just(1e-6)))
+        argv = ["pair-check", "--k", f"{{{k}}}", "--l", f"{{{l}}}", f"--i={i}",
+                f"--tol={tol!r}"]
+        if not _finite_positive(tol):
+            return argv, 2
+        # a zonal body or bodies on two grids are a representation mismatch
+        pair = {k, l}
+        if pair & {"zonal", "grid_function"} or ("ball_12" in pair and len(pair) > 1):
+            return argv, 4
+        # the check squares K's radial function for i = 2 and L's for i = 1
+        return argv, 3 if (l, k)[i - 1] == "huge_ball" else None
+    name = draw(st.sampled_from(bodies))
+    argv = ["classify", "--input", f"{{{name}}}"]
+    flags = {}
+    if draw(st.booleans()):
+        flags["alpha"] = draw(_SWEEP_VALUES)
+    else:
+        flags.update({"alpha-min": draw(_SWEEP_VALUES), "alpha-max": draw(_SWEEP_VALUES)})
+        flags["steps"] = draw(st.integers(0, 4))
+    for flag, value in (("smooth", st.one_of(st.floats(0.0, 1.0), _BODY_VALUES)),
+                        ("margin", st.one_of(st.just(0.0), _BODY_VALUES))):
+        if draw(st.booleans()):
+            flags[flag] = draw(value)
+    argv += [f"--{k}={v!r}" for k, v in flags.items()]
+    orders = [flags[k] for k in ("alpha", "alpha-min", "alpha-max") if k in flags]
+    if name == "grid_function":
+        code = 4
+    elif not (math.isfinite(flags.get("margin", 0.0)) and flags.get("margin", 0.0) >= 0.0):
+        code = 2
+    elif not 0.0 < flags.get("smooth", 0.5) < 1.0 or not all(map(math.isfinite, orders)):
+        code = 2
+    elif "alpha" in flags and sb.mult.excluded(5 if name == "zonal" else 3, flags["alpha"],
+                                               sb.mult.Family.K_CLASS):
+        code = 3
+    elif flags.get("steps", 1) < 1:
+        code = 2
+    else:
+        code = None
+    return argv, code
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_body_argv())
+def test_body_exit_codes(capsys, tmp_path, body_files, drawn):
+    # the README's exit code, or where a run may succeed or be refused, 0 or
+    # that refusal: 5 for a body outside the float range, 3 for a result
+    # outside it, 1 for a pair check that fails; one error line, no
+    # traceback and no RuntimeWarning (the suite turns them into errors)
+    argv, code_wanted = drawn
+    out = tmp_path / "out.json"
+    out.unlink(missing_ok=True)
+    argv = [a.format(**body_files) for a in argv]
+    writes = argv[0] in ("make", "intersect")
+    code, stdout, err = run(capsys, "body", *argv, *(["--out", str(out)] if writes else []))
+    refusal = {"make": 5, "intersect": 3, "classify": 3, "pair-check": 3}[argv[0]]
+    if code_wanted is None:
+        assert code in (0, refusal, 1) if argv[0] == "pair-check" else code in (0, refusal)
+    else:
+        assert code == code_wanted
+    assert "Traceback" not in err
+    if code in (0, 1) and argv[0] == "pair-check":
+        assert err == "" and json.loads(stdout)["pass"] is (code == 0)
+    elif code:
+        assert err.startswith("error:") and err.count("\n") == 1 and stdout == ""
+        assert not out.exists()
+    elif writes:
+        body = load_object(out)             # the reader refuses NaN and inf
+        assert err == "" and stdout == "" and isinstance(body, sb.StarBody)
+    else:
+        report = json.loads(stdout)
+        assert err == "" and all(math.isfinite(v["min_value"]) for v in report["results"])
+
+
 class TestBody:
     def test_make_intersect_ball(self, capsys, tmp_path):
         body_file = tmp_path / "ball.json"
@@ -795,6 +944,36 @@ class TestBody:
         assert code == 2
         assert err.startswith("error: resolution must be >=") and err.count("\n") == 1
         assert out == "" and not body_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "5", "--shape", "ellipsoid", "--axes", "1,1,1,1,1e200"],
+        ["--shape", "lp_ball", "--p", "1e5"],
+        ["--shape", "ball", "--r", "1e308"],
+        ["--shape", "ellipsoid", "--axes", "1e-200,1e-200,2e-200"],
+    ])
+    def test_make_at_the_ends_of_the_float_range(self, capsys, tmp_path, argv):
+        # no overflow of a square or a power on the way: the body file is written
+        # and read back (the reader refuses inf)
+        body_file = tmp_path / "body.json"
+        code, out, err = run(capsys, "body", "make", *argv, "--out", str(body_file))
+        assert (code, out, err) == (0, "", "")
+        assert isinstance(load_object(body_file), sb.StarBody)
+
+    def test_lp_ball_of_large_exponent_is_the_cube(self):
+        # 1/||x||_p -> 1/max|x_k| as p grows; ||x||_p / max|x_k| <= 3^(1/p)
+        body = sb.make_body(3, "lp_ball", p=1e5, resolution=12)
+        pts = body.repr_.grid.points
+        cube = 1.0 / np.abs(pts).max(axis=-1)
+        assert np.all(body.repr_.values <= cube)
+        assert np.all(body.repr_.values >= cube * 3.0 ** -1e-5)
+
+    def test_classify_overflowing_density_exits_3(self, capsys, tmp_path):
+        body_file = tmp_path / "ball.json"
+        run(capsys, "body", "make", "--shape", "ball", "--out", str(body_file))
+        code, out, err = run(capsys, "body", "classify", "--input", str(body_file),
+                             "--alpha-min", "-400", "--alpha-max", "-399", "--steps", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "not finite" in err and err.count("\n") == 1
 
     def test_parser_defaults_are_the_library_constants(self):
         parser = cli.build_parser()

@@ -362,12 +362,13 @@ class TestEngineAgainstReference:
 
     @pytest.mark.parametrize("L", [1, 7, 16, 33, 128])
     def test_synthesize_at_colatitude_rows(self, L, monkeypatch):
-        # a series of one degree parity holds only every other colatitude
-        # frequency, so its table of e^(i k theta) has half the rows
+        # a series of even degrees holds only every other colatitude
+        # frequency, so its table of e^(i k theta) has half the rows; any
+        # nonzero odd-degree coefficient takes every frequency
         even, odd, mixed = _parity_inputs(_random_coeffs(L, 400 + L))
         barely = even.coeffs.copy()
         barely[1] = 5e-324                      # one subnormal coefficient of degree 1
-        expected = [(even, L // 2 + 1), (odd, (L + 1) // 2), (mixed, L + 1),
+        expected = [(even, L // 2 + 1), (odd, L + 1), (mixed, L + 1),
                     (sp.HarmonicCoeffs(L, barely), L + 1)]
         pts = np.random.default_rng(L).normal(size=(20, 3))
         for c, rows in expected:
@@ -685,18 +686,37 @@ class TestRadon:
         want = sp.synthesize_at(sp.analyze(even_f, 10), u)
         assert float(got) == pytest.approx(float(want), abs=1e-12)
 
-    def test_r1_is_the_mean_of_both_ends(self, grid):
-        rng = np.random.default_rng(5)
-        c = sp.HarmonicCoeffs(10, rng.uniform(-1, 1, 121))
-        f = sp.synthesize(c, grid)
-        u = rng.normal(size=(64, 3))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        cf = sp.analyze(f, 10)
-        for line in (u, u[0]):
-            want = 0.5 * (sp.synthesize_at(cf, line) + sp.synthesize_at(cf, -line))
-            got = sp.radon_r1(f, line, L=10)
-            assert np.shape(got) == np.shape(want)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    def test_r1_is_the_mean_of_both_ends(self):
+        # against the long-double series of the even blocks at the unit
+        # directions, and against the mean of both ends to 1e-14 of scale
+        for L in (10, 24, 47):
+            rng = np.random.default_rng(5 + L)
+            f = sp.synthesize(_random_coeffs(L, 5 + L), sp.S2Grid(L + 2))
+            u = rng.normal(size=(64, 3))
+            cf = sp.analyze(f, L)
+            unit = u.astype(np.longdouble)
+            unit /= np.sqrt(np.sum(unit * unit, axis=1, keepdims=True))
+            ref = _ref_m_components(_parity_inputs(cf)[0], unit, np.longdouble)[0].sum(axis=0)
+            assert _dev(sp.radon_r1(f, u, L=L), ref) <= 1e-13
+            for line in (u, u[0]):
+                want = 0.5 * (sp.synthesize_at(cf, line) + sp.synthesize_at(cf, -line))
+                got = sp.radon_r1(f, line, L=L)
+                assert np.shape(got) == np.shape(want)
+                assert _dev(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("L", [7, 10, 47])
+    def test_r1_synthesizes_the_even_part_once(self, L, monkeypatch):
+        # one synthesize_at call, at the lines' directions only, on the even
+        # path: floor(L/2) + 1 colatitude frequencies
+        f = sp.synthesize(_random_coeffs(L, 70 + L), sp.S2Grid(L + 2))
+        u = np.random.default_rng(L).normal(size=(9, 3))
+        calls, synth = [], sp.synthesize_at
+        monkeypatch.setattr(sp, "synthesize_at",
+                            lambda c, p: calls.append(np.shape(p)) or synth(c, p))
+        shapes = _spy_powers(monkeypatch)
+        sp.radon_r1(f, u, L=L)
+        assert calls == [(9, 3)]
+        assert [shape[0] for shape in shapes[0::2]] == [L // 2 + 1]
 
     def test_r1_odd_vanishes(self, grid):
         f = sp.GridFunction(grid, grid.points[..., 0])
@@ -742,6 +762,12 @@ class TestRiAlphaDirect:
         assert out.kind == "planes"
         ref = sp.cosine_direct(even_f, 1.5, L=10)
         assert np.abs(out.repr_.values - ref.values).max() == 0.0
+
+    def test_i1_matches_sine(self, grid, even_f):
+        out = sp.ri_alpha_direct(even_f, 1, 1.5, L=10)
+        assert out.kind == "lines"
+        ref = sp.sine_direct(even_f, 1.5, L=10)
+        assert np.array_equal(out.repr_.values, ref.values)
 
     def test_i1_constant_closed_form(self, grid):
         # value on constants: sqrt(pi) Gamma((2-a)/2) / Gamma((a+1)/2)
